@@ -54,7 +54,8 @@ def _write_manifest(out_prefix: str, subcommand: str, args: dict,
                     inputs: list[str], phases: dict[str, float]) -> None:
     manifest = {
         "subcommand": subcommand,
-        "flags": {k: v for k, v in args.items() if not k.startswith("_")},
+        "flags": {k: v for k, v in args.items()
+                  if k != "func" and not k.startswith("_")},
         "input_digests": {p: _digest(p) for p in inputs},
         "wall_clock_s": phases,
     }

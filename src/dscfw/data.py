@@ -3,8 +3,9 @@ generators.
 
 Minimax distances are computed through the minimum spanning tree: the
 largest edge on the unique MST path between two nodes equals the minimum
-over all paths of the maximum edge weight, which gives an exact O(n^2)
-method on dense inputs.
+over all paths of the maximum edge weight. Filling the distances in the
+order Prim's algorithm adds nodes gives an exact O(n^2) method on dense
+inputs.
 """
 
 from __future__ import annotations
@@ -59,38 +60,37 @@ def pairwise_euclidean(features) -> np.ndarray:
 
 def minimax_distances(D) -> np.ndarray:
     """Bottleneck distance matrix: entry (i,j) is the minimum over paths
-    from i to j of the maximum edge weight along the path."""
+    from i to j of the maximum edge weight along the path.
+
+    Prim's algorithm on the complete graph, filling the output in the
+    order nodes join the tree: when u joins through parent p with edge
+    weight w, its path to every tree node t runs through p, so
+    out[u, t] = max(out[p, t], w). Each node costs O(n) numpy work, with
+    no Python work per pair of nodes.
+    """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     if np.max(np.abs(D - D.T), initial=0.0) > 0:
         raise AsymmetricMatrix("distance matrix must be symmetric")
-    # Prim's algorithm on the complete graph.
     parent = np.full(n, -1, dtype=int)
     in_tree = np.zeros(n, dtype=bool)
     best = np.full(n, np.inf)
     best[0] = 0.0
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for _ in range(n):
+    order = np.empty(n, dtype=int)
+    out = np.zeros((n, n))
+    for k in range(n):
         u = int(np.argmin(np.where(in_tree, np.inf, best)))
         in_tree[u] = True
-        if parent[u] >= 0:
-            adj[u].append((parent[u], D[u, parent[u]]))
-            adj[parent[u]].append((u, D[u, parent[u]]))
+        p = parent[u]
+        if p >= 0:
+            tree = order[:k]
+            row = np.maximum(out[p, tree], D[u, p])
+            out[u, tree] = row
+            out[tree, u] = row
+        order[k] = u
         closer = ~in_tree & (D[u] < best)
         best[closer] = D[u, closer]
         parent[closer] = u
-    # Per-source traversal propagating the running max edge.
-    out = np.zeros((n, n))
-    for src in range(n):
-        stack = [(src, 0.0)]
-        seen = {src}
-        while stack:
-            node, mx = stack.pop()
-            out[src, node] = mx
-            for nb, w in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append((nb, max(mx, w)))
     return out
 
 

@@ -13,6 +13,11 @@ class NegativeEntry(DscfwError):
     pass
 
 
+class NonFiniteEntry(DscfwError, ValueError):
+    """Matrix holds NaN or an infinity. Also a ValueError, so the CLI
+    reports it as a data error."""
+
+
 class NonzeroDiagonal(DscfwError):
     pass
 
@@ -31,6 +36,12 @@ class EmptySupport(DscfwError):
 
 class NotAscent(DscfwError):
     """Step requested although the halved gap is nonpositive."""
+
+
+class BrokenInvariant(DscfwError):
+    """A condition the step logic guarantees does not hold, e.g. a convex
+    FW line search or an away step from a vertex: the solver state is
+    inconsistent with its matrix."""
 
 
 class ZeroDenominator(DscfwError):

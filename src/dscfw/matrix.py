@@ -14,6 +14,7 @@ from .errors import (
     AsymmetricMatrix,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NonzeroDiagonal,
     TooSmall,
 )
@@ -90,13 +91,15 @@ def simplex_point(coords) -> SimplexPoint:
 def new_similarity_matrix(raw) -> SimilarityMatrix:
     """Validate a raw square array as a similarity matrix.
 
-    Raises AsymmetricMatrix, NegativeEntry or NonzeroDiagonal when the
-    respective contract is violated. Diagonal entries within 1e-12 of zero
-    are forced to exactly zero.
+    Raises NonFiniteEntry, AsymmetricMatrix, NegativeEntry or
+    NonzeroDiagonal when the respective contract is violated. Diagonal
+    entries within 1e-12 of zero are forced to exactly zero.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteEntry("similarities must be finite (no NaN or inf)")
     if np.max(np.abs(arr - arr.T), initial=0.0) > SYM_TOL:
         raise AsymmetricMatrix("matrix is not symmetric")
     diag = np.diagonal(arr)

@@ -1,12 +1,11 @@
 """Multi-start clustering: sample seed objects (uniform block sampling or
-a determinantal point process), solve from per-seed starting points in
-parallel, deduplicate the solutions by support overlap, peel, repeat."""
+a determinantal point process), solve from each per-seed starting point
+in turn, deduplicate the solutions by support overlap, peel, repeat."""
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,8 +237,7 @@ def multistart_cluster(
         starts: list[SimplexPoint] = []
         for s in seeds:
             starts.extend(_starting_points(solver.solver_kind, s, sub.n))
-        with ThreadPoolExecutor(max_workers=len(starts)) as pool:
-            solutions = list(pool.map(lambda x0: run(sub, solver, x0=x0), starts))
+        solutions = [run(sub, solver, x0=x0) for x0 in starts]
         passes += 1
         # Sort by objective descending, then accept non-overlapping ones.
         scored = []

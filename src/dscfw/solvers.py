@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadInit, EmptySupport, NotAscent, ZeroDenominator
+from .errors import (
+    BadInit,
+    BrokenInvariant,
+    EmptySupport,
+    NotAscent,
+    ZeroDenominator,
+)
 from .matrix import SimilarityMatrix, SimplexPoint, simplex_point
 
 DEFAULT_EPSILON = sys.float_info.epsilon  # ~2.2e-16
@@ -159,7 +165,8 @@ def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepR
     if half <= 0:
         raise NotAscent("halved gap is nonpositive")
     # d'Ad = f - 2 r_i <= 0: the line-search polynomial is concave.
-    assert state.f - 2.0 * r_i <= 0
+    if not state.f - 2.0 * r_i <= 0:
+        raise BrokenInvariant("FW line search is not concave")
     gamma = half / (2.0 * r_i - state.f)
     f_before = state.f
     state.x.coords *= 1.0 - gamma
@@ -236,7 +243,8 @@ def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, Step
         # sees a singleton support.
         return fw_step(state, A)
     x_j = float(state.x.coords[j])
-    assert x_j < 1.0, "away branch unreachable from a vertex"
+    if not x_j < 1.0:
+        raise BrokenInvariant("away branch unreachable from a vertex")
     gamma_max = x_j / (1.0 - x_j)
     denom = 2.0 * r_j - state.f
     if denom > 0:

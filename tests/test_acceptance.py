@@ -56,7 +56,7 @@ from dscfw.solvers import (
     select_away,
 )
 
-from conftest import rand_sim
+from conftest import bruteforce_minimax, rand_sim
 
 FW_KINDS = (SolverKind.FW, SolverKind.PFW, SolverKind.AFW)
 STEP_FNS = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
@@ -382,30 +382,6 @@ def test_criterion_8_metric_oracles(capsys):
            f"1e-12); post_assign AR = {ar}")
 
 
-def _bruteforce_minimax(D):
-    n = D.shape[0]
-    out = np.zeros((n, n))
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            best = math.inf
-            stack = [(src, 0.0, 1 << src)]
-            while stack:
-                node, running_max, visited = stack.pop()
-                if node == dst:
-                    best = min(best, running_max)
-                    continue
-                for nb in range(n):
-                    if nb == node or (visited >> nb) & 1:
-                        continue
-                    nxt = max(running_max, D[node, nb])
-                    if nxt < best:
-                        stack.append((nb, nxt, visited | (1 << nb)))
-            out[src, dst] = best
-    return out
-
-
 def test_criterion_9_minimax_oracle(capsys):
     rng = np.random.default_rng(90)
     mismatches = 0
@@ -413,7 +389,7 @@ def test_criterion_9_minimax_oracle(capsys):
         n = int(rng.integers(2, 9))
         upper = np.triu(rng.uniform(0.1, 10.0, size=(n, n)), 1)
         D = upper + upper.T
-        if not np.array_equal(minimax_distances(D), _bruteforce_minimax(D)):
+        if not np.array_equal(minimax_distances(D), bruteforce_minimax(D)):
             mismatches += 1
     ok = mismatches == 0
     report(capsys, 9, ok,

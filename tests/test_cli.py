@@ -122,6 +122,29 @@ def test_data_error_returns_2(tmp_path, capsys):
                  "--noise", "2.0", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_non_finite_matrix_returns_2(tmp_path, capsys):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{bad}.csv"
+        path.write_text(f"0,{bad}\n{bad},0\n")
+        code = main(["cluster", "--input", str(path), "--max-clusters", "1",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+def test_manifest_flags_are_deterministic(tmp_path, block_csv, capsys):
+    matrix_csv, _ = block_csv
+    flags = []
+    for _ in range(2):
+        out = str(tmp_path / "run")
+        assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
+                     "--max-clusters", "2", "--out", out]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        flags.append(manifest["flags"])
+    assert flags[0] == flags[1]
+    assert "func" not in flags[0]
+
+
 def test_solver_error_returns_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     np.savetxt(bad, np.array([[0.0, 1.0], [2.0, 0.0]]), delimiter=",")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dscfw.data import (
     block_noise_matrix,
@@ -13,6 +15,8 @@ from dscfw.data import (
     pairwise_euclidean,
 )
 from dscfw.errors import AsymmetricMatrix, HsvRangeError, ZeroNormRow
+
+from conftest import bruteforce_minimax
 
 
 class TestCosineSimilarity:
@@ -86,6 +90,19 @@ class TestMinimaxDistances:
         M = minimax_distances(D)
         assert np.all(M <= D + 1e-12)
         assert np.allclose(M, M.T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.integers(0, 3), min_size=n * (n - 1) // 2,
+        max_size=n * (n - 1) // 2).map(lambda w: (n, w))))
+    def test_matches_bruteforce_with_ties(self, case):
+        # Integer weights from a small range make equal edges common, so
+        # Prim's tie-breaking and the order of the fill are exercised.
+        n, weights = case
+        D = np.zeros((n, n))
+        D[np.triu_indices(n, 1)] = weights
+        D = D + D.T
+        assert np.array_equal(minimax_distances(D), bruteforce_minimax(D))
 
 
 class TestMaxTransform:

@@ -9,6 +9,7 @@ from dscfw.errors import (
     AsymmetricMatrix,
     DimensionMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NonzeroDiagonal,
     TooSmall,
 )
@@ -42,6 +43,24 @@ class TestNewSimilarityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(NegativeEntry):
             new_similarity_matrix([[0.0, -1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN and inf pass the symmetry check (inf - inf is NaN).
+        with pytest.raises(NonFiniteEntry) as info:
+            new_similarity_matrix([[0.0, bad], [bad, 0.0]])
+        assert isinstance(info.value, ValueError)  # CLI data error
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_any_non_finite_entry_is_rejected(self, n, data):
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        raw = rand_sim(n, np.random.default_rng(n)).entries.copy()
+        raw[i, j] = bad
+        with pytest.raises(NonFiniteEntry):
+            new_similarity_matrix(raw)
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(NonzeroDiagonal):

@@ -1,5 +1,7 @@
 """Multi-start sampling and clustering tests."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,20 @@ class TestMultistartCluster:
         r2, p2 = multistart_cluster(A, plan, cfg, max_clusters=4)
         assert p1 == p2
         assert np.array_equal(r1.labels, r2.labels)
+        assert r1.clusters == r2.clusters
+
+    def test_starts_no_thread(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("multistart started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rng = np.random.default_rng(14)
+        A = rand_sim(40, rng)
+        plan = SamplePlan(ell=4, sampler=SamplerKind.DPP, seed=5)
+        cfg = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=500)
+        result, passes = multistart_cluster(A, plan, cfg, max_clusters=4)
+        assert passes >= 1
+        assert result.clusters
 
     def test_respects_max_clusters(self):
         rng = np.random.default_rng(12)

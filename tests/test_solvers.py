@@ -8,6 +8,7 @@ import pytest
 
 from dscfw.errors import (
     BadInit,
+    BrokenInvariant,
     EmptySupport,
     NotAscent,
     ZeroDenominator,
@@ -108,6 +109,15 @@ class TestFwStep:
         with pytest.raises(NotAscent):
             fw_step(st, A)
 
+    def test_convex_line_search_is_a_typed_error(self):
+        # A cache inconsistent with any nonnegative matrix: r_i > f but
+        # f - 2 r_i > 0, so the line-search polynomial would be convex.
+        A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
+        st = SolverState(simplex_point([0.5, 0.5]),
+                         np.array([-1.0, -2.0]), -1.5)
+        with pytest.raises(BrokenInvariant):
+            fw_step(st, A)
+
 
 class TestPfwStep:
     def test_frozen_drop(self):
@@ -204,6 +214,14 @@ class TestAfwStep:
         expected_x = (1.0 + expected_gamma) * x
         expected_x[j] -= expected_gamma
         assert np.allclose(st.x.coords, expected_x, atol=1e-14)
+
+    def test_away_step_from_vertex_is_a_typed_error(self):
+        # At a vertex f = r_j = 0 makes the FW branch certain; a cache
+        # with f > r_i / 2 forces the away branch, which must refuse.
+        A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
+        st = SolverState(simplex_point([1.0, 0.0]), np.array([0.0, 1.0]), 0.8)
+        with pytest.raises(BrokenInvariant):
+            afw_step(st, A)
 
 
 class TestRdStep:
