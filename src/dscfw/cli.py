@@ -118,10 +118,7 @@ def cmd_cluster(args) -> int:
     t_solve = time.perf_counter() - t0
     _emit_labels(args.out, result)
     if args.trace:
-        # Re-run the first round's solver to emit its trace.
-        from .solvers import run
-        _, trace, _ = run(A, config.solver)
-        save_trace_csv(args.trace, trace)
+        save_trace_csv(args.trace, result.traces[0] if result.traces else [])
     _write_manifest(args.out, "cluster", vars(args), inputs,
                     {"load": t_load, "solve": t_solve})
     print(json.dumps({"k_found": len(result.clusters),
@@ -235,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peel-shift", type=float, default=0.0,
                    help="off-diagonal shift applied each peel round")
     p.add_argument("--post-assign", action="store_true")
-    p.add_argument("--trace", help="write the first round's trace CSV here")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trace",
+                   help="write the trace of the first peel round's solve here")
     p.add_argument("--out", default="run")
     p.set_defaults(func=cmd_cluster)
 

@@ -1,29 +1,38 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Errors that also subclass ValueError describe malformed input: the CLI
+reports them as data errors (exit 2) and every other DscfwError as a
+solver error (exit 3).
+"""
 
 
 class DscfwError(Exception):
     """Base class for all package errors."""
 
 
-class AsymmetricMatrix(DscfwError):
+class AsymmetricMatrix(DscfwError, ValueError):
     pass
 
 
-class NegativeEntry(DscfwError):
+class NegativeEntry(DscfwError, ValueError):
     pass
 
 
 class NonFiniteEntry(DscfwError, ValueError):
-    """Matrix holds NaN or an infinity. Also a ValueError, so the CLI
-    reports it as a data error."""
+    """Matrix holds NaN or an infinity."""
 
 
-class NonzeroDiagonal(DscfwError):
+class NonzeroDiagonal(DscfwError, ValueError):
     pass
 
 
 class DimensionMismatch(DscfwError):
-    pass
+    """Vector and matrix sizes disagree, or a simplex point's support
+    bookkeeping is out of sync with its coordinates."""
+
+
+class NonSquareMatrix(DimensionMismatch, ValueError):
+    """A similarity matrix input that is not square."""
 
 
 class TooSmall(DscfwError):

@@ -6,7 +6,7 @@ they serve as oracles against the solvers' O(n) incremental updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     NegativeEntry,
     NonFiniteEntry,
+    NonSquareMatrix,
     NonzeroDiagonal,
     TooSmall,
 )
@@ -49,19 +50,25 @@ class SimilarityMatrix:
 class SimplexPoint:
     """Point on the standard simplex with exact support bookkeeping.
 
-    The support set is maintained by the step logic (add on entering
-    component, remove on drop step), never re-derived by thresholding.
+    ``mask`` is a boolean array marking the support. The step logic
+    maintains it: a component is set when it enters and cleared on a drop
+    step, never re-derived by thresholding. ``support`` is a read-only
+    view of the same bookkeeping as a frozenset of indices.
     """
 
     coords: np.ndarray
-    support: set[int] = field(default_factory=set)
+    mask: np.ndarray
 
     @property
     def n(self) -> int:
         return self.coords.shape[0]
 
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(np.flatnonzero(self.mask).tolist())
+
     def copy(self) -> "SimplexPoint":
-        return SimplexPoint(self.coords.copy(), set(self.support))
+        return SimplexPoint(self.coords.copy(), self.mask.copy())
 
     def validate(self) -> None:
         if np.any(self.coords < 0):
@@ -70,8 +77,7 @@ class SimplexPoint:
             raise DimensionMismatch(
                 f"simplex sum drifted: {self.coords.sum()!r}"
             )
-        actual = {int(i) for i in np.nonzero(self.coords > 0)[0]}
-        if actual != self.support:
+        if not np.array_equal(self.mask, self.coords > 0):
             raise DimensionMismatch("support bookkeeping out of sync")
 
     def renormalize_if_needed(self) -> None:
@@ -83,7 +89,7 @@ class SimplexPoint:
 def simplex_point(coords) -> SimplexPoint:
     """Build a SimplexPoint from raw coordinates, deriving the support."""
     arr = np.asarray(coords, dtype=float)
-    pt = SimplexPoint(arr, {int(i) for i in np.nonzero(arr > 0)[0]})
+    pt = SimplexPoint(arr, arr > 0)
     pt.validate()
     return pt
 
@@ -91,13 +97,14 @@ def simplex_point(coords) -> SimplexPoint:
 def new_similarity_matrix(raw) -> SimilarityMatrix:
     """Validate a raw square array as a similarity matrix.
 
-    Raises NonFiniteEntry, AsymmetricMatrix, NegativeEntry or
-    NonzeroDiagonal when the respective contract is violated. Diagonal
-    entries within 1e-12 of zero are forced to exactly zero.
+    Raises NonSquareMatrix, NonFiniteEntry, AsymmetricMatrix,
+    NegativeEntry or NonzeroDiagonal (all ValueErrors) when the respective
+    contract is violated. Diagonal entries within 1e-12 of zero are forced
+    to exactly zero.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got {arr.shape}")
+        raise NonSquareMatrix(f"expected a square matrix, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteEntry("similarities must be finite (no NaN or inf)")
     if np.max(np.abs(arr - arr.T), initial=0.0) > SYM_TOL:

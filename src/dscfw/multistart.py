@@ -184,8 +184,8 @@ def seed_starting_points(i: int, n: int) -> tuple[SimplexPoint, SimplexPoint]:
     biased = np.full(n, 0.5 / (n - 1))
     biased[i] = 0.5
     return (
-        SimplexPoint(vertex, {i}),
-        SimplexPoint(biased, set(range(n))),
+        SimplexPoint(vertex, vertex > 0),
+        SimplexPoint(biased, np.ones(n, dtype=bool)),
     )
 
 
@@ -223,7 +223,7 @@ def multistart_cluster(
     surviving = np.arange(n)
     passes = 0
     while surviving.size >= 2 and len(clusters) < max_clusters:
-        sub_entries = A.entries[np.ix_(surviving, surviving)].copy()
+        sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
         sub_entries.setflags(write=False)
         sub = SimilarityMatrix(sub_entries)
         ell = min(plan.ell, sub.n)

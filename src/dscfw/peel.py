@@ -3,25 +3,30 @@ peel the clustered objects off the matrix, repeat."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EmptyCluster, NoClusters
 from .matrix import SimilarityMatrix, SimplexPoint, new_similarity_matrix
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, StepRecord, StopReason, run
 
 DEFAULT_CUTOFF = 2e-12
 
 
 @dataclass
 class ClusteringResult:
-    """Labels in {0,...,K}; label 0 means unassigned."""
+    """Labels in {0,...,K}; label 0 means unassigned. ``traces`` and
+    ``stop_reasons`` hold one entry per solve `peel` ran, in round order
+    (a singleton remainder is labelled without a solve)."""
 
     labels: np.ndarray
     clusters: list[list[int]]
     characteristic_vectors: list[np.ndarray]  # full-length, zero off-cluster
     assigned_count: int
+    traces: list[list[StepRecord]] = field(default_factory=list)
+    stop_reasons: list[StopReason] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -45,8 +50,8 @@ class PeelConfig:
             raise ValueError("max_clusters must be >= 1")
         if self.cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        if self.shift < 0:
-            raise ValueError("shift must be nonnegative")
+        if not 0.0 <= self.shift < math.inf:
+            raise ValueError("shift must be finite and nonnegative")
 
 
 def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
@@ -58,6 +63,7 @@ def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
 
 
 def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
+    """A + shift * (11' - I), validated."""
     if shift == 0.0:
         return A
     arr = A.entries + shift
@@ -65,8 +71,16 @@ def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
     return new_similarity_matrix(arr)
 
 
-def _submatrix(A: SimilarityMatrix, idx: np.ndarray) -> SimilarityMatrix:
-    sub = A.entries[np.ix_(idx, idx)].copy()
+def _round_matrix(A: SimilarityMatrix, idx: np.ndarray,
+                  shift: float) -> SimilarityMatrix:
+    """The matrix one peel round solves: A restricted to idx, shifted like
+    `shift_offdiag`. Fancy indexing already copies, so the shift goes in
+    place; a finite nonnegative off-diagonal shift keeps a valid matrix
+    valid, so it is not validated again."""
+    sub = A.entries[np.ix_(idx, idx)]
+    if shift != 0.0:
+        sub += shift
+        np.fill_diagonal(sub, 0.0)
     sub.setflags(write=False)
     return SimilarityMatrix(sub)
 
@@ -77,6 +91,8 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
     labels = np.zeros(n, dtype=int)
     clusters: list[list[int]] = []
     vectors: list[np.ndarray] = []
+    traces: list[list[StepRecord]] = []
+    reasons: list[StopReason] = []
     surviving = np.arange(n)
     for label in range(1, config.max_clusters + 1):
         if surviving.size == 0:
@@ -92,8 +108,10 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
             vectors.append(vec)
             surviving = surviving[:0]
             break
-        sub = shift_offdiag(_submatrix(A, surviving), config.shift)
-        x_star, _, _ = run(sub, config.solver)
+        sub = _round_matrix(A, surviving, config.shift)
+        x_star, trace, reason = run(sub, config.solver)
+        traces.append(trace)
+        reasons.append(reason)
         try:
             local = extract_support(x_star, config.cutoff)
         except EmptyCluster:
@@ -112,6 +130,8 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
         clusters=clusters,
         characteristic_vectors=vectors,
         assigned_count=int(np.count_nonzero(labels)),
+        traces=traces,
+        stop_reasons=reasons,
     )
     if config.post_assign:
         result = post_assign(result, A)

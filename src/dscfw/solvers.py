@@ -4,6 +4,15 @@ plus a replicator-dynamics baseline.
 All three Frank-Wolfe variants keep the gradient cache r = A x and the
 objective f = x'Ax up to date in O(n) per iteration via closed-form line
 search; replicator dynamics recomputes A x densely (O(n^2) per iteration).
+The O(n) work is all numpy, with no Python-level support bookkeeping:
+
+- the support is a boolean mask on the iterate (set when a vertex enters,
+  cleared on a drop), so the away vertex is a masked argmin over r;
+- r is updated in place from rows of A (``A.entries[i]``), the same reads
+  the dense oracle ``A.entries @ x`` makes;
+- `run` evaluates the gap and, for PFW/AFW, the away vertex once per
+  iteration and hands them to the step body. The public ``*_step``
+  functions evaluate and then call the same body.
 
 Gap convention: the solvers compare the HALVED quantity max(r) - f against
 the stopping threshold, exactly as the update rules are stated.
@@ -28,7 +37,7 @@ from .errors import (
     NotAscent,
     ZeroDenominator,
 )
-from .matrix import SimilarityMatrix, SimplexPoint, simplex_point
+from .matrix import SimilarityMatrix, SimplexPoint
 
 DEFAULT_EPSILON = sys.float_info.epsilon  # ~2.2e-16
 
@@ -116,8 +125,7 @@ class SolverState:
 
 def init_barycenter(n: int) -> SimplexPoint:
     """Uniform point 1/n on every coordinate; full support."""
-    coords = np.full(n, 1.0 / n)
-    return SimplexPoint(coords, set(range(n)))
+    return SimplexPoint(np.full(n, 1.0 / n), np.ones(n, dtype=bool))
 
 
 def init_vertex(A: SimilarityMatrix) -> SimplexPoint:
@@ -126,7 +134,7 @@ def init_vertex(A: SimilarityMatrix) -> SimplexPoint:
     i = int(np.argmax(A.row_sums()))
     coords = np.zeros(A.n)
     coords[i] = 1.0
-    return SimplexPoint(coords, {i})
+    return SimplexPoint(coords, coords > 0)
 
 
 def make_state(A: SimilarityMatrix, x0: SimplexPoint) -> SolverState:
@@ -143,23 +151,22 @@ def fw_gap(state: SolverState) -> tuple[float, int]:
 
 def select_away(state: SolverState) -> int:
     """Index in the support minimizing r; lowest index on ties."""
-    if not state.x.support:
+    mask = state.x.mask
+    j = int(np.argmin(np.where(mask, state.r, np.inf)))
+    if not mask[j]:  # only an empty mask leaves the argmin outside it
         raise EmptySupport("away selection needs a nonempty support")
-    idx = np.fromiter(sorted(state.x.support), dtype=int)
-    return int(idx[np.argmin(state.r[idx])])
+    return j
 
 
 def _finish(state: SolverState, rec: StepRecord) -> tuple[SolverState, StepRecord]:
     state.x.renormalize_if_needed()
     state.t += 1
-    rec.support_size = len(state.x.support)
+    rec.support_size = int(np.count_nonzero(state.x.mask))
     return state, rec
 
 
-def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
-    """One standard Frank-Wolfe step. Always a good step: the optimal
-    gamma is interior by construction."""
-    gap, i = fw_gap(state)
+def _fw(state: SolverState, A: SimilarityMatrix, gap: float,
+        i: int) -> tuple[SolverState, StepRecord]:
     r_i = float(state.r[i])
     half = r_i - state.f
     if half <= 0:
@@ -171,8 +178,9 @@ def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepR
     f_before = state.f
     state.x.coords *= 1.0 - gamma
     state.x.coords[i] += gamma
-    state.x.support.add(i)
-    state.r = (1.0 - gamma) * state.r + gamma * A.column(i)
+    state.x.mask[i] = True
+    state.r *= 1.0 - gamma
+    state.r += gamma * A.entries[i]
     state.f = (1.0 - gamma) ** 2 * f_before + 2.0 * gamma * (1.0 - gamma) * r_i
     rec = StepRecord(
         t=state.t, kind=StepKind.FW_GOOD, gamma=gamma, gap=gap,
@@ -182,13 +190,10 @@ def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepR
     return _finish(state, rec)
 
 
-def pfw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
-    """One pairwise Frank-Wolfe step: mass moves from the worst support
-    vertex j to the best vertex i."""
-    gap, i = fw_gap(state)
+def _pfw(state: SolverState, A: SimilarityMatrix, gap: float, i: int,
+         j: int) -> tuple[SolverState, StepRecord]:
     if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
-    j = select_away(state)
     if i == j:
         # s == v makes the direction zero; the caller treats this as
         # stationary and must not request a step.
@@ -205,18 +210,18 @@ def pfw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, Step
         gamma = gamma_max
     truncated = gamma >= gamma_max
     f_before = state.f
-    i_was_support = i in state.x.support
+    i_was_support = bool(state.x.mask[i])
     state.x.coords[i] += gamma
-    state.x.support.add(i)
+    state.x.mask[i] = True
     if truncated:
         gamma = gamma_max
         state.x.coords[j] = 0.0
-        state.x.support.discard(j)
+        state.x.mask[j] = False
         kind = StepKind.DROP if i_was_support else StepKind.SWAP
     else:
         state.x.coords[j] -= gamma
         kind = StepKind.PAIRWISE_GOOD
-    state.r = state.r + gamma * (A.column(i) - A.column(j))
+    state.r += gamma * (A.entries[i] - A.entries[j])
     state.f = f_before + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
     rec = StepRecord(
         t=state.t, kind=kind, gamma=gamma, gap=gap,
@@ -226,14 +231,10 @@ def pfw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, Step
     return _finish(state, rec)
 
 
-def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
-    """One away-steps Frank-Wolfe step: either the standard FW move or a
-    move away from the worst support vertex."""
-    gap, i = fw_gap(state)
-    half = gap / 2.0
-    if half <= 0:
+def _afw(state: SolverState, A: SimilarityMatrix, gap: float, i: int,
+         j: int) -> tuple[SolverState, StepRecord]:
+    if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
-    j = select_away(state)
     r_i = float(state.r[i])
     r_j = float(state.r[j])
     f_before = state.f
@@ -241,7 +242,7 @@ def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, Step
         # FW branch: identical to fw_step. At a vertex f = r_j = 0, so
         # this branch is always taken there and the away branch never
         # sees a singleton support.
-        return fw_step(state, A)
+        return _fw(state, A, gap, i)
     x_j = float(state.x.coords[j])
     if not x_j < 1.0:
         raise BrokenInvariant("away branch unreachable from a vertex")
@@ -256,12 +257,13 @@ def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, Step
     if truncated:
         gamma = gamma_max
         state.x.coords[j] = 0.0
-        state.x.support.discard(j)
+        state.x.mask[j] = False
         kind = StepKind.DROP
     else:
         state.x.coords[j] = (1.0 + gamma) * x_j - gamma
         kind = StepKind.AWAY_GOOD
-    state.r = (1.0 + gamma) * state.r - gamma * A.column(j)
+    state.r *= 1.0 + gamma
+    state.r -= gamma * A.entries[j]
     state.f = (1.0 + gamma) ** 2 * f_before - 2.0 * gamma * (1.0 + gamma) * r_j
     rec = StepRecord(
         t=state.t, kind=kind, gamma=gamma, gap=gap,
@@ -271,33 +273,56 @@ def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, Step
     return _finish(state, rec)
 
 
-def rd_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
-    """One replicator-dynamics step x_i <- x_i r_i / f. Recomputes r and f
-    densely (O(n^2)); zero components stay zero, so the support can only
-    shrink toward machine zeros, never regrow."""
+def _rd(state: SolverState, A: SimilarityMatrix, gap: float,
+        s: int) -> tuple[SolverState, StepRecord]:
     if state.f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
-    gap, s = fw_gap(state)
     f_before = state.f
     state.x.coords = state.x.coords * state.r / state.f
-    state.x.support = {int(k) for k in np.nonzero(state.x.coords > 0)[0]}
+    state.x.mask = state.x.coords > 0
     state.x.renormalize_if_needed()
     state.r = A.entries @ state.x.coords
     state.f = float(state.r @ state.x.coords)
     rec = StepRecord(
         t=state.t, kind=StepKind.RD_STEP, gamma=math.nan, gap=gap,
         f_before=f_before, f_after=state.f,
-        support_size=len(state.x.support), s_index=s,
+        support_size=int(np.count_nonzero(state.x.mask)), s_index=s,
     )
     state.t += 1
     return state, rec
 
 
-_STEP_FN = {
-    SolverKind.FW: fw_step,
-    SolverKind.PFW: pfw_step,
-    SolverKind.AFW: afw_step,
-    SolverKind.RD: rd_step,
+def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+    """One standard Frank-Wolfe step. Always a good step: the optimal
+    gamma is interior by construction."""
+    return _fw(state, A, *fw_gap(state))
+
+
+def pfw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+    """One pairwise Frank-Wolfe step: mass moves from the worst support
+    vertex j to the best vertex i."""
+    return _pfw(state, A, *fw_gap(state), select_away(state))
+
+
+def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+    """One away-steps Frank-Wolfe step: either the standard FW move or a
+    move away from the worst support vertex."""
+    return _afw(state, A, *fw_gap(state), select_away(state))
+
+
+def rd_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+    """One replicator-dynamics step x_i <- x_i r_i / f. Recomputes r and f
+    densely (O(n^2)); zero components stay zero, so the support can only
+    shrink toward machine zeros, never regrow. The mask is re-derived from
+    the coordinates."""
+    return _rd(state, A, *fw_gap(state))
+
+
+_BODY = {
+    SolverKind.FW: _fw,
+    SolverKind.PFW: _pfw,
+    SolverKind.AFW: _afw,
+    SolverKind.RD: _rd,
 }
 
 
@@ -317,15 +342,19 @@ def run(
     x0: SimplexPoint | None = None,
 ) -> tuple[SimplexPoint, list[StepRecord], StopReason]:
     """Iterate the configured solver until the halved gap drops to the
-    threshold, consecutive iterates coincide, or the budget is spent."""
+    threshold, consecutive iterates coincide, or the budget is spent.
+    Each iteration evaluates the gap, and for PFW/AFW the away vertex,
+    once."""
     start = x0.copy() if x0 is not None else initial_point(A, config)
     state = make_state(A, start)
-    if config.solver_kind is SolverKind.RD and state.f <= 0:
+    kind = config.solver_kind
+    if kind is SolverKind.RD and state.f <= 0:
         raise BadInit(
             "replicator dynamics cannot start where x'Ax = 0 "
             "(e.g. any vertex: the update denominator vanishes)"
         )
-    step_fn = _STEP_FN[config.solver_kind]
+    body = _BODY[kind]
+    away = kind is SolverKind.PFW or kind is SolverKind.AFW
     trace: list[StepRecord] = []
     reason = StopReason.MAX_ITERS
     for _ in range(config.max_iters):
@@ -333,12 +362,17 @@ def run(
         if gap / 2.0 <= config.epsilon:
             reason = StopReason.GAP_REACHED
             break
-        if config.solver_kind is SolverKind.PFW and select_away(state) == i:
-            # Zero pairwise direction: stationary for this solver.
-            reason = StopReason.GAP_REACHED
-            break
+        if away:
+            j = select_away(state)
+            if kind is SolverKind.PFW and j == i:
+                # Zero pairwise direction: stationary for this solver.
+                reason = StopReason.GAP_REACHED
+                break
+            evaluation = (gap, i, j)
+        else:
+            evaluation = (gap, i)
         prev = state.x.coords.copy()
-        state, rec = step_fn(state, A)
+        state, rec = body(state, A, *evaluation)
         trace.append(rec)
         if float(np.linalg.norm(state.x.coords - prev)) <= config.epsilon:
             reason = StopReason.ITERATE_CONVERGED

@@ -261,7 +261,7 @@ def _median_step_time(A, kind, n_steps=50):
         i = int(rng.integers(n))
         coords = np.full(n, 0.5 / (n - 1))
         coords[i] = 0.5
-        return make_state(A, SimplexPoint(coords, set(range(n))))
+        return make_state(A, SimplexPoint(coords, np.ones(n, dtype=bool)))
 
     state = fresh()
     times = []

@@ -9,6 +9,8 @@ import pytest
 from dscfw.cli import main
 from dscfw.data import block_noise_matrix
 from dscfw.matrix import load_matrix_csv, save_matrix_csv
+from dscfw.peel import PeelConfig, peel, shift_offdiag
+from dscfw.solvers import InitKind, SolverConfig, SolverKind, load_trace_csv
 
 
 @pytest.fixture
@@ -145,8 +147,52 @@ def test_manifest_flags_are_deterministic(tmp_path, block_csv, capsys):
     assert "func" not in flags[0]
 
 
-def test_solver_error_returns_3(tmp_path, capsys):
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0], [2.0, 0.0]],             # asymmetric
+    [[0.0, -1.0], [-1.0, 0.0]],           # negative
+    [[0.5, 1.0], [1.0, 0.0]],             # nonzero diagonal
+    [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]],   # not square
+])
+def test_malformed_matrix_returns_2(tmp_path, capsys, rows):
     bad = tmp_path / "bad.csv"
-    np.savetxt(bad, np.array([[0.0, 1.0], [2.0, 0.0]]), delimiter=",")
-    code = main(["cluster", "--input", str(bad), "--max-clusters", "1"])
+    np.savetxt(bad, np.array(rows), delimiter=",")
+    code = main(["cluster", "--input", str(bad), "--max-clusters", "1",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_solver_error_returns_3(tmp_path, capsys):
+    # A valid matrix on which the solver cannot start: x'Ax = 0 at the
+    # barycenter of an all-zero matrix makes replicator dynamics BadInit.
+    zero = tmp_path / "zero.csv"
+    np.savetxt(zero, np.zeros((2, 2)), delimiter=",")
+    code = main(["cluster", "--input", str(zero), "--solver", "rd",
+                 "--max-clusters", "1", "--out", str(tmp_path / "run")])
     assert code == 3
+    assert "solver error" in capsys.readouterr().err
+
+
+def test_trace_is_the_first_shifted_round(tmp_path, block_csv, capsys):
+    # The written trace is round 1's solve, on the shifted matrix that
+    # peel actually solved: its last f is x*'(A + s(11' - I))x*.
+    matrix_csv, _ = block_csv
+    trace = str(tmp_path / "trace.csv")
+    assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
+                 "--max-clusters", "2", "--peel-shift", "4.0",
+                 "--trace", trace, "--out", str(tmp_path / "run")]) == 0
+    A = load_matrix_csv(matrix_csv)
+    solver = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER)
+    result = peel(A, PeelConfig(max_clusters=2, solver=solver, shift=4.0))
+    x = result.characteristic_vectors[0]  # round 1 solves all of A
+    f_shifted = float(x @ shift_offdiag(A, 4.0).entries @ x)
+    written = load_trace_csv(trace)
+    assert len(written) == len(result.traces[0])
+    assert written[-1].f_after == pytest.approx(f_shifted, rel=1e-12)
+    assert f_shifted > 1.0 > float(x @ A.entries @ x)
+
+
+def test_cluster_has_no_seed_flag(tmp_path, block_csv, capsys):
+    matrix_csv, _ = block_csv
+    assert main(["cluster", "--input", matrix_csv, "--max-clusters", "1",
+                 "--seed", "0", "--out", str(tmp_path / "run")]) == 1

@@ -102,7 +102,7 @@ class TestSimplexPoint:
 
     def test_support_desync_detected(self):
         pt = simplex_point([0.5, 0.5])
-        pt.support = {0}
+        pt.mask[1] = False
         with pytest.raises(DimensionMismatch):
             pt.validate()
 
@@ -110,7 +110,7 @@ class TestSimplexPoint:
         pt = simplex_point([0.5, 0.5])
         other = pt.copy()
         other.coords[0] = 0.0
-        other.support.discard(0)
+        other.mask[0] = False
         assert pt.coords[0] == 0.5
         assert pt.support == {0, 1}
 

@@ -1,10 +1,13 @@
 """Solver unit tests: frozen worked examples for every step kind, branch
 selection, stopping behavior, scale invariance, and trace CSV round-trip."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
 from dscfw.errors import (
     BadInit,
@@ -13,7 +16,12 @@ from dscfw.errors import (
     NotAscent,
     ZeroDenominator,
 )
-from dscfw.matrix import new_similarity_matrix, quadratic_form, simplex_point
+from dscfw.matrix import (
+    SimplexPoint,
+    new_similarity_matrix,
+    quadratic_form,
+    simplex_point,
+)
 from dscfw.solvers import (
     DEFAULT_EPSILON,
     InitKind,
@@ -27,6 +35,7 @@ from dscfw.solvers import (
     fw_step,
     init_barycenter,
     init_vertex,
+    initial_point,
     load_trace_csv,
     make_state,
     pfw_step,
@@ -82,9 +91,22 @@ class TestGapAndAway:
 
     def test_select_away_empty_support(self, A3):
         st = make_state(A3, simplex_point([0.0, 1.0, 0.0]))
-        st.x.support = set()
+        st.x.mask[:] = False
         with pytest.raises(EmptySupport):
             select_away(st)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.integers(1, 12).flatmap(lambda n: hst.tuples(
+        hst.lists(hst.integers(-3, 3), min_size=n, max_size=n),
+        hst.lists(hst.booleans(), min_size=n, max_size=n))))
+    def test_select_away_matches_brute_force(self, case):
+        # Integer r makes ties common; the lowest support index must win.
+        r, mask = (np.array(v) for v in case)
+        assume(mask.any())
+        coords = mask / mask.sum()
+        state = SolverState(SimplexPoint(coords, mask), r.astype(float), 0.0)
+        expected = min(sorted(state.x.support), key=lambda k: r[k])
+        assert select_away(state) == expected
 
 
 class TestFwStep:
@@ -344,6 +366,56 @@ class TestRun:
         x, _, reason = run(A, cfg)
         assert reason is not StopReason.MAX_ITERS
         x.validate()
+
+
+def _record_fields(rec):
+    # NaN marks an unused r_s/r_v; compare it as equal to itself.
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v
+                 for v in dataclasses.astuple(rec))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=hst.integers(2, 12), seed=hst.integers(0, 2**32 - 1),
+       integer=hst.booleans(),
+       kind=hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW]),
+       init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]))
+def test_run_matches_public_step_loop(n, seed, integer, kind, init):
+    # run evaluates each iterate once and calls the step bodies; a loop
+    # over the public two-argument steps, each evaluating for itself,
+    # must give the same trace, iterate and stop reason. Integer weights
+    # make ties, zero edges, drops and swaps common.
+    rng = np.random.default_rng(seed)
+    if integer:
+        upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
+        A = new_similarity_matrix(upper + upper.T)
+    else:
+        A = rand_sim(n, rng)
+    cfg = SolverConfig(kind, init, max_iters=200)
+    step_fn = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
+               SolverKind.AFW: afw_step}[kind]
+    x, trace, reason = run(A, cfg)
+
+    state = make_state(A, initial_point(A, cfg))
+    expected, expected_reason = [], StopReason.MAX_ITERS
+    for _ in range(cfg.max_iters):
+        gap, i = fw_gap(state)
+        if gap / 2.0 <= cfg.epsilon:
+            expected_reason = StopReason.GAP_REACHED
+            break
+        if kind is SolverKind.PFW and select_away(state) == i:
+            expected_reason = StopReason.GAP_REACHED
+            break
+        prev = state.x.coords.copy()
+        state, rec = step_fn(state, A)
+        expected.append(rec)
+        if float(np.linalg.norm(state.x.coords - prev)) <= cfg.epsilon:
+            expected_reason = StopReason.ITERATE_CONVERGED
+            break
+    assert reason is expected_reason
+    assert [_record_fields(r) for r in trace] == [
+        _record_fields(r) for r in expected]
+    assert np.array_equal(x.coords, state.x.coords)
+    assert np.array_equal(x.mask, state.x.mask)
 
 
 class TestTraceCsv:
