@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,9 +34,12 @@ from .solvers import (
     InitKind,
     SolverConfig,
     SolverKind,
+    StopReason,
     load_trace_csv,
     save_trace_csv,
 )
+
+log = logging.getLogger(__name__)
 
 SOLVER_FLAGS = {
     "fw": (SolverKind.FW, InitKind.VERTEX),
@@ -51,7 +56,8 @@ def _digest(path) -> str:
 
 
 def _write_manifest(out_prefix: str, subcommand: str, args: dict,
-                    inputs: list[str], phases: dict[str, float]) -> None:
+                    inputs: list[str], phases: dict[str, float],
+                    warnings: list[dict] | None = None) -> None:
     manifest = {
         "subcommand": subcommand,
         "flags": {k: v for k, v in args.items()
@@ -59,6 +65,8 @@ def _write_manifest(out_prefix: str, subcommand: str, args: dict,
         "input_digests": {p: _digest(p) for p in inputs},
         "wall_clock_s": phases,
     }
+    if warnings is not None:
+        manifest["warnings"] = warnings
     Path(f"{out_prefix}.manifest.json").write_text(
         json.dumps(manifest, indent=2, default=str) + "\n")
 
@@ -102,6 +110,25 @@ def _emit_labels(out_prefix: str, result) -> None:
             fh.write(f"{i},{int(v)}\n")
 
 
+def _budget_warnings(result, unit: str, max_iters: int,
+                     out_prefix: str) -> list[dict]:
+    """One manifest entry per solve that stopped at max_iters, numbered
+    from 1 in solve order, and one logged line when there are any."""
+    warnings = [
+        {unit: k, "max_iters": max_iters,
+         "last_full_gap": None if math.isnan(gap) else gap}
+        for k, (reason, gap) in enumerate(
+            zip(result.stop_reasons, result.last_gaps), start=1)
+        if reason is StopReason.MAX_ITERS
+    ]
+    if warnings:
+        log.warning("%d of %d solves stopped at max_iters=%d before "
+                    "converging; see \"warnings\" in %s.manifest.json",
+                    len(warnings), len(result.stop_reasons), max_iters,
+                    out_prefix)
+    return warnings
+
+
 def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     A, inputs = _load_similarity(args)
@@ -120,7 +147,9 @@ def cmd_cluster(args) -> int:
     if args.trace:
         save_trace_csv(args.trace, result.traces[0] if result.traces else [])
     _write_manifest(args.out, "cluster", vars(args), inputs,
-                    {"load": t_load, "solve": t_solve})
+                    {"load": t_load, "solve": t_solve},
+                    _budget_warnings(result, "round", args.max_iters,
+                                     args.out))
     print(json.dumps({"k_found": len(result.clusters),
                       "assignment_rate": result.assignment_rate}))
     return 0
@@ -176,7 +205,9 @@ def cmd_multistart(args) -> int:
     Path(f"{args.out}.passes.json").write_text(
         json.dumps({"passes": passes}) + "\n")
     _write_manifest(args.out, "multistart", vars(args), inputs,
-                    {"solve": elapsed})
+                    {"solve": elapsed},
+                    _budget_warnings(result, "solve", args.max_iters,
+                                     args.out))
     print(json.dumps({"passes": passes,
                       "k_found": len(result.clusters)}))
     return 0

@@ -39,9 +39,6 @@ class SimilarityMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.entries[:, i]
-
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
 
@@ -80,10 +77,13 @@ class SimplexPoint:
         if not np.array_equal(self.mask, self.coords > 0):
             raise DimensionMismatch("support bookkeeping out of sync")
 
-    def renormalize_if_needed(self) -> None:
-        s = self.coords.sum()
-        if abs(s - 1.0) > SUM_TOL:
-            self.coords /= s
+
+def renormalize_if_needed(coords: np.ndarray) -> None:
+    """Divide simplex coordinates by their sum, in place, when the sum has
+    drifted from 1 by more than SUM_TOL."""
+    s = coords.sum()
+    if abs(s - 1.0) > SUM_TOL:
+        coords /= s
 
 
 def simplex_point(coords) -> SimplexPoint:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import AsymmetricMatrix, EmptyCluster, PoolTooSmall, TooManySeeds
 from .matrix import SimilarityMatrix, SimplexPoint
-from .peel import ClusteringResult, extract_support
-from .solvers import SolverConfig, SolverKind, run
+from .peel import ClusteringResult, extract_support, last_gap
+from .solvers import SolverConfig, SolverKind, StopReason, run
 
 
 class SamplerKind(enum.Enum):
@@ -214,13 +214,16 @@ def multistart_cluster(
     cutoff: float = 2e-12,
 ) -> tuple[ClusteringResult, int]:
     """Run the multi-start peel loop; returns the clustering and the
-    number of passes over the data."""
+    number of passes over the data. The result keeps every solve's stop
+    reason and last gap, in solve order, but no traces."""
     n = A.n
     rng = np.random.default_rng(plan.seed)
     labels = np.zeros(n, dtype=int)
     clusters: list[list[int]] = []
     vectors: list[np.ndarray] = []
     surviving = np.arange(n)
+    reasons: list[StopReason] = []
+    gaps: list[float] = []
     passes = 0
     while surviving.size >= 2 and len(clusters) < max_clusters:
         sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
@@ -241,7 +244,9 @@ def multistart_cluster(
         passes += 1
         # Sort by objective descending, then accept non-overlapping ones.
         scored = []
-        for x_star, trace, _ in solutions:
+        for x_star, trace, reason in solutions:
+            reasons.append(reason)
+            gaps.append(last_gap(trace))
             f_val = trace[-1].f_after if trace else float(
                 x_star.coords @ (sub.entries @ x_star.coords))
             scored.append((f_val, x_star))
@@ -292,5 +297,7 @@ def multistart_cluster(
         clusters=clusters,
         characteristic_vectors=vectors,
         assigned_count=int(np.count_nonzero(labels)),
+        stop_reasons=reasons,
+        last_gaps=gaps,
     )
     return result, passes

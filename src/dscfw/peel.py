@@ -17,9 +17,11 @@ DEFAULT_CUTOFF = 2e-12
 
 @dataclass
 class ClusteringResult:
-    """Labels in {0,...,K}; label 0 means unassigned. ``traces`` and
-    ``stop_reasons`` hold one entry per solve `peel` ran, in round order
-    (a singleton remainder is labelled without a solve)."""
+    """Labels in {0,...,K}; label 0 means unassigned. ``stop_reasons`` and
+    ``last_gaps`` hold one entry per solve, in solve order (a singleton
+    remainder is labelled without a solve); a last gap is the full gap
+    before the solve's last step, NaN when it took none. ``traces`` holds
+    each solve's trace for `peel` and stays empty for multistart."""
 
     labels: np.ndarray
     clusters: list[list[int]]
@@ -27,6 +29,7 @@ class ClusteringResult:
     assigned_count: int
     traces: list[list[StepRecord]] = field(default_factory=list)
     stop_reasons: list[StopReason] = field(default_factory=list)
+    last_gaps: list[float] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -52,6 +55,11 @@ class PeelConfig:
             raise ValueError("cutoff must be positive")
         if not 0.0 <= self.shift < math.inf:
             raise ValueError("shift must be finite and nonnegative")
+
+
+def last_gap(trace: list[StepRecord]) -> float:
+    """Full gap before the last step of a trace; NaN for an empty trace."""
+    return trace[-1].gap if trace else math.nan
 
 
 def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
@@ -93,6 +101,7 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
     vectors: list[np.ndarray] = []
     traces: list[list[StepRecord]] = []
     reasons: list[StopReason] = []
+    gaps: list[float] = []
     surviving = np.arange(n)
     for label in range(1, config.max_clusters + 1):
         if surviving.size == 0:
@@ -112,6 +121,7 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
         x_star, trace, reason = run(sub, config.solver)
         traces.append(trace)
         reasons.append(reason)
+        gaps.append(last_gap(trace))
         try:
             local = extract_support(x_star, config.cutoff)
         except EmptyCluster:
@@ -132,6 +142,7 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
         assigned_count=int(np.count_nonzero(labels)),
         traces=traces,
         stop_reasons=reasons,
+        last_gaps=gaps,
     )
     if config.post_assign:
         result = post_assign(result, A)

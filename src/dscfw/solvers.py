@@ -9,10 +9,26 @@ The O(n) work is all numpy, with no Python-level support bookkeeping:
 - the support is a boolean mask on the iterate (set when a vertex enters,
   cleared on a drop), so the away vertex is a masked argmin over r;
 - r is updated in place from rows of A (``A.entries[i]``), the same reads
-  the dense oracle ``A.entries @ x`` makes;
-- `run` evaluates the gap and, for PFW/AFW, the away vertex once per
-  iteration and hands them to the step body. The public ``*_step``
-  functions evaluate and then call the same body.
+  the dense oracle ``A.entries @ x`` makes.
+
+One loop, `run`, drives every solver. Per iteration it evaluates the gap
+and, for PFW/AFW, the away vertex once, and calls the solver's step body
+(`_fw`, `_pfw`, `_afw`, `_rd`), which is only its update rule: the line
+search and the coordinate, mask and r updates. What every step shares is
+in `_advance`: renormalise x when its sum drifts, keep the support size as
+a count (+1 when a vertex enters, -1 on a drop) and build the StepRecord.
+The public ``*_step(state, A)`` functions evaluate and go through the same
+`_advance` and bodies.
+
+Stop test. `run` stops when ||x+ - x|| <= epsilon, where the norm is
+sqrt(d.d) with d = x+ - x, exactly what np.linalg.norm computes for a 1-D
+array. Every term of the computed d.d is >= 0 and IEEE rounding is
+monotone, so the computed d.d is at least fl(d_c^2) for any coordinate c.
+If sqrt(d_c^2) > epsilon, the iterate has not converged and the O(n) norm
+is skipped; `run` takes c to be the coordinate the step moves (i for FW
+and pairwise steps, j for an away step), which decides almost every
+step. Otherwise it computes the full norm, so every stop decision is the
+one the full norm gives.
 
 Gap convention: the solvers compare the HALVED quantity max(r) - f against
 the stopping threshold, exactly as the update rules are stated.
@@ -37,7 +53,7 @@ from .errors import (
     NotAscent,
     ZeroDenominator,
 )
-from .matrix import SimilarityMatrix, SimplexPoint
+from .matrix import SimilarityMatrix, SimplexPoint, renormalize_if_needed
 
 DEFAULT_EPSILON = sys.float_info.epsilon  # ~2.2e-16
 
@@ -138,70 +154,71 @@ def init_vertex(A: SimilarityMatrix) -> SimplexPoint:
 
 
 def make_state(A: SimilarityMatrix, x0: SimplexPoint) -> SolverState:
+    """Solver state at a copy of x0, with r = A x0 and f = x0'Ax0."""
     r0 = A.entries @ x0.coords
     f0 = float(r0 @ x0.coords)
     return SolverState(x0.copy(), r0, f0)
 
 
-def fw_gap(state: SolverState) -> tuple[float, int]:
-    """Full Frank-Wolfe gap 2*(max(r) - f) and the maximizing index."""
-    s = int(np.argmax(state.r))
-    return 2.0 * (float(state.r[s]) - state.f), s
+def _gap(r: np.ndarray, f: float) -> tuple[float, int]:
+    i = int(r.argmax())
+    return 2.0 * (float(r[i]) - f), i
 
 
-def select_away(state: SolverState) -> int:
-    """Index in the support minimizing r; lowest index on ties."""
-    mask = state.x.mask
-    j = int(np.argmin(np.where(mask, state.r, np.inf)))
+def _away(mask: np.ndarray, r: np.ndarray) -> int:
+    j = int(np.where(mask, r, np.inf).argmin())
     if not mask[j]:  # only an empty mask leaves the argmin outside it
         raise EmptySupport("away selection needs a nonempty support")
     return j
 
 
-def _finish(state: SolverState, rec: StepRecord) -> tuple[SolverState, StepRecord]:
-    state.x.renormalize_if_needed()
-    state.t += 1
-    rec.support_size = int(np.count_nonzero(state.x.mask))
-    return state, rec
+def fw_gap(state: SolverState) -> tuple[float, int]:
+    """Full Frank-Wolfe gap 2*(max(r) - f) and the maximizing index."""
+    return _gap(state.r, state.f)
 
 
-def _fw(state: SolverState, A: SimilarityMatrix, gap: float,
-        i: int) -> tuple[SolverState, StepRecord]:
-    r_i = float(state.r[i])
-    half = r_i - state.f
+def select_away(state: SolverState) -> int:
+    """Index in the support minimizing r; lowest index on ties."""
+    return _away(state.x.mask, state.r)
+
+
+# A step body takes the iterate's coordinates x and mask, the cache r and
+# the objective f, the matrix entries E, and the evaluation (gap, FW vertex
+# i, away vertex j or None). It updates x, mask and r in place and returns
+# (kind, gamma, f_after, c, entered - dropped, v_index, r_s, r_v), where c
+# is the coordinate `run` reads for its stop test. Everything else a step
+# does is in `_advance`.
+
+def _fw(x, mask, r, f, E, gap, i, j):
+    r_i = float(r[i])
+    half = r_i - f
     if half <= 0:
         raise NotAscent("halved gap is nonpositive")
     # d'Ad = f - 2 r_i <= 0: the line-search polynomial is concave.
-    if not state.f - 2.0 * r_i <= 0:
+    if not f - 2.0 * r_i <= 0:
         raise BrokenInvariant("FW line search is not concave")
-    gamma = half / (2.0 * r_i - state.f)
-    f_before = state.f
-    state.x.coords *= 1.0 - gamma
-    state.x.coords[i] += gamma
-    state.x.mask[i] = True
-    state.r *= 1.0 - gamma
-    state.r += gamma * A.entries[i]
-    state.f = (1.0 - gamma) ** 2 * f_before + 2.0 * gamma * (1.0 - gamma) * r_i
-    rec = StepRecord(
-        t=state.t, kind=StepKind.FW_GOOD, gamma=gamma, gap=gap,
-        f_before=f_before, f_after=state.f, support_size=0,
-        s_index=i, r_s=r_i,
-    )
-    return _finish(state, rec)
+    gamma = half / (2.0 * r_i - f)
+    x *= 1.0 - gamma
+    x[i] += gamma
+    entered = not mask[i]
+    mask[i] = True
+    r *= 1.0 - gamma
+    r += gamma * E[i]
+    f_after = (1.0 - gamma) ** 2 * f + 2.0 * gamma * (1.0 - gamma) * r_i
+    return StepKind.FW_GOOD, gamma, f_after, i, entered, None, r_i, math.nan
 
 
-def _pfw(state: SolverState, A: SimilarityMatrix, gap: float, i: int,
-         j: int) -> tuple[SolverState, StepRecord]:
+def _pfw(x, mask, r, f, E, gap, i, j):
     if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
     if i == j:
         # s == v makes the direction zero; the caller treats this as
         # stationary and must not request a step.
         raise NotAscent("pairwise direction is zero (s == v)")
-    r_i = float(state.r[i])
-    r_j = float(state.r[j])
-    a_ij = float(A.entries[i, j])
-    gamma_max = float(state.x.coords[j])
+    r_i = float(r[i])
+    r_j = float(r[j])
+    a_ij = float(E[i, j])
+    gamma_max = float(x[j])
     if a_ij > 0:
         gamma = min(gamma_max, (r_i - r_j) / (2.0 * a_ij))
     else:
@@ -209,85 +226,91 @@ def _pfw(state: SolverState, A: SimilarityMatrix, gap: float, i: int,
         # the cap.
         gamma = gamma_max
     truncated = gamma >= gamma_max
-    f_before = state.f
-    i_was_support = bool(state.x.mask[i])
-    state.x.coords[i] += gamma
-    state.x.mask[i] = True
+    entered = not mask[i]
+    x[i] += gamma
+    mask[i] = True
     if truncated:
         gamma = gamma_max
-        state.x.coords[j] = 0.0
-        state.x.mask[j] = False
-        kind = StepKind.DROP if i_was_support else StepKind.SWAP
+        x[j] = 0.0
+        mask[j] = False
+        kind = StepKind.SWAP if entered else StepKind.DROP
     else:
-        state.x.coords[j] -= gamma
+        x[j] -= gamma
         kind = StepKind.PAIRWISE_GOOD
-    state.r += gamma * (A.entries[i] - A.entries[j])
-    state.f = f_before + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
-    rec = StepRecord(
-        t=state.t, kind=kind, gamma=gamma, gap=gap,
-        f_before=f_before, f_after=state.f, support_size=0,
-        s_index=i, v_index=j, r_s=r_i, r_v=r_j,
-    )
-    return _finish(state, rec)
+    r += gamma * (E[i] - E[j])
+    f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
+    return kind, gamma, f_after, i, entered - truncated, j, r_i, r_j
 
 
-def _afw(state: SolverState, A: SimilarityMatrix, gap: float, i: int,
-         j: int) -> tuple[SolverState, StepRecord]:
+def _afw(x, mask, r, f, E, gap, i, j):
     if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
-    r_i = float(state.r[i])
-    r_j = float(state.r[j])
-    f_before = state.f
-    if (r_i - state.f) >= (state.f - r_j):
+    r_i = float(r[i])
+    r_j = float(r[j])
+    if (r_i - f) >= (f - r_j):
         # FW branch: identical to fw_step. At a vertex f = r_j = 0, so
         # this branch is always taken there and the away branch never
         # sees a singleton support.
-        return _fw(state, A, gap, i)
-    x_j = float(state.x.coords[j])
+        return _fw(x, mask, r, f, E, gap, i, j)
+    x_j = float(x[j])
     if not x_j < 1.0:
         raise BrokenInvariant("away branch unreachable from a vertex")
     gamma_max = x_j / (1.0 - x_j)
-    denom = 2.0 * r_j - state.f
+    denom = 2.0 * r_j - f
     if denom > 0:
-        gamma = min(gamma_max, (state.f - r_j) / denom)
+        gamma = min(gamma_max, (f - r_j) / denom)
     else:
         gamma = gamma_max
     truncated = gamma >= gamma_max
-    state.x.coords *= 1.0 + gamma
+    x *= 1.0 + gamma
     if truncated:
         gamma = gamma_max
-        state.x.coords[j] = 0.0
-        state.x.mask[j] = False
+        x[j] = 0.0
+        mask[j] = False
         kind = StepKind.DROP
     else:
-        state.x.coords[j] = (1.0 + gamma) * x_j - gamma
+        x[j] = (1.0 + gamma) * x_j - gamma
         kind = StepKind.AWAY_GOOD
-    state.r *= 1.0 + gamma
-    state.r -= gamma * A.entries[j]
-    state.f = (1.0 + gamma) ** 2 * f_before - 2.0 * gamma * (1.0 + gamma) * r_j
-    rec = StepRecord(
-        t=state.t, kind=kind, gamma=gamma, gap=gap,
-        f_before=f_before, f_after=state.f, support_size=0,
-        s_index=i, v_index=j, r_s=r_i, r_v=r_j,
-    )
-    return _finish(state, rec)
+    r *= 1.0 + gamma
+    r -= gamma * E[j]
+    f_after = (1.0 + gamma) ** 2 * f - 2.0 * gamma * (1.0 + gamma) * r_j
+    return kind, gamma, f_after, j, -truncated, j, r_i, r_j
 
 
-def _rd(state: SolverState, A: SimilarityMatrix, gap: float,
-        s: int) -> tuple[SolverState, StepRecord]:
-    if state.f <= 0:
+def _rd(x, mask, r, f, E, gap, i, j):
+    if f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
-    f_before = state.f
-    state.x.coords = state.x.coords * state.r / state.f
-    state.x.mask = state.x.coords > 0
-    state.x.renormalize_if_needed()
-    state.r = A.entries @ state.x.coords
-    state.f = float(state.r @ state.x.coords)
-    rec = StepRecord(
-        t=state.t, kind=StepKind.RD_STEP, gamma=math.nan, gap=gap,
-        f_before=f_before, f_after=state.f,
-        support_size=int(np.count_nonzero(state.x.mask)), s_index=s,
-    )
+    before = int(np.count_nonzero(mask))
+    x *= r
+    x /= f
+    np.greater(x, 0.0, out=mask)
+    # A x is recomputed from the renormalised iterate, so the check in
+    # `_advance` that follows finds the sum within SUM_TOL.
+    renormalize_if_needed(x)
+    r[:] = E @ x
+    f_after = float(r @ x)
+    delta = int(np.count_nonzero(mask)) - before
+    return StepKind.RD_STEP, math.nan, f_after, i, delta, None, math.nan, math.nan
+
+
+def _advance(body, x, mask, r, f, E, t, size, gap, i, j):
+    """One step of `body` from iterate t with support size `size`, plus the
+    bookkeeping every step shares: renormalise x, count the support and
+    build the record. Returns the record and the stop-test coordinate."""
+    kind, gamma, f_after, c, delta, v, r_s, r_v = body(x, mask, r, f, E,
+                                                       gap, i, j)
+    renormalize_if_needed(x)
+    return StepRecord(t, kind, gamma, gap, f, f_after, size + delta, i, v,
+                      r_s, r_v), c
+
+
+def _step(state: SolverState, A: SimilarityMatrix, body, gap: float, i: int,
+          j: int | None = None) -> tuple[SolverState, StepRecord]:
+    """A public step: `_advance` on the state's iterate and caches."""
+    rec, _ = _advance(body, state.x.coords, state.x.mask, state.r, state.f,
+                      A.entries, state.t, int(np.count_nonzero(state.x.mask)),
+                      gap, i, j)
+    state.f = rec.f_after
     state.t += 1
     return state, rec
 
@@ -295,19 +318,19 @@ def _rd(state: SolverState, A: SimilarityMatrix, gap: float,
 def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
     """One standard Frank-Wolfe step. Always a good step: the optimal
     gamma is interior by construction."""
-    return _fw(state, A, *fw_gap(state))
+    return _step(state, A, _fw, *fw_gap(state))
 
 
 def pfw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
     """One pairwise Frank-Wolfe step: mass moves from the worst support
     vertex j to the best vertex i."""
-    return _pfw(state, A, *fw_gap(state), select_away(state))
+    return _step(state, A, _pfw, *fw_gap(state), select_away(state))
 
 
 def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
     """One away-steps Frank-Wolfe step: either the standard FW move or a
     move away from the worst support vertex."""
-    return _afw(state, A, *fw_gap(state), select_away(state))
+    return _step(state, A, _afw, *fw_gap(state), select_away(state))
 
 
 def rd_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
@@ -315,7 +338,7 @@ def rd_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepR
     densely (O(n^2)); zero components stay zero, so the support can only
     shrink toward machine zeros, never regrow. The mask is re-derived from
     the coordinates."""
-    return _rd(state, A, *fw_gap(state))
+    return _step(state, A, _rd, *fw_gap(state))
 
 
 _BODY = {
@@ -327,13 +350,15 @@ _BODY = {
 
 
 def initial_point(A: SimilarityMatrix, config: SolverConfig) -> SimplexPoint:
+    """The configured start. For CUSTOM this is ``config.init_point``
+    itself; `make_state` copies it."""
     if config.init_kind is InitKind.BARYCENTER:
         return init_barycenter(A.n)
     if config.init_kind is InitKind.VERTEX:
         return init_vertex(A)
     if config.init_point is None:
         raise ValueError("custom init requires init_point")
-    return config.init_point.copy()
+    return config.init_point
 
 
 def run(
@@ -342,11 +367,10 @@ def run(
     x0: SimplexPoint | None = None,
 ) -> tuple[SimplexPoint, list[StepRecord], StopReason]:
     """Iterate the configured solver until the halved gap drops to the
-    threshold, consecutive iterates coincide, or the budget is spent.
-    Each iteration evaluates the gap, and for PFW/AFW the away vertex,
-    once."""
-    start = x0.copy() if x0 is not None else initial_point(A, config)
-    state = make_state(A, start)
+    threshold, consecutive iterates coincide (||x+ - x|| <= epsilon), or
+    the budget is spent. Each iteration evaluates the gap, and for PFW/AFW
+    the away vertex, once; x0 (or the configured start) is copied once."""
+    state = make_state(A, x0 if x0 is not None else initial_point(A, config))
     kind = config.solver_kind
     if kind is SolverKind.RD and state.f <= 0:
         raise BadInit(
@@ -355,26 +379,36 @@ def run(
         )
     body = _BODY[kind]
     away = kind is SolverKind.PFW or kind is SolverKind.AFW
+    pairwise = kind is SolverKind.PFW
+    eps = config.epsilon
+    x, mask, r, f, E = state.x.coords, state.x.mask, state.r, state.f, A.entries
+    size = int(np.count_nonzero(mask))
     trace: list[StepRecord] = []
     reason = StopReason.MAX_ITERS
-    for _ in range(config.max_iters):
-        gap, i = fw_gap(state)
-        if gap / 2.0 <= config.epsilon:
+    for t in range(config.max_iters):
+        gap, i = _gap(r, f)
+        if gap / 2.0 <= eps:
             reason = StopReason.GAP_REACHED
             break
+        j = None
         if away:
-            j = select_away(state)
-            if kind is SolverKind.PFW and j == i:
+            j = _away(mask, r)
+            if pairwise and j == i:
                 # Zero pairwise direction: stationary for this solver.
                 reason = StopReason.GAP_REACHED
                 break
-            evaluation = (gap, i, j)
-        else:
-            evaluation = (gap, i)
-        prev = state.x.coords.copy()
-        state, rec = body(state, A, *evaluation)
+        prev = x.copy()
+        rec, c = _advance(body, x, mask, r, f, E, t, size, gap, i, j)
         trace.append(rec)
-        if float(np.linalg.norm(state.x.coords - prev)) <= config.epsilon:
+        f, size = rec.f_after, rec.support_size
+        # ||x+ - x|| >= |x+[c] - x[c]| (see the module docstring), so a
+        # large move of coordinate c settles the stop test without the
+        # O(n) norm.
+        d_c = x.item(c) - prev.item(c)
+        if math.sqrt(d_c * d_c) > eps:
+            continue
+        d = x - prev
+        if math.sqrt(d.dot(d)) <= eps:
             reason = StopReason.ITERATE_CONVERGED
             break
     return state.x, trace, reason

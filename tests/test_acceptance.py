@@ -276,6 +276,7 @@ def _median_step_time(A, kind, n_steps=50):
     return float(np.median(times))
 
 
+@pytest.mark.slow
 def test_criterion_7_per_iteration_scaling(capsys):
     A_small = rand_sim(1000, np.random.default_rng(70))
     A_large = rand_sim(4000, np.random.default_rng(71))
@@ -433,6 +434,7 @@ def test_criterion_10_dpp_correctness(capsys):
            f"diagonally-dominant eigenvalue {min_eig:.2e} (limit -1e-9)")
 
 
+@pytest.mark.slow
 def test_criterion_11_multistart_passes(capsys):
     solver_cfgs = {
         "fw": SolverConfig(SolverKind.FW, InitKind.VERTEX, max_iters=1000),

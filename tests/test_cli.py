@@ -2,10 +2,15 @@
 (0 success, 1 usage, 2 data, 3 solver/numeric)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dscfw
 from dscfw.cli import main
 from dscfw.data import block_noise_matrix
 from dscfw.matrix import load_matrix_csv, save_matrix_csv
@@ -196,3 +201,52 @@ def test_cluster_has_no_seed_flag(tmp_path, block_csv, capsys):
     matrix_csv, _ = block_csv
     assert main(["cluster", "--input", matrix_csv, "--max-clusters", "1",
                  "--seed", "0", "--out", str(tmp_path / "run")]) == 1
+
+
+def test_max_iters_stop_is_reported(tmp_path, block_csv):
+    # Every solve that spends its budget gets a manifest entry and the run
+    # logs one line to stderr (no logging is configured, so Python's
+    # last-resort handler prints it).
+    matrix_csv, _ = block_csv
+    out = tmp_path / "run"
+    src = Path(dscfw.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dscfw.cli", "cluster", "--input", matrix_csv,
+         "--solver", "pfw-b", "--max-clusters", "2", "--max-iters", "1",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    warnings = json.loads((tmp_path / "run.manifest.json").read_text())[
+        "warnings"]
+    assert warnings
+    assert all(w["max_iters"] == 1 and w["last_full_gap"] > 0
+               for w in warnings)
+    assert [w["round"] for w in warnings] == list(
+        range(1, len(warnings) + 1))
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "max_iters=1" in lines[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["cluster", "--solver", "pfw-b", "--peel-shift", "4"],
+    ["multistart", "--solver", "afw-v", "--samples", "2", "--seed", "0"],
+])
+def test_budget_warnings_in_manifest(tmp_path, block_csv, capsys, caplog,
+                                     command):
+    # The ample budget comes with a loose epsilon: at the default (machine
+    # epsilon) an away-step solve can stall on rounding just above it.
+    matrix_csv, _ = block_csv
+    manifests = {}
+    for budget in ("1", "5000"):
+        out = str(tmp_path / f"run{budget}")
+        assert main([*command, "--input", matrix_csv, "--max-clusters", "2",
+                     "--max-iters", budget, "--epsilon", "1e-9",
+                     "--out", out]) == 0
+        manifests[budget] = json.loads(
+            (tmp_path / f"run{budget}.manifest.json").read_text())
+    assert manifests["1"]["warnings"]
+    assert manifests["5000"]["warnings"] == []
+    budget_records = [r for r in caplog.records if r.name == "dscfw.cli"]
+    assert len(budget_records) == 1
+    assert budget_records[0].levelname == "WARNING"

@@ -22,6 +22,8 @@ from dscfw.matrix import (
     quadratic_form,
     simplex_point,
 )
+from dscfw.multistart import seed_starting_points
+from dscfw.peel import shift_offdiag
 from dscfw.solvers import (
     DEFAULT_EPSILON,
     InitKind,
@@ -319,6 +321,36 @@ class TestRun:
         assert np.allclose(x.coords, [0.5, 0.5, 0.0], atol=1e-15)
         assert trace[0].gap == pytest.approx(3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", [SolverKind.PFW, SolverKind.AFW])
+    def test_iterate_converged_after_a_vanishing_drop(self, kind):
+        # Vertex 2 carries 1e-300 and r_2 = 0, so both solvers drop it.
+        # The step moves x by 1e-300, whose square underflows: the test on
+        # the moved coordinate cannot decide, and the full norm (0) stops
+        # the run.
+        A = new_similarity_matrix([[0.0, 2.0, 0.0],
+                                   [2.0, 0.0, 0.0],
+                                   [0.0, 0.0, 0.0]])
+        cfg = SolverConfig(kind, InitKind.CUSTOM,
+                           init_point=simplex_point([0.3, 0.7, 1e-300]))
+        x, trace, reason = run(A, cfg)
+        assert reason is StopReason.ITERATE_CONVERGED
+        assert [rec.kind for rec in trace] == [StepKind.DROP]
+        assert trace[0].v_index == 2
+        assert x.support == {0, 1}
+        assert np.array_equal(x.coords, [0.3, 0.7, 0.0])
+
+    def test_one_small_coordinate_move_is_not_convergence(self, A3):
+        # The pairwise step of gamma = 0.3 from (0.5, 0.2, 0.3) moves x_1
+        # by +0.3 and x_0 by -0.3: |d_1| = 0.3 <= epsilon = 0.35 < ||d|| =
+        # 0.42, so only the full norm shows that the iterate moved. The
+        # run goes on and stops on the gap (halved gap 0.28).
+        cfg = SolverConfig(SolverKind.PFW, InitKind.CUSTOM, epsilon=0.35,
+                           init_point=simplex_point([0.5, 0.2, 0.3]))
+        x, trace, reason = run(A3, cfg)
+        assert reason is StopReason.GAP_REACHED
+        assert [rec.kind for rec in trace] == [StepKind.PAIRWISE_GOOD]
+        assert np.allclose(x.coords, [0.2, 0.5, 0.3], atol=1e-15)
+
     def test_pfw_stationary_when_best_equals_away(self):
         # Zero pairwise direction stops the run without a step.
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
@@ -374,23 +406,39 @@ def _record_fields(rec):
                  for v in dataclasses.astuple(rec))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(n=hst.integers(2, 12), seed=hst.integers(0, 2**32 - 1),
        integer=hst.booleans(),
        kind=hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW]),
-       init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]))
-def test_run_matches_public_step_loop(n, seed, integer, kind, init):
-    # run evaluates each iterate once and calls the step bodies; a loop
-    # over the public two-argument steps, each evaluating for itself,
-    # must give the same trace, iterate and stop reason. Integer weights
-    # make ties, zero edges, drops and swaps common.
+       start=hst.sampled_from(["barycenter", "vertex", "seed-vertex",
+                               "seed-biased"]),
+       shift=hst.sampled_from([0.0, 0.5, 4.0]),
+       epsilon=hst.sampled_from([DEFAULT_EPSILON, 1e-3, 0.05]))
+def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
+                                      epsilon):
+    # run evaluates each iterate once, keeps the support size as a count
+    # and tests convergence on one coordinate before the full norm; a loop
+    # over the public two-argument steps, each evaluating for itself, with
+    # the full norm every step, must give the same trace, iterate and stop
+    # reason. Integer weights make ties, zero edges, drops and swaps
+    # common; the seed starts are multistart's, the shift is peel's, and a
+    # loose epsilon makes the iterate-converged stop common.
     rng = np.random.default_rng(seed)
     if integer:
         upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
         A = new_similarity_matrix(upper + upper.T)
     else:
         A = rand_sim(n, rng)
-    cfg = SolverConfig(kind, init, max_iters=200)
+    A = shift_offdiag(A, shift)
+    if start.startswith("seed-"):
+        vertex, biased = seed_starting_points(int(rng.integers(n)), n)
+        point = biased if start == "seed-biased" else vertex
+        start_coords = point.coords.copy()
+        cfg = SolverConfig(kind, InitKind.CUSTOM, epsilon=epsilon,
+                           max_iters=200, init_point=point)
+    else:
+        cfg = SolverConfig(kind, InitKind(start), epsilon=epsilon,
+                           max_iters=200)
     step_fn = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
                SolverKind.AFW: afw_step}[kind]
     x, trace, reason = run(A, cfg)
@@ -416,6 +464,8 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, init):
         _record_fields(r) for r in expected]
     assert np.array_equal(x.coords, state.x.coords)
     assert np.array_equal(x.mask, state.x.mask)
+    if cfg.init_point is not None:  # run copies the start it is given
+        assert np.array_equal(cfg.init_point.coords, start_coords)
 
 
 class TestTraceCsv:
