@@ -51,8 +51,19 @@ SOLVER_FLAGS = {
 }
 
 
+_DIGEST_CHUNK = 1 << 20
+
+
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a file, read in 1 MiB chunks into one reused buffer, so
+    that no more than one chunk of the input is held at a time."""
+    h = hashlib.sha256()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            h.update(view[:size])
+    return h.hexdigest()
 
 
 def _write_manifest(out_prefix: str, subcommand: str, args: dict,

@@ -3,9 +3,15 @@ generators.
 
 Minimax distances are computed through the minimum spanning tree: the
 largest edge on the unique MST path between two nodes equals the minimum
-over all paths of the maximum edge weight. Filling the distances in the
-order Prim's algorithm adds nodes gives an exact O(n^2) method on dense
-inputs.
+over all paths of the maximum edge weight. These are the merge heights of
+single linkage (Gower & Ross, Applied Statistics 1969): taking the MST
+edges in increasing weight, the edge that merges two clusters is the
+distance between every pair across them. Prim's algorithm and one block
+write per merge give an exact O(n^2) method on dense inputs.
+
+Every builder works in the n x n array it returns, with O(n) or
+tile-sized scratch, and hands that array to the matrix validator without
+a copy.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AsymmetricMatrix, HsvRangeError, ZeroNormRow
-from .matrix import SimilarityMatrix, new_similarity_matrix
+from .matrix import _TILE, SimilarityMatrix, _asymmetry, _tiles, _validated
 
 GAUSS_MEANS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
 GAUSS_PROPORTIONS = (0.1, 0.2, 0.3, 0.4)
@@ -28,11 +34,13 @@ def cosine_similarity(features, shift: float = 0.0) -> SimilarityMatrix:
     if np.any(norms == 0):
         raise ZeroNormRow("cosine similarity undefined for zero-norm rows")
     G = (F / norms[:, None]) @ (F / norms[:, None]).T
-    G = (G + G.T) / 2.0
-    A = G + shift
-    np.fill_diagonal(A, 0.0)
-    A[np.abs(A) <= 1e-12] = 0.0
-    return new_similarity_matrix(A)
+    _symmetrize(G)
+    G += shift
+    np.fill_diagonal(G, 0.0)
+    for r in _row_chunks(G.shape[0]):
+        rows = G[r]
+        rows[np.abs(rows) <= 1e-12] = 0.0
+    return _validated(G)
 
 
 def hsv_features(pixels) -> np.ndarray:
@@ -47,13 +55,40 @@ def hsv_features(pixels) -> np.ndarray:
     return np.column_stack([v, v * s * np.sin(h), v * s * np.cos(h)])
 
 
+def _row_chunks(n: int) -> list[slice]:
+    """Runs of consecutive rows of an n x n array, each holding about one
+    tile's worth of entries, so per-chunk temporaries stay tile-sized."""
+    step = max(1, _TILE * _TILE // max(n, 1))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _symmetrize(M: np.ndarray) -> None:
+    """M <- (M + M') / 2 in place, tile by tile. (a + b) / 2 and
+    (b + a) / 2 are the same float, so each tile pair is averaged once
+    and written to both places."""
+    buf = np.empty((_TILE, _TILE))
+    for I, J in _tiles(M.shape[0]):
+        tile = buf[: I.stop - I.start, : J.stop - J.start]
+        np.add(M[I, J], M[J, I].T, out=tile)
+        tile /= 2.0
+        M[I, J] = tile
+        M[J, I] = tile.T
+
+
 def pairwise_euclidean(features) -> np.ndarray:
+    """Euclidean distances, worked out in the output G = FF' itself, row
+    chunk by row chunk: d2_ij = (s_i + s_j) - 2 g_ij with s the squared
+    norms, clipped at 0 and square-rooted; then symmetrised."""
     F = np.asarray(features, dtype=float)
     sq = np.sum(F**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (F @ F.T)
-    np.clip(d2, 0.0, None, out=d2)
-    D = np.sqrt(d2)
-    D = (D + D.T) / 2.0
+    D = F @ F.T
+    for r in _row_chunks(D.shape[0]):
+        rows = D[r]
+        rows *= -2.0  # exact, and x + (-y) is x - y
+        rows += sq[r, None] + sq
+        np.clip(rows, 0.0, None, out=rows)
+        np.sqrt(rows, out=rows)
+    _symmetrize(D)
     np.fill_diagonal(D, 0.0)
     return D
 
@@ -62,35 +97,53 @@ def minimax_distances(D) -> np.ndarray:
     """Bottleneck distance matrix: entry (i,j) is the minimum over paths
     from i to j of the maximum edge weight along the path.
 
-    Prim's algorithm on the complete graph, filling the output in the
-    order nodes join the tree: when u joins through parent p with edge
-    weight w, its path to every tree node t runs through p, so
-    out[u, t] = max(out[p, t], w). Each node costs O(n) numpy work, with
-    no Python work per pair of nodes.
+    Prim's algorithm builds the minimum spanning tree; `best` holds each
+    outside node's distance to the tree and inf for tree nodes. Then the
+    tree edges are taken in increasing weight, as single linkage merges
+    clusters: the edge (u, p) of weight w joins the clusters C_u and C_p,
+    every tree path between them crosses it and otherwise uses lighter
+    or equal edges, so out[C_u x C_p] = w. Each entry is written once, by
+    O(n) block writes in all.
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
-    if np.max(np.abs(D - D.T), initial=0.0) > 0:
+    if _asymmetry(D) > 0:
         raise AsymmetricMatrix("distance matrix must be symmetric")
     parent = np.full(n, -1, dtype=int)
-    in_tree = np.zeros(n, dtype=bool)
+    outside = np.ones(n, dtype=bool)
     best = np.full(n, np.inf)
     best[0] = 0.0
-    order = np.empty(n, dtype=int)
+    closer = np.empty(n, dtype=bool)
+    joined = []
+    for _ in range(n):
+        u = int(best.argmin())
+        outside[u] = False
+        best[u] = np.inf
+        if parent[u] >= 0:
+            joined.append(u)
+        row = D[u]
+        np.less(row, best, out=closer)
+        closer &= outside
+        np.copyto(best, row, where=closer)
+        np.copyto(parent, u, where=closer)
+    joined = np.array(joined, dtype=int)
+    weights = D[joined, parent[joined]]
+    order = np.argsort(weights, kind="stable")
+    edges = joined[order]
     out = np.zeros((n, n))
-    for k in range(n):
-        u = int(np.argmin(np.where(in_tree, np.inf, best)))
-        in_tree[u] = True
-        p = parent[u]
-        if p >= 0:
-            tree = order[:k]
-            row = np.maximum(out[p, tree], D[u, p])
-            out[u, tree] = row
-            out[tree, u] = row
-        order[k] = u
-        closer = ~in_tree & (D[u] < best)
-        best[closer] = D[u, closer]
-        parent[closer] = u
+    owner = np.arange(n)
+    members = [np.array([i]) for i in range(n)]
+    for u, p, w in zip(edges.tolist(), parent[edges].tolist(),
+                       weights[order].tolist()):
+        a, b = owner[u], owner[p]
+        if members[a].size < members[b].size:
+            a, b = b, a
+        ma, mb = members[a], members[b]
+        out[ma[:, None], mb] = w
+        out[mb[:, None], ma] = w
+        owner[mb] = a
+        members[a] = np.concatenate((ma, mb))
+        members[b] = None
     return out
 
 
@@ -100,7 +153,7 @@ def max_transform(D) -> SimilarityMatrix:
     D = np.asarray(D, dtype=float)
     A = D.max(initial=0.0) - D
     np.fill_diagonal(A, 0.0)
-    return new_similarity_matrix(A)
+    return _validated(A)
 
 
 def block_noise_matrix(
@@ -121,7 +174,7 @@ def block_noise_matrix(
     A = np.where(same, z * mu, 0.0)
     A = np.triu(A, 1)
     A = A + A.T
-    return new_similarity_matrix(A), truth
+    return _validated(A), truth
 
 
 def gauss_dataset(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IdentityViolated, TooFewPoints
-from .matrix import SimilarityMatrix
+from .matrix import SimilarityMatrix, offdiag_extremes
 from .solvers import GOOD_KINDS, SolverKind, SolverState, StepKind, StepRecord
 
 IDENTITY_RTOL = 1e-9
@@ -82,7 +82,7 @@ def check_progress(
     """Verify each good step's exact objective-gain identity and the
     gap-versus-progress inequalities. Drop and swap steps carry no gap
     bound and are skipped."""
-    _, max_off = _extremes(A)
+    _, max_off = offdiag_extremes(A)
     violations: list[ProgressViolation] = []
     for rec in trace:
         if rec.kind not in GOOD_KINDS:
@@ -112,12 +112,6 @@ def check_progress(
             f"step {v.t} ({v.kind.value}): expected {v.expected}, "
             f"got {v.actual}")
     return violations
-
-
-def _extremes(A: SimilarityMatrix) -> tuple[float, float]:
-    mask = ~np.eye(A.n, dtype=bool)
-    off = A.entries[mask]
-    return float(off.min()), float(off.max())
 
 
 def min_gap(trace: list[StepRecord]) -> float:

@@ -226,9 +226,12 @@ def multistart_cluster(
     gaps: list[float] = []
     passes = 0
     while surviving.size >= 2 and len(clusters) < max_clusters:
-        sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
-        sub_entries.setflags(write=False)
-        sub = SimilarityMatrix(sub_entries)
+        if surviving.size == n:
+            sub = A  # nothing removed yet: A is immutable and validated
+        else:
+            sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
+            sub_entries.setflags(write=False)
+            sub = SimilarityMatrix(sub_entries)
         ell = min(plan.ell, sub.n)
         if plan.sampler is SamplerKind.DPP:
             try:
@@ -285,6 +288,8 @@ def multistart_cluster(
         keep = np.ones(surviving.size, dtype=bool)
         keep[list(removed)] = False
         surviving = surviving[keep]
+        # Free this pass's matrix before the next pass builds its own.
+        del sub
     if surviving.size == 1 and len(clusters) < max_clusters:
         obj = int(surviving[0])
         labels[obj] = len(clusters) + 1

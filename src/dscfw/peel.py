@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyCluster, NoClusters
-from .matrix import SimilarityMatrix, SimplexPoint, new_similarity_matrix
+from .matrix import SimilarityMatrix, SimplexPoint, _validated
 from .solvers import SolverConfig, StepRecord, StopReason, run
 
 DEFAULT_CUTOFF = 2e-12
@@ -76,15 +76,18 @@ def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
         return A
     arr = A.entries + shift
     np.fill_diagonal(arr, 0.0)
-    return new_similarity_matrix(arr)
+    return _validated(arr)
 
 
 def _round_matrix(A: SimilarityMatrix, idx: np.ndarray,
                   shift: float) -> SimilarityMatrix:
     """The matrix one peel round solves: A restricted to idx, shifted like
-    `shift_offdiag`. Fancy indexing already copies, so the shift goes in
-    place; a finite nonnegative off-diagonal shift keeps a valid matrix
-    valid, so it is not validated again."""
+    `shift_offdiag`; A itself when that changes nothing. Fancy indexing
+    already copies, so the shift goes in place; a finite nonnegative
+    off-diagonal shift keeps a valid matrix valid, so it is not validated
+    again."""
+    if shift == 0.0 and idx.size == A.n:
+        return A
     sub = A.entries[np.ix_(idx, idx)]
     if shift != 0.0:
         sub += shift
@@ -135,6 +138,8 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
         keep = np.ones(surviving.size, dtype=bool)
         keep[local] = False
         surviving = surviving[keep]
+        # Free this round's matrix before the next round builds its own.
+        del sub
     result = ClusteringResult(
         labels=labels,
         clusters=clusters,

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,66 @@ def bruteforce_minimax(D):
                         stack.append((nb, nxt, visited | (1 << nb)))
             out[src, dst] = best
     return out
+
+
+def prim_order_minimax(D):
+    """Minimax distances filled in the order Prim's algorithm adds nodes:
+    when u joins through parent p with edge weight w,
+    out[u, t] = max(out[p, t], w) for every tree node t. This is the
+    earlier implementation, kept verbatim as an exact oracle."""
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    parent = np.full(n, -1, dtype=int)
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    best[0] = 0.0
+    order = np.empty(n, dtype=int)
+    out = np.zeros((n, n))
+    for k in range(n):
+        u = int(np.argmin(np.where(in_tree, np.inf, best)))
+        in_tree[u] = True
+        p = parent[u]
+        if p >= 0:
+            tree = order[:k]
+            row = np.maximum(out[p, tree], D[u, p])
+            out[u, tree] = row
+            out[tree, u] = row
+        order[k] = u
+        closer = ~in_tree & (D[u] < best)
+        best[closer] = D[u, closer]
+        parent[closer] = u
+    return out
+
+
+def formula_euclidean(features):
+    """Euclidean distances by the whole-matrix formula, kept verbatim from
+    the earlier implementation as an exact oracle."""
+    F = np.asarray(features, dtype=float)
+    sq = np.sum(F**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (F @ F.T)
+    np.clip(d2, 0.0, None, out=d2)
+    D = np.sqrt(d2)
+    D = (D + D.T) / 2.0
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Run fn(*args, **kwargs) under tracemalloc, which counts numpy
+    buffers too. Returns (peak traced bytes above those traced at entry,
+    fn's result); the result counts towards the peak."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak - base, result
 
 
 @pytest.fixture

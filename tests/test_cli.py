@@ -1,6 +1,7 @@
 """CLI tests: every subcommand end-to-end plus the exit-code contract
 (0 success, 1 usage, 2 data, 3 solver/numeric)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -137,6 +138,16 @@ def test_non_finite_matrix_returns_2(tmp_path, capsys):
                      "--out", str(tmp_path / "run")])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+
+def test_manifest_input_digest(tmp_path, block_csv, capsys):
+    matrix_csv, _ = block_csv
+    out = str(tmp_path / "run")
+    assert main(["cluster", "--input", matrix_csv, "--max-clusters", "2",
+                 "--out", out]) == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["input_digests"] == {
+        matrix_csv: hashlib.sha256(Path(matrix_csv).read_bytes()).hexdigest()}
 
 
 def test_manifest_flags_are_deterministic(tmp_path, block_csv, capsys):

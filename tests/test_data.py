@@ -16,10 +16,20 @@ from dscfw.data import (
 )
 from dscfw.errors import AsymmetricMatrix, HsvRangeError, ZeroNormRow
 
-from conftest import bruteforce_minimax
+from conftest import bruteforce_minimax, formula_euclidean, prim_order_minimax
 
 
 class TestCosineSimilarity:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_matches_whole_matrix_formula(self, n):
+        F = np.random.default_rng(n).normal(size=(n, 3))
+        norms = np.linalg.norm(F, axis=1)
+        G = (F / norms[:, None]) @ (F / norms[:, None]).T
+        A = (G + G.T) / 2.0 + 1.0
+        np.fill_diagonal(A, 0.0)
+        A[np.abs(A) <= 1e-12] = 0.0
+        assert cosine_similarity(F, shift=1.0).entries.tobytes() == A.tobytes()
+
     def test_frozen(self):
         F = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         A = cosine_similarity(F, shift=1.0)
@@ -68,6 +78,16 @@ class TestPairwiseEuclidean:
         assert np.allclose(D, D.T)
         assert np.all(D >= 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_bit_identical_to_whole_matrix_formula(self, n):
+        # Integer features from a small range repeat points, so exact
+        # zeros and clipped negative rounding are common.
+        rng = np.random.default_rng(n)
+        for F in (rng.integers(0, 3, size=(n, 2)).astype(float),
+                  rng.normal(size=(n, 3))):
+            D = pairwise_euclidean(F)
+            assert D.tobytes() == formula_euclidean(F).tobytes()
+
 
 class TestMinimaxDistances:
     def test_frozen_chain(self):
@@ -103,6 +123,14 @@ class TestMinimaxDistances:
         D[np.triu_indices(n, 1)] = weights
         D = D + D.T
         assert np.array_equal(minimax_distances(D), bruteforce_minimax(D))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_prim_order_fill(self, n, seed):
+        D = np.triu(np.random.default_rng(seed).integers(0, 4, size=(n, n)),
+                    1).astype(float)
+        D = D + D.T
+        assert minimax_distances(D).tobytes() == prim_order_minimax(D).tobytes()
 
 
 class TestMaxTransform:

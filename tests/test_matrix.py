@@ -14,6 +14,7 @@ from dscfw.errors import (
     TooSmall,
 )
 from dscfw.matrix import (
+    _asymmetry,
     load_features_csv,
     load_matrix_csv,
     matvec,
@@ -78,6 +79,30 @@ class TestNewSimilarityMatrix:
 
     def test_row_sums(self, A3):
         assert np.allclose(A3.row_sums(), [3.0, 5.0, 4.0])
+
+    def test_caller_array_is_copied(self, A3):
+        raw = A3.entries.copy()
+        A = new_similarity_matrix(raw)
+        assert raw.flags.writeable
+        assert not np.shares_memory(raw, A.entries)
+
+
+class TestTiledAsymmetry:
+    # 127, 128 and 129 straddle one tile; 300 ends in a partial tile.
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+    def test_equals_whole_array_max(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        near = rand_sim(n, rng).entries + 1e-10 * rng.normal(size=(n, n))
+        for arr in (a, near):
+            assert _asymmetry(arr) == np.max(np.abs(arr - arr.T), initial=0.0)
+
+    @pytest.mark.parametrize("i, j", [(299, 260), (7, 290), (290, 295)])
+    def test_one_entry_in_the_last_partial_tile(self, i, j):
+        raw = rand_sim(300, np.random.default_rng(3)).entries.copy()
+        raw[i, j] += 1e-6
+        with pytest.raises(AsymmetricMatrix):
+            new_similarity_matrix(raw)
 
 
 
@@ -163,6 +188,17 @@ class TestOffdiagExtremes:
         perm = rng.permutation(8)
         B = new_similarity_matrix(A.entries[np.ix_(perm, perm)])
         assert offdiag_extremes(A) == offdiag_extremes(B)
+
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+    def test_equals_masked_copy(self, n):
+        # Asymmetric below SYM_TOL, so the lower triangle can hold an
+        # extreme of its own.
+        rng = np.random.default_rng(n)
+        raw = rand_sim(n, rng).entries + 1e-10 * rng.uniform(size=(n, n))
+        np.fill_diagonal(raw, 0.0)
+        A = new_similarity_matrix(raw)
+        off = A.entries[~np.eye(n, dtype=bool)]
+        assert offdiag_extremes(A) == (off.min(), off.max())
 
 
 class TestCsvIO:

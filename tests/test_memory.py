@@ -1,0 +1,94 @@
+"""Transient memory of the clustering path, measured with tracemalloc.
+
+Bounds are in units of one n x n float64 array at n = 512 (2 MiB) and
+allow 30 % over the arrays a call must hold: its output, or nothing
+beyond O(n) and tile-sized scratch.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dscfw.cli import _digest
+from dscfw.data import block_noise_matrix, minimax_distances, pairwise_euclidean
+from dscfw.matrix import _validated, load_matrix_csv, new_similarity_matrix
+from dscfw.multistart import SamplePlan, SamplerKind, multistart_cluster
+from dscfw.peel import PeelConfig, peel
+from dscfw.solvers import InitKind, SolverConfig, SolverKind
+
+from conftest import traced_peak
+
+N = 512
+UNIT = N * N * 8
+
+
+@pytest.fixture(scope="module")
+def block():
+    A, _ = block_noise_matrix(N, 5, 0.3, seed=0)
+    return A
+
+
+@pytest.fixture(scope="module")
+def features():
+    return np.random.default_rng(0).normal(size=(N, 2))
+
+
+def test_new_similarity_matrix_holds_one_copy(block):
+    raw = np.array(block.entries)
+    peak, _ = traced_peak(new_similarity_matrix, raw)
+    assert peak <= 1.3 * UNIT
+
+
+def test_validator_on_a_fresh_array_needs_only_tiles(block):
+    fresh = np.array(block.entries)
+    peak, A = traced_peak(_validated, fresh)
+    assert peak <= 0.3 * UNIT
+    assert A.entries is fresh and not fresh.flags.writeable
+
+
+def test_pairwise_euclidean_holds_its_output(features):
+    peak, _ = traced_peak(pairwise_euclidean, features)
+    assert peak <= 1.3 * UNIT
+
+
+def test_minimax_distances_holds_its_output(features):
+    D = pairwise_euclidean(features)
+    peak, _ = traced_peak(minimax_distances, D)
+    assert peak <= 1.3 * UNIT
+
+
+def test_load_matrix_csv(tmp_path, block):
+    path = tmp_path / "m.csv"
+    np.savetxt(path, block.entries, delimiter=",")
+    peak, _ = traced_peak(load_matrix_csv, path)
+    assert peak <= 1.5 * UNIT
+
+
+def test_peel_holds_one_round_matrix(block):
+    # FW from a vertex keeps round 1's cluster under 40 objects, so round
+    # 2's matrix is more than 0.8 of a unit: two round matrices alive at
+    # once would exceed the bound.
+    config = PeelConfig(max_clusters=3, shift=4.0, solver=SolverConfig(
+        SolverKind.FW, InitKind.VERTEX, max_iters=40))
+    peak, result = traced_peak(peel, block, config)
+    assert len(result.clusters) == 3
+    assert len(result.clusters[0]) < 40
+    assert peak <= 1.3 * UNIT
+
+
+def test_one_multistart_pass_copies_nothing(block):
+    plan = SamplePlan(ell=2, sampler=SamplerKind.DPP, seed=0)
+    solver = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=40)
+    peak, (_, passes) = traced_peak(multistart_cluster, block, plan, solver,
+                                    max_clusters=1)
+    assert passes == 1
+    assert peak <= 0.3 * UNIT
+
+
+def test_digest_streams_the_file(tmp_path):
+    path = tmp_path / "big.bin"
+    path.write_bytes(np.random.default_rng(1).bytes(8 * 2**20 + 12345))
+    peak, digest = traced_peak(_digest, path)
+    assert peak < 2 * 2**20
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

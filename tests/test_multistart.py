@@ -1,5 +1,6 @@
 """Multi-start sampling and clustering tests."""
 
+import importlib
 import threading
 
 import numpy as np
@@ -19,7 +20,7 @@ from dscfw.multistart import (
     two_step_dpp_sample,
     uniform_block_sample,
 )
-from dscfw.solvers import InitKind, SolverConfig, SolverKind
+from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
 
 from conftest import rand_sim
 
@@ -170,6 +171,24 @@ class TestMultistartCluster:
         result, passes = multistart_cluster(A, plan, cfg, max_clusters=4)
         assert passes >= 1
         assert result.clusters
+
+    def test_first_pass_solves_a_itself(self, monkeypatch):
+        solved = []
+
+        def recording_run(A, config, x0=None):
+            solved.append(A)
+            return run(A, config, x0=x0)
+
+        module = importlib.import_module("dscfw.multistart")
+        monkeypatch.setattr(module, "run", recording_run)
+        A = rand_sim(30, np.random.default_rng(15))
+        plan = SamplePlan(ell=2, seed=3)
+        cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX, max_iters=500)
+        _, passes = multistart_cluster(A, plan, cfg, max_clusters=3)
+        assert passes >= 2
+        first = [B for B in solved if B.n == A.n]
+        assert len(first) == 2 and all(B is A for B in first)
+        assert all(B.n < A.n for B in solved[2:])
 
     def test_respects_max_clusters(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,7 @@
 """Peel-off clustering driver tests."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from dscfw.peel import (
     post_assign,
     shift_offdiag,
 )
-from dscfw.solvers import InitKind, SolverConfig, SolverKind
+from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
 
 
 class TestExtractSupport:
@@ -76,6 +78,22 @@ class TestPeel:
         result = peel(A, PeelConfig(max_clusters=3))
         assert np.array_equal(result.labels, [1, 1, 2])
         assert result.clusters == [[0, 1], [2]]
+
+    @pytest.mark.parametrize("shift", [0.0, 2.0])
+    def test_round_one_solves_a_itself_without_a_shift(self, monkeypatch,
+                                                       two_blocks, shift):
+        solved = []
+
+        def recording_run(A, config, x0=None):
+            solved.append(A)
+            return run(A, config, x0=x0)
+
+        module = importlib.import_module("dscfw.peel")
+        monkeypatch.setattr(module, "run", recording_run)
+        peel(two_blocks, PeelConfig(max_clusters=2, shift=shift))
+        assert (solved[0] is two_blocks) == (shift == 0.0)
+        assert np.array_equal(solved[0].entries,
+                              shift_offdiag(two_blocks, shift).entries)
 
     def test_characteristic_vectors_full_length(self, two_blocks):
         result = peel(two_blocks, PeelConfig(max_clusters=2))
