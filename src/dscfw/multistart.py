@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import AsymmetricMatrix, EmptyCluster, PoolTooSmall, TooManySeeds
 from .matrix import SimilarityMatrix, SimplexPoint
-from .peel import ClusteringResult, extract_support, last_gap
+from .peel import ClusteringResult, check_cutoff, extract_support, last_gap
 from .solvers import SolverConfig, SolverKind, StopReason, run
 
 
@@ -26,7 +26,6 @@ class SamplePlan:
     ell: int = 4
     sampler: SamplerKind = SamplerKind.UNI
     overlap_threshold: float = 0.10
-    symmetric_overlap: bool = False
     seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -198,14 +197,6 @@ def _starting_points(kind: SolverKind, seed_idx: int, n: int) -> list[SimplexPoi
     return [vertex, biased]
 
 
-def _overlap(support: set[int], accepted: set[int], symmetric: bool) -> float:
-    inter = len(support & accepted)
-    if symmetric:
-        union = len(support | accepted)
-        return inter / union if union else 0.0
-    return inter / len(support)
-
-
 def multistart_cluster(
     A: SimilarityMatrix,
     plan: SamplePlan,
@@ -216,6 +207,7 @@ def multistart_cluster(
     """Run the multi-start peel loop; returns the clustering and the
     number of passes over the data. The result keeps every solve's stop
     reason and last gap, in solve order, but no traces."""
+    check_cutoff(cutoff)
     n = A.n
     rng = np.random.default_rng(plan.seed)
     labels = np.zeros(n, dtype=int)
@@ -265,9 +257,9 @@ def multistart_cluster(
             except EmptyCluster:
                 continue
             support = set(local)
-            if accepted_union and _overlap(
-                support, accepted_union, plan.symmetric_overlap
-            ) > plan.overlap_threshold:
+            # Share of this support already taken by an accepted cluster.
+            if (len(support & accepted_union) / len(support)
+                    > plan.overlap_threshold):
                 continue
             accepted_union |= support
             new_clusters.append(local)

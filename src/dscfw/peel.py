@@ -51,10 +51,16 @@ class PeelConfig:
     def __post_init__(self) -> None:
         if self.max_clusters < 1:
             raise ValueError("max_clusters must be >= 1")
-        if self.cutoff <= 0:
-            raise ValueError("cutoff must be positive")
+        check_cutoff(self.cutoff)
         if not 0.0 <= self.shift < math.inf:
             raise ValueError("shift must be finite and nonnegative")
+
+
+def check_cutoff(cutoff: float) -> None:
+    """Reject a support cutoff that is not positive and finite (NaN
+    included): no coordinate would pass it, or every one would."""
+    if not 0.0 < cutoff < math.inf:
+        raise ValueError("cutoff must be positive and finite")
 
 
 def last_gap(trace: list[StepRecord]) -> float:

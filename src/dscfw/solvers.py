@@ -4,31 +4,51 @@ plus a replicator-dynamics baseline.
 All three Frank-Wolfe variants keep the gradient cache r = A x and the
 objective f = x'Ax up to date in O(n) per iteration via closed-form line
 search; replicator dynamics recomputes A x densely (O(n^2) per iteration).
-The O(n) work is all numpy, with no Python-level support bookkeeping:
 
-- the support is a boolean mask on the iterate (set when a vertex enters,
-  cleared on a drop), so the away vertex is a masked argmin over r;
-- r is updated in place from rows of A (``A.entries[i]``), the same reads
-  the dense oracle ``A.entries @ x`` makes.
+Representation. The iterate and the cache are held lazily scaled, as
+x = c_x * xt and r = c_r * rt with positive scalars c_x and c_r (the
+scaled-iterate bookkeeping of sparse Frank-Wolfe codes; Jaggi, ICML 2013):
+
+- an FW step, x+ = (1 - g) x + g e_i and r+ = (1 - g) r + g A[i],
+  multiplies both scalars by 1 - g, writes xt[i] once and adds
+  (g / c_r+) A[i] to rt through one preallocated row buffer; an AFW away
+  step does the same with 1 + g, -g and row j;
+- a PFW step moves mass between two coordinates and leaves the scales
+  alone, so from a start (scales 1) its arithmetic is the unscaled one;
+- c_r > 0, so the FW vertex argmax(r) and the away vertex read rt
+  directly. The away vertex is argmin(rt + pen), where pen is 0 on the
+  support and +inf off it; the steps update pen with the boolean support
+  mask (set when a vertex enters, cleared on a drop);
+- the coordinate sum of xt is kept as a scalar, and renormalisation
+  divides c_x when c_x * sum drifts from 1 by more than SUM_TOL;
+- the scales are folded back into the arrays (xt *= c_x, rt *= c_r) when
+  one of them has left [1/_FOLD, _FOLD], before the next step, and when
+  `run` returns. A fold leaves the folded iterate fl(c_x * xt) and cache
+  fl(c_r * rt) unchanged, bit for bit. `SolverState.x` and `.r` read them
+  folded.
 
 One loop, `run`, drives every solver. Per iteration it evaluates the gap
 and, for PFW/AFW, the away vertex once, and calls the solver's step body
 (`_fw`, `_pfw`, `_afw`, `_rd`), which is only its update rule: the line
-search and the coordinate, mask and r updates. What every step shares is
-in `_advance`: renormalise x when its sum drifts, keep the support size as
-a count (+1 when a vertex enters, -1 on a drop) and build the StepRecord.
-The public ``*_step(state, A)`` functions evaluate and go through the same
-`_advance` and bodies.
+search and the coordinate, mask, penalty and cache updates. What every
+step shares is in `_advance`: fold the scales when due, renormalise, keep
+the support size as a count (+1 when a vertex enters, -1 on a drop) and
+build the StepRecord. The public ``*_step(state, A)`` functions evaluate
+and go through the same `_advance` and bodies.
 
-Stop test. `run` stops when ||x+ - x|| <= epsilon, where the norm is
-sqrt(d.d) with d = x+ - x, exactly what np.linalg.norm computes for a 1-D
-array. Every term of the computed d.d is >= 0 and IEEE rounding is
-monotone, so the computed d.d is at least fl(d_c^2) for any coordinate c.
-If sqrt(d_c^2) > epsilon, the iterate has not converged and the O(n) norm
+Stop test. `run` stops when ||x+ - x|| <= epsilon for the folded iterates
+x = fl(c_x * xt) and x+ = fl(c_x+ * xt+). The norm is sqrt(d.d) with
+d = x+ - x, exactly what np.linalg.norm computes for a 1-D array. Every
+term of the computed d.d is >= 0 and IEEE rounding is monotone, so the
+computed d.d is at least fl(d_c^2) for any coordinate c. If
+sqrt(d_c^2) > epsilon, the iterate has not converged and the O(n) norm
 is skipped; `run` takes c to be the coordinate the step moves (i for FW
-and pairwise steps, j for an away step), which decides almost every
-step. Otherwise it computes the full norm, so every stop decision is the
-one the full norm gives.
+and pairwise steps, j for an away step), whose old value the step
+returns, and this decides almost every step. Otherwise it rebuilds the
+old xt from the new one and the old values of the coordinates the step
+wrote (no other coordinate of xt changes) and computes the full norm
+from the two scales, so every stop decision is the one
+||fl(c_x+ * xt+) - fl(c_x * xt)|| gives.
 
 Gap convention: the solvers compare the HALVED quantity max(r) - f against
 the stopping threshold, exactly as the update rules are stated.
@@ -42,7 +62,7 @@ import csv
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +73,17 @@ from .errors import (
     NotAscent,
     ZeroDenominator,
 )
-from .matrix import SimilarityMatrix, SimplexPoint, renormalize_if_needed
+from .matrix import (
+    SUM_TOL,
+    SimilarityMatrix,
+    SimplexPoint,
+    renormalize_if_needed,
+)
 
 DEFAULT_EPSILON = sys.float_info.epsilon  # ~2.2e-16
+# Fold bound: far inside the float64 range, so neither xt (whose entries
+# grow like 1/c_x) nor a product of two scales can overflow.
+_FOLD = 1e150
 
 
 class StepKind(enum.Enum):
@@ -119,24 +147,50 @@ class SolverConfig:
     init_point: SimplexPoint | None = None  # used when init_kind is CUSTOM
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:  # NaN fails too
+            raise ValueError("epsilon must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
 
-@dataclass
 class SolverState:
-    """Iterate with cached gradient r = A x and objective f = x'Ax."""
+    """Iterate with cached gradient r = A x and objective f = x'Ax.
 
-    x: SimplexPoint
-    r: np.ndarray
-    f: float
-    t: int = 0
+    Held as x = cx * xt and r = cr * rt (see the module docstring). `x`
+    reads the folded iterate as a new SimplexPoint over the live support
+    mask; `r` reads the folded cache, and setting it stores the new cache
+    with scale 1. `pen` is 0 on the support and +inf off it, `xsum` is the
+    coordinate sum of xt, and `buf` is the steps' scratch row.
+    """
+
+    __slots__ = ("xt", "mask", "cx", "xsum", "rt", "cr", "f", "t", "pen",
+                 "buf")
+
+    def __init__(self, x: SimplexPoint, r: np.ndarray, f: float,
+                 t: int = 0) -> None:
+        self.xt, self.mask, self.cx = x.coords, x.mask, 1.0
+        self.xsum = float(x.coords.sum())
+        self.r = r
+        self.f = f
+        self.t = t
+        self.pen = np.where(x.mask, 0.0, np.inf)
+        self.buf = np.empty(x.n)
+
+    @property
+    def x(self) -> SimplexPoint:
+        return SimplexPoint(self.cx * self.xt, self.mask)
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.cr * self.rt
+
+    @r.setter
+    def r(self, value: np.ndarray) -> None:
+        self.rt, self.cr = value, 1.0
 
     @property
     def n(self) -> int:
-        return self.x.n
+        return self.xt.shape[0]
 
 
 def init_barycenter(n: int) -> SimplexPoint:
@@ -160,37 +214,69 @@ def make_state(A: SimilarityMatrix, x0: SimplexPoint) -> SolverState:
     return SolverState(x0.copy(), r0, f0)
 
 
-def _gap(r: np.ndarray, f: float) -> tuple[float, int]:
-    i = int(r.argmax())
-    return 2.0 * (float(r[i]) - f), i
+def _fold(st: SolverState) -> None:
+    """Multiply the scales into the arrays. fl(1 * v) = v, so the folded
+    iterate and cache keep their values exactly."""
+    if st.cx != 1.0:
+        st.xt *= st.cx
+        st.cx = 1.0
+        st.xsum = float(st.xt.sum())
+    if st.cr != 1.0:
+        st.rt *= st.cr
+        st.cr = 1.0
 
 
-def _away(mask: np.ndarray, r: np.ndarray) -> int:
-    j = int(np.where(mask, r, np.inf).argmin())
-    if not mask[j]:  # only an empty mask leaves the argmin outside it
+def _gap(rt: np.ndarray, cr: float, f: float) -> tuple[float, int]:
+    i = int(rt.argmax())
+    return 2.0 * (cr * rt.item(i) - f), i
+
+
+def _away(rt: np.ndarray, pen: np.ndarray, mask: np.ndarray,
+          buf: np.ndarray) -> int:
+    np.add(rt, pen, out=buf)
+    j = int(buf.argmin())
+    if not mask[j]:  # only an empty support leaves the argmin outside it
         raise EmptySupport("away selection needs a nonempty support")
     return j
 
 
 def fw_gap(state: SolverState) -> tuple[float, int]:
     """Full Frank-Wolfe gap 2*(max(r) - f) and the maximizing index."""
-    return _gap(state.r, state.f)
+    return _gap(state.rt, state.cr, state.f)
 
 
 def select_away(state: SolverState) -> int:
     """Index in the support minimizing r; lowest index on ties."""
-    return _away(state.x.mask, state.r)
+    return _away(state.rt, state.pen, state.mask, state.buf)
 
 
-# A step body takes the iterate's coordinates x and mask, the cache r and
-# the objective f, the matrix entries E, and the evaluation (gap, FW vertex
-# i, away vertex j or None). It updates x, mask and r in place and returns
-# (kind, gamma, f_after, c, entered - dropped, v_index, r_s, r_v), where c
-# is the coordinate `run` reads for its stop test. Everything else a step
-# does is in `_advance`.
+# A step body takes the state and the matrix entries E, with the
+# evaluation (gap, FW vertex i, away vertex j or None). It updates xt, the
+# scales, the mask, pen and rt in place and returns (kind, gamma, f_after,
+# entered - dropped, v_index, r_s, r_v, moved), where `moved` holds
+# (k, xt[k] before the step) for every coordinate k the step wrote, the
+# stop-test coordinate first. Everything else a step does is in `_advance`.
 
-def _fw(x, mask, r, f, E, gap, i, j):
-    r_i = float(r[i])
+def _rescale_move(st: SolverState, E: np.ndarray, scale: float, k: int,
+                  g: float, drop: bool = False) -> float:
+    """x <- scale * x + g e_k and r <- scale * r + g E[k] (x_k <- 0 on a
+    drop) on the scaled representation: two scalar products, one write to
+    xt and one row axpy into rt. Returns xt[k] before the step."""
+    cx = st.cx = st.cx * scale
+    cr = st.cr = st.cr * scale
+    xt = st.xt
+    old = xt.item(k)
+    new = 0.0 if drop else old + g / cx
+    xt[k] = new
+    st.xsum += new - old
+    np.multiply(E[k], g / cr, out=st.buf)
+    np.add(st.rt, st.buf, out=st.rt)
+    return old
+
+
+def _fw(st, E, gap, i, j):
+    f = st.f
+    r_i = st.cr * st.rt.item(i)
     half = r_i - f
     if half <= 0:
         raise NotAscent("halved gap is nonpositive")
@@ -198,27 +284,30 @@ def _fw(x, mask, r, f, E, gap, i, j):
     if not f - 2.0 * r_i <= 0:
         raise BrokenInvariant("FW line search is not concave")
     gamma = half / (2.0 * r_i - f)
-    x *= 1.0 - gamma
-    x[i] += gamma
-    entered = not mask[i]
-    mask[i] = True
-    r *= 1.0 - gamma
-    r += gamma * E[i]
+    entered = not st.mask[i]
+    if entered:
+        st.mask[i] = True
+        st.pen[i] = 0.0
+    old = _rescale_move(st, E, 1.0 - gamma, i, gamma)
     f_after = (1.0 - gamma) ** 2 * f + 2.0 * gamma * (1.0 - gamma) * r_i
-    return StepKind.FW_GOOD, gamma, f_after, i, entered, None, r_i, math.nan
+    return (StepKind.FW_GOOD, gamma, f_after, entered, None, r_i, math.nan,
+            ((i, old),))
 
 
-def _pfw(x, mask, r, f, E, gap, i, j):
+def _pfw(st, E, gap, i, j):
     if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
     if i == j:
         # s == v makes the direction zero; the caller treats this as
         # stationary and must not request a step.
         raise NotAscent("pairwise direction is zero (s == v)")
-    r_i = float(r[i])
-    r_j = float(r[j])
-    a_ij = float(E[i, j])
-    gamma_max = float(x[j])
+    f, xt, mask, cx, cr = st.f, st.xt, st.mask, st.cx, st.cr
+    r_i = cr * st.rt.item(i)
+    r_j = cr * st.rt.item(j)
+    a_ij = E.item(i, j)
+    x_i = xt.item(i)
+    x_j = xt.item(j)
+    gamma_max = cx * x_j
     if a_ij > 0:
         gamma = min(gamma_max, (r_i - r_j) / (2.0 * a_ij))
     else:
@@ -227,32 +316,41 @@ def _pfw(x, mask, r, f, E, gap, i, j):
         gamma = gamma_max
     truncated = gamma >= gamma_max
     entered = not mask[i]
-    x[i] += gamma
-    mask[i] = True
+    xt[i] = x_i + gamma / cx
+    if entered:
+        mask[i] = True
+        st.pen[i] = 0.0
     if truncated:
         gamma = gamma_max
-        x[j] = 0.0
+        xt[j] = 0.0
         mask[j] = False
+        st.pen[j] = np.inf
         kind = StepKind.SWAP if entered else StepKind.DROP
     else:
-        x[j] -= gamma
+        xt[j] = x_j - gamma / cx
         kind = StepKind.PAIRWISE_GOOD
-    r += gamma * (E[i] - E[j])
+    st.xsum += (xt.item(i) - x_i) + (xt.item(j) - x_j)
+    buf = st.buf
+    np.subtract(E[i], E[j], out=buf)
+    buf *= gamma / cr
+    np.add(st.rt, buf, out=st.rt)
     f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
-    return kind, gamma, f_after, i, entered - truncated, j, r_i, r_j
+    return (kind, gamma, f_after, entered - truncated, j, r_i, r_j,
+            ((i, x_i), (j, x_j)))
 
 
-def _afw(x, mask, r, f, E, gap, i, j):
+def _afw(st, E, gap, i, j):
     if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
-    r_i = float(r[i])
-    r_j = float(r[j])
+    f = st.f
+    r_i = st.cr * st.rt.item(i)
+    r_j = st.cr * st.rt.item(j)
     if (r_i - f) >= (f - r_j):
         # FW branch: identical to fw_step. At a vertex f = r_j = 0, so
         # this branch is always taken there and the away branch never
         # sees a singleton support.
-        return _fw(x, mask, r, f, E, gap, i, j)
-    x_j = float(x[j])
+        return _fw(st, E, gap, i, j)
+    x_j = st.cx * st.xt.item(j)
     if not x_j < 1.0:
         raise BrokenInvariant("away branch unreachable from a vertex")
     gamma_max = x_j / (1.0 - x_j)
@@ -262,56 +360,68 @@ def _afw(x, mask, r, f, E, gap, i, j):
     else:
         gamma = gamma_max
     truncated = gamma >= gamma_max
-    x *= 1.0 + gamma
     if truncated:
         gamma = gamma_max
-        x[j] = 0.0
-        mask[j] = False
+        st.mask[j] = False
+        st.pen[j] = np.inf
         kind = StepKind.DROP
     else:
-        x[j] = (1.0 + gamma) * x_j - gamma
         kind = StepKind.AWAY_GOOD
-    r *= 1.0 + gamma
-    r -= gamma * E[j]
+    old = _rescale_move(st, E, 1.0 + gamma, j, -gamma, truncated)
     f_after = (1.0 + gamma) ** 2 * f - 2.0 * gamma * (1.0 + gamma) * r_j
-    return kind, gamma, f_after, j, -truncated, j, r_i, r_j
+    return kind, gamma, f_after, -truncated, j, r_i, r_j, ((j, old),)
 
 
-def _rd(x, mask, r, f, E, gap, i, j):
+def _rd(st, E, gap, i, j):
+    f, x, mask = st.f, st.xt, st.mask
     if f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
+    prev = x.copy()
     before = int(np.count_nonzero(mask))
-    x *= r
-    x /= f
+    # x r / f on the folded values; xt then holds the new iterate unscaled.
+    x *= st.rt
+    x /= f / (st.cx * st.cr)
+    st.cx = 1.0
     np.greater(x, 0.0, out=mask)
     # A x is recomputed from the renormalised iterate, so the check in
     # `_advance` that follows finds the sum within SUM_TOL.
     renormalize_if_needed(x)
-    r[:] = E @ x
-    f_after = float(r @ x)
+    st.xsum = float(x.sum())
+    st.pen[...] = np.where(mask, 0.0, np.inf)
+    st.rt[...] = E @ x
+    st.cr = 1.0
+    f_after = float(st.rt @ x)
     delta = int(np.count_nonzero(mask)) - before
-    return StepKind.RD_STEP, math.nan, f_after, i, delta, None, math.nan, math.nan
+    return (StepKind.RD_STEP, math.nan, f_after, delta, None, math.nan,
+            math.nan, ((i, prev.item(i)), (slice(None), prev)))
 
 
-def _advance(body, x, mask, r, f, E, t, size, gap, i, j):
-    """One step of `body` from iterate t with support size `size`, plus the
-    bookkeeping every step shares: renormalise x, count the support and
-    build the record. Returns the record and the stop-test coordinate."""
-    kind, gamma, f_after, c, delta, v, r_s, r_v = body(x, mask, r, f, E,
-                                                       gap, i, j)
-    renormalize_if_needed(x)
-    return StepRecord(t, kind, gamma, gap, f, f_after, size + delta, i, v,
-                      r_s, r_v), c
+def _advance(body, st: SolverState, E: np.ndarray, size: int, gap: float,
+             i: int, j: int | None):
+    """One step of `body` from the state, whose support has `size`
+    vertices, plus the bookkeeping every step shares: fold the scales when
+    one is out of range, renormalise, count the support and build the
+    record. Returns the record, the scale c_x the step started from and
+    the body's `moved`."""
+    if not (1.0 / _FOLD <= st.cx <= _FOLD and 1.0 / _FOLD <= st.cr <= _FOLD):
+        _fold(st)
+    cx, f = st.cx, st.f
+    kind, gamma, f_after, delta, v, r_s, r_v, moved = body(st, E, gap, i, j)
+    total = st.cx * st.xsum
+    if abs(total - 1.0) > SUM_TOL:
+        st.cx /= total
+    rec = StepRecord(st.t, kind, gamma, gap, f, f_after, size + delta, i, v,
+                     r_s, r_v)
+    st.f = f_after
+    st.t += 1
+    return rec, cx, moved
 
 
 def _step(state: SolverState, A: SimilarityMatrix, body, gap: float, i: int,
           j: int | None = None) -> tuple[SolverState, StepRecord]:
-    """A public step: `_advance` on the state's iterate and caches."""
-    rec, _ = _advance(body, state.x.coords, state.x.mask, state.r, state.f,
-                      A.entries, state.t, int(np.count_nonzero(state.x.mask)),
-                      gap, i, j)
-    state.f = rec.f_after
-    state.t += 1
+    """A public step: `_advance` on the state."""
+    rec, _, _ = _advance(body, state, A.entries,
+                         int(np.count_nonzero(state.mask)), gap, i, j)
     return state, rec
 
 
@@ -370,9 +480,9 @@ def run(
     threshold, consecutive iterates coincide (||x+ - x|| <= epsilon), or
     the budget is spent. Each iteration evaluates the gap, and for PFW/AFW
     the away vertex, once; x0 (or the configured start) is copied once."""
-    state = make_state(A, x0 if x0 is not None else initial_point(A, config))
+    st = make_state(A, x0 if x0 is not None else initial_point(A, config))
     kind = config.solver_kind
-    if kind is SolverKind.RD and state.f <= 0:
+    if kind is SolverKind.RD and st.f <= 0:
         raise BadInit(
             "replicator dynamics cannot start where x'Ax = 0 "
             "(e.g. any vertex: the update denominator vanishes)"
@@ -381,37 +491,42 @@ def run(
     away = kind is SolverKind.PFW or kind is SolverKind.AFW
     pairwise = kind is SolverKind.PFW
     eps = config.epsilon
-    x, mask, r, f, E = state.x.coords, state.x.mask, state.r, state.f, A.entries
+    xt, mask, pen, buf, E = st.xt, st.mask, st.pen, st.buf, A.entries
     size = int(np.count_nonzero(mask))
     trace: list[StepRecord] = []
     reason = StopReason.MAX_ITERS
-    for t in range(config.max_iters):
-        gap, i = _gap(r, f)
+    for _ in range(config.max_iters):
+        gap, i = _gap(st.rt, st.cr, st.f)
         if gap / 2.0 <= eps:
             reason = StopReason.GAP_REACHED
             break
         j = None
         if away:
-            j = _away(mask, r)
+            j = _away(st.rt, pen, mask, buf)
             if pairwise and j == i:
                 # Zero pairwise direction: stationary for this solver.
                 reason = StopReason.GAP_REACHED
                 break
-        prev = x.copy()
-        rec, c = _advance(body, x, mask, r, f, E, t, size, gap, i, j)
+        rec, cx, moved = _advance(body, st, E, size, gap, i, j)
         trace.append(rec)
-        f, size = rec.f_after, rec.support_size
+        size = rec.support_size
         # ||x+ - x|| >= |x+[c] - x[c]| (see the module docstring), so a
         # large move of coordinate c settles the stop test without the
         # O(n) norm.
-        d_c = x.item(c) - prev.item(c)
+        c, old = moved[0]
+        d_c = st.cx * xt.item(c) - cx * old
         if math.sqrt(d_c * d_c) > eps:
             continue
-        d = x - prev
+        # xt before the step differs from xt only where the step wrote.
+        prev = xt.copy()
+        for k, value in moved:
+            prev[k] = value
+        d = st.cx * xt - cx * prev
         if math.sqrt(d.dot(d)) <= eps:
             reason = StopReason.ITERATE_CONVERGED
             break
-    return state.x, trace, reason
+    _fold(st)
+    return SimplexPoint(xt, mask), trace, reason
 
 
 TRACE_COLUMNS = [

@@ -140,6 +140,24 @@ def test_non_finite_matrix_returns_2(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["cluster", "--epsilon", "inf"],
+    ["cluster", "--epsilon", "nan"],
+    ["cluster", "--cutoff", "nan"],
+    ["multistart", "--cutoff", "nan"],
+    ["multistart", "--epsilon", "inf"],
+])
+def test_non_finite_threshold_returns_2(tmp_path, block_csv, capsys, flags):
+    # An infinite epsilon would stop every solve before its first step, a
+    # NaN one would make every step fail as NotAscent, and a NaN cutoff
+    # would keep no object: all are data errors, caught before solving.
+    matrix_csv, _ = block_csv
+    code = main([*flags, "--input", matrix_csv, "--max-clusters", "2",
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_manifest_input_digest(tmp_path, block_csv, capsys):
     matrix_csv, _ = block_csv
     out = str(tmp_path / "run")

@@ -1,6 +1,7 @@
 """Multi-start sampling and clustering tests."""
 
 import importlib
+import math
 import threading
 
 import numpy as np
@@ -189,6 +190,13 @@ class TestMultistartCluster:
         first = [B for B in solved if B.n == A.n]
         assert len(first) == 2 and all(B is A for B in first)
         assert all(B.n < A.n for B in solved[2:])
+
+    def test_rejects_bad_cutoff(self, A3):
+        cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                multistart_cluster(A3, SamplePlan(ell=2, seed=0), cfg,
+                                   max_clusters=1, cutoff=bad)
 
     def test_respects_max_clusters(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,7 @@
 """Peel-off clustering driver tests."""
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -49,8 +50,9 @@ class TestPeelConfig:
             PeelConfig(max_clusters=0)
 
     def test_rejects_bad_cutoff(self):
-        with pytest.raises(ValueError):
-            PeelConfig(max_clusters=1, cutoff=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                PeelConfig(max_clusters=1, cutoff=bad)
 
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):

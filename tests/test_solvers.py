@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
+from dscfw import solvers
+from dscfw.diagnostics import check_state
 from dscfw.errors import (
     BadInit,
     BrokenInvariant,
@@ -273,8 +275,9 @@ class TestRdStep:
 
 class TestConfig:
     def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon=0.0)
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SolverConfig(epsilon=bad)
 
     def test_rejects_negative_max_iters(self):
         with pytest.raises(ValueError):
@@ -466,6 +469,52 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
     assert np.array_equal(x.mask, state.x.mask)
     if cfg.init_point is not None:  # run copies the start it is given
         assert np.array_equal(cfg.init_point.coords, start_coords)
+
+
+def test_run_matches_public_step_loop_with_frequent_folds(monkeypatch):
+    # With a fold bound of 1.02 the scales are folded into the arrays
+    # every few FW and AFW steps (from a vertex, the first FW step alone
+    # halves them). A fold changes the arithmetic of the steps after it,
+    # so run and the public steps must fold at the same steps to stay
+    # equal: the same examples, the same trace, iterate and stop reason.
+    monkeypatch.setattr(solvers, "_FOLD", 1.02)
+    test_run_matches_public_step_loop()
+
+
+def test_folds_keep_the_cache_exact(monkeypatch):
+    # A core of 150 similar objects among 200: AFW from the barycenter
+    # drops the 50 others and most of the core by away steps, each of
+    # which multiplies both scales by 1 + gamma, so c_x climbs above 1.
+    # With a fold bound of 1.02, the scales are folded every few steps;
+    # after every step the folded cache must still be A x.
+    folds = []
+    fold = solvers._fold
+
+    def counted_fold(st):
+        folds.append(st.cx)
+        fold(st)
+
+    monkeypatch.setattr(solvers, "_fold", counted_fold)
+    monkeypatch.setattr(solvers, "_FOLD", 1.02)
+    n, core = 200, 150
+    W = np.random.default_rng(4).uniform(0.0, 1.0, size=(n, n))
+    W[core:, :] *= 0.05
+    W[:, core:] *= 0.05
+    W = np.triu(W, 1)
+    A = new_similarity_matrix(W + W.T)
+    state = make_state(A, init_barycenter(n))
+    kinds, worst = [], 0.0
+    for _ in range(2000):
+        gap, _ = fw_gap(state)
+        if gap / 2.0 <= DEFAULT_EPSILON:
+            break
+        state, rec = afw_step(state, A)
+        kinds.append(rec.kind)
+        worst = max(worst, check_state(state, A).max_r_deviation)
+    away = sum(k is not StepKind.FW_GOOD for k in kinds)
+    assert len(kinds) > 300 and away > len(kinds) / 2
+    assert len(folds) > 20 and max(folds) > 1.0
+    assert worst <= 1e-8
 
 
 class TestTraceCsv:
