@@ -1,6 +1,7 @@
 """Dominant set clustering with Frank-Wolfe solvers over the simplex."""
 
 from .matrix import (
+    ShiftedMatrix,
     SimilarityMatrix,
     SimplexPoint,
     matvec,
@@ -24,8 +25,9 @@ from .solvers import (
 )
 
 __all__ = [
-    "SimilarityMatrix", "SimplexPoint", "matvec", "new_similarity_matrix",
-    "offdiag_extremes", "quadratic_form", "simplex_point",
+    "ShiftedMatrix", "SimilarityMatrix", "SimplexPoint", "matvec",
+    "new_similarity_matrix", "offdiag_extremes", "quadratic_form",
+    "simplex_point",
     "ari", "assignment_rate", "v_measure",
     "SamplePlan", "SamplerKind", "multistart_cluster",
     "ClusteringResult", "PeelConfig", "peel", "post_assign",

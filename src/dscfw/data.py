@@ -18,7 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, HsvRangeError, ZeroNormRow
+from .errors import (
+    AsymmetricMatrix,
+    HsvRangeError,
+    NonFiniteEntry,
+    ZeroNormRow,
+)
 from .matrix import _TILE, SimilarityMatrix, _asymmetry, _tiles, _validated
 
 GAUSS_MEANS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
@@ -107,6 +112,11 @@ def minimax_distances(D) -> np.ndarray:
     """
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
+    # min and max propagate NaN; a NaN distance would compare False
+    # everywhere below and vanish from the tree.
+    if not (np.isfinite(D.min(initial=0.0))
+            and np.isfinite(D.max(initial=0.0))):
+        raise NonFiniteEntry("distances must be finite (no NaN or inf)")
     if _asymmetry(D) > 0:
         raise AsymmetricMatrix("distance matrix must be symmetric")
     parent = np.full(n, -1, dtype=int)

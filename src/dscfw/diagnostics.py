@@ -2,6 +2,9 @@
 per-step progress identities, minimum-gap tracking, and the worst-case
 gap-bound evaluations.
 
+Every check takes the matrix a solve ran on, a `SimilarityMatrix` or a
+peel round's `ShiftedMatrix`, and checks against the matrix it stands for.
+
 Bound violations are reported, never asserted fatally: the constant
 2*max_offdiag - min_offdiag in the common gap bound rests on a premise the
 derivation does not spell out, so the hard assertions live in the exact
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IdentityViolated, TooFewPoints
-from .matrix import SimilarityMatrix, offdiag_extremes
+from .matrix import Operator, matvec, offdiag_extremes
 from .solvers import GOOD_KINDS, SolverKind, SolverState, StepKind, StepRecord
 
 IDENTITY_RTOL = 1e-9
@@ -52,22 +55,24 @@ class BoundReport:
     support0: int
 
 
-def check_state(state: SolverState, A: SimilarityMatrix) -> ConsistencyReport:
-    """Dense recomputation of r = A x and f = x'Ax versus the caches."""
-    r_true = A.entries @ state.x.coords
-    f_true = float(r_true @ state.x.coords)
+def check_state(state: SolverState, A: Operator) -> ConsistencyReport:
+    """Dense recomputation of r = B x and f = x'Bx versus the caches."""
+    x = state.x.coords
+    r_true = matvec(A, x)
+    f_true = float(r_true @ x)
     return ConsistencyReport(
         max_r_deviation=float(np.max(np.abs(state.r - r_true), initial=0.0)),
         max_f_deviation=abs(state.f - f_true) / max(1.0, abs(f_true)),
     )
 
 
-def _expected_gain(rec: StepRecord, A: SimilarityMatrix) -> float:
+def _expected_gain(rec: StepRecord, A: Operator) -> float:
     f = rec.f_before
     if rec.kind is StepKind.FW_GOOD:
         return (rec.r_s - f) ** 2 / (2.0 * rec.r_s - f)
     if rec.kind is StepKind.PAIRWISE_GOOD:
-        a_ij = float(A.entries[rec.s_index, rec.v_index])
+        # b_ij off the diagonal (a pairwise step has s != v)
+        a_ij = A.base.entries.item(rec.s_index, rec.v_index) + A.shift
         return (rec.r_s - rec.r_v) ** 2 / (2.0 * a_ij)
     if rec.kind is StepKind.AWAY_GOOD:
         return (f - rec.r_v) ** 2 / (2.0 * rec.r_v - f)
@@ -76,7 +81,7 @@ def _expected_gain(rec: StepRecord, A: SimilarityMatrix) -> float:
 
 def check_progress(
     trace: list[StepRecord],
-    A: SimilarityMatrix,
+    A: Operator,
     raise_on_violation: bool = True,
 ) -> list[ProgressViolation]:
     """Verify each good step's exact objective-gain identity and the

@@ -19,7 +19,7 @@ class NegativeEntry(DscfwError, ValueError):
 
 
 class NonFiniteEntry(DscfwError, ValueError):
-    """Matrix holds NaN or an infinity."""
+    """Matrix or feature input holds NaN or an infinity."""
 
 
 class NonzeroDiagonal(DscfwError, ValueError):
@@ -70,12 +70,12 @@ class NoClusters(DscfwError):
     pass
 
 
-class LengthMismatch(DscfwError):
-    pass
+class LengthMismatch(DscfwError, ValueError):
+    """Predicted and true label vectors differ in length, or are empty."""
 
 
-class EmptyOverlap(DscfwError):
-    pass
+class EmptyOverlap(DscfwError, ValueError):
+    """No assigned object is left to score."""
 
 
 class ZeroNormRow(DscfwError):

@@ -7,6 +7,13 @@ so constructors that build their own array hand it over without a copy;
 (symmetry, off-diagonal extremes) walk square tiles of _TILE x _TILE, so
 their scratch is one tile, not an n x n temporary.
 
+A peel round solves B = A_SS + s(11' - I) over the objects S it has not
+clustered yet. `ShiftedMatrix` stands for B without building it: the
+solvers read rows of the one immutable A, add the scalar shift s and keep
+their Frank-Wolfe vertex inside S. A `SimilarityMatrix` is the same
+operator with s = 0 and S = all, so both expose `base`, `shift` and
+`active`.
+
 The dense primitives here (matvec, quadratic_form) are deliberately O(n^2):
 they serve as oracles against the solvers' O(n) incremental updates.
 """
@@ -14,6 +21,7 @@ they serve as oracles against the solvers' O(n) incremental updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +50,13 @@ class SimilarityMatrix:
     """
 
     entries: np.ndarray
+    # As an operator, the matrix is itself, unshifted, over all objects.
+    shift: ClassVar[float] = 0.0
+    active: ClassVar[None] = None
+
+    @property
+    def base(self) -> "SimilarityMatrix":
+        return self
 
     @property
     def n(self) -> int:
@@ -49,6 +64,37 @@ class SimilarityMatrix:
 
     def row_sums(self) -> np.ndarray:
         return self.entries.sum(axis=1)
+
+
+@dataclass(frozen=True)
+class ShiftedMatrix:
+    """B = A + shift * (11' - I) on the face of the simplex spanned by
+    `active` (a boolean mask over A's objects; None means all), held
+    implicitly over the immutable A.
+
+    Maximizing x'Bx over that face is the StQP of the compacted matrix
+    A_SS + shift * (11' - I). For x supported in S, Bx = Ax + shift * (1 - x)
+    on every coordinate, so the solvers read rows of A and add the scalar
+    shift; only the Frank-Wolfe vertex is restricted to S. Coordinates stay
+    global: a solve returns x over all n objects, zero off S.
+    """
+
+    base: SimilarityMatrix
+    shift: float = 0.0
+    active: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.base.n
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense A + shift * (11' - I) as a fresh array, built on each call
+        in O(n^2): an oracle for tests and diagnostics; the solvers never
+        read it."""
+        arr = self.base.entries + self.shift
+        np.fill_diagonal(arr, 0.0)
+        return arr
 
 
 @dataclass
@@ -159,49 +205,72 @@ def new_similarity_matrix(raw) -> SimilarityMatrix:
     return _validated(np.array(raw, dtype=float))
 
 
-def matvec(A: SimilarityMatrix, x: SimplexPoint | np.ndarray) -> np.ndarray:
-    """Dense A @ x. This is the oracle, not the hot path."""
+Operator = SimilarityMatrix | ShiftedMatrix
+
+
+def matvec(A: Operator, x: SimplexPoint | np.ndarray) -> np.ndarray:
+    """Dense B @ x for the matrix B that A stands for; O(n^2) reads of A,
+    O(n) scratch. This is the oracle, not the hot path."""
     v = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
     if v.shape[0] != A.n:
         raise DimensionMismatch(f"dim {v.shape[0]} vs matrix n={A.n}")
-    return A.entries @ v
+    out = A.base.entries @ v
+    if A.shift:
+        out += A.shift * (v.sum() - v)
+    return out
 
 
-def quadratic_form(A: SimilarityMatrix, x: SimplexPoint | np.ndarray) -> float:
-    """Dense x' A x."""
+def quadratic_form(A: Operator, x: SimplexPoint | np.ndarray) -> float:
+    """Dense x' B x."""
     v = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
-    if v.shape[0] != A.n:
-        raise DimensionMismatch(f"dim {v.shape[0]} vs matrix n={A.n}")
-    return float(v @ (A.entries @ v))
+    return float(v @ matvec(A, v))
 
 
-def offdiag_extremes(A: SimilarityMatrix) -> tuple[float, float]:
-    """(min, max) over all off-diagonal entries, tile by tile: tiles off
-    the diagonal are read in place, diagonal tiles through one tile of
-    scratch with their diagonal masked."""
-    if A.n < 2:
+def offdiag_extremes(A: Operator) -> tuple[float, float]:
+    """(min, max) over the off-diagonal entries of B on its active objects,
+    tile by tile: tiles off the diagonal are read in place (copied, when
+    only some objects are active), diagonal tiles through one tile of
+    scratch with their diagonal masked. Rounding is monotone, so adding
+    the shift to the extremes of A gives the extremes of B exactly."""
+    idx = None if A.active is None else np.flatnonzero(A.active)
+    m = A.n if idx is None else idx.size
+    if m < 2:
         raise TooSmall("need n >= 2 for off-diagonal extremes")
-    E = A.entries
+    E = A.base.entries
+
+    def read(I: slice, J: slice) -> np.ndarray:
+        return E[I, J] if idx is None else E[np.ix_(idx[I], idx[J])]
+
     lo, hi = np.inf, -np.inf
     buf = np.empty((_TILE, _TILE))
-    for I, J in _tiles(A.n):
+    for I, J in _tiles(m):
         if I == J:
             tile = buf[: I.stop - I.start, : I.stop - I.start]
-            tile[...] = E[I, I]
+            tile[...] = read(I, I)
             np.fill_diagonal(tile, np.inf)
             lo = min(lo, tile.min())
             np.fill_diagonal(tile, -np.inf)
             hi = max(hi, tile.max())
         else:
-            for tile in (E[I, J], E[J, I]):
+            for tile in (read(I, J), read(J, I)):
                 lo = min(lo, tile.min())
                 hi = max(hi, tile.max())
-    return float(lo), float(hi)
+    return float(lo) + A.shift, float(hi) + A.shift
 
 
 def load_matrix_csv(path) -> SimilarityMatrix:
-    """Read a header-free CSV of n rows of n comma-separated values."""
-    return _validated(np.loadtxt(path, delimiter=",", ndmin=2))
+    """Read a header-free CSV of n rows of n comma-separated values.
+
+    The first row gives n, and the matrix is read with a row limit of
+    n + 1: numpy then allocates its output once instead of growing it, so
+    the load holds one n x n array, not the pieces of a growing one. An
+    (n + 1)-th row means the matrix is not square."""
+    n = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=1).shape[1]
+    arr = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=n + 1)
+    if arr.shape[0] > n:
+        raise NonSquareMatrix(
+            f"expected a square matrix, got more than {n} rows of {n}")
+    return _validated(arr)
 
 
 def save_matrix_csv(path, A: SimilarityMatrix) -> None:
@@ -209,5 +278,8 @@ def save_matrix_csv(path, A: SimilarityMatrix) -> None:
 
 
 def load_features_csv(path) -> np.ndarray:
-    """Feature-matrix CSV: one row per object, d columns."""
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """Feature-matrix CSV: one row per object, d columns, all finite."""
+    F = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not np.isfinite(F).all():
+        raise NonFiniteEntry("features must be finite (no NaN or inf)")
+    return F

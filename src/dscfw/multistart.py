@@ -53,15 +53,14 @@ def _blocks(order: np.ndarray, block_size: int) -> list[np.ndarray]:
 
 
 def uniform_block_sample(A: SimilarityMatrix, ell: int, rng) -> list[int]:
-    """Sort objects by row sum (descending), split into ell contiguous
-    blocks, draw one object uniformly from each."""
+    """Sort objects by row sum (descending), split into exactly ell
+    contiguous blocks whose sizes differ by at most one, draw one object
+    uniformly from each."""
     n = A.n
     if ell > n:
         raise TooManySeeds(f"ell={ell} exceeds n={n}")
     order = np.argsort(-A.row_sums(), kind="stable")
-    block_size = math.ceil(n / ell)
-    picks = [int(rng.choice(block)) for block in _blocks(order, block_size)]
-    return picks[:ell]
+    return [int(rng.choice(block)) for block in np.array_split(order, ell)]
 
 
 def make_diagonally_dominant(L) -> DppEnsemble:

@@ -1,5 +1,10 @@
 """Dominant set clustering driver: solve, cut the support into a cluster,
-peel the clustered objects off the matrix, repeat."""
+peel the clustered objects off the matrix, repeat.
+
+Every round solves over the one immutable input matrix: round k is the
+StQP of A_SS + s(11' - I) over the objects S not yet clustered, which the
+solvers read as a `ShiftedMatrix` (rows of A, a scalar shift and an
+active mask), so no round builds a matrix of its own."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EmptyCluster, NoClusters
-from .matrix import SimilarityMatrix, SimplexPoint, _validated
+from .matrix import ShiftedMatrix, SimilarityMatrix, SimplexPoint, _validated
 from .solvers import SolverConfig, StepRecord, StopReason, run
 
 DEFAULT_CUTOFF = 2e-12
@@ -21,7 +26,9 @@ class ClusteringResult:
     ``last_gaps`` hold one entry per solve, in solve order (a singleton
     remainder is labelled without a solve); a last gap is the full gap
     before the solve's last step, NaN when it took none. ``traces`` holds
-    each solve's trace for `peel` and stays empty for multistart."""
+    each solve's trace for `peel` and stays empty for multistart; its
+    ``s_index`` and ``v_index`` are global object indices, in every
+    round."""
 
     labels: np.ndarray
     clusters: list[list[int]]
@@ -77,33 +84,17 @@ def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
 
 
 def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
-    """A + shift * (11' - I), validated."""
+    """A + shift * (11' - I), dense and validated: the oracle for what a
+    shifted peel round solves."""
     if shift == 0.0:
         return A
-    arr = A.entries + shift
-    np.fill_diagonal(arr, 0.0)
-    return _validated(arr)
-
-
-def _round_matrix(A: SimilarityMatrix, idx: np.ndarray,
-                  shift: float) -> SimilarityMatrix:
-    """The matrix one peel round solves: A restricted to idx, shifted like
-    `shift_offdiag`; A itself when that changes nothing. Fancy indexing
-    already copies, so the shift goes in place; a finite nonnegative
-    off-diagonal shift keeps a valid matrix valid, so it is not validated
-    again."""
-    if shift == 0.0 and idx.size == A.n:
-        return A
-    sub = A.entries[np.ix_(idx, idx)]
-    if shift != 0.0:
-        sub += shift
-        np.fill_diagonal(sub, 0.0)
-    sub.setflags(write=False)
-    return SimilarityMatrix(sub)
+    return _validated(ShiftedMatrix(A, shift).entries)
 
 
 def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
-    """Run up to max_clusters rounds of solve / extract / remove."""
+    """Run up to max_clusters rounds of solve / extract / remove. Round 1
+    solves A itself when the shift is 0; every other round solves a
+    `ShiftedMatrix` over A and the objects not yet clustered."""
     n = A.n
     labels = np.zeros(n, dtype=int)
     clusters: list[list[int]] = []
@@ -111,41 +102,39 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
     traces: list[list[StepRecord]] = []
     reasons: list[StopReason] = []
     gaps: list[float] = []
-    surviving = np.arange(n)
+    active = np.ones(n, dtype=bool)
     for label in range(1, config.max_clusters + 1):
-        if surviving.size == 0:
+        left = int(np.count_nonzero(active))
+        if left == 0:
             break
-        if surviving.size == 1:
+        if left == 1:
             # A 1-object remainder is not a valid StQP instance; it gets
             # its own cluster label directly.
-            obj = int(surviving[0])
+            obj = int(np.flatnonzero(active)[0])
             labels[obj] = label
             clusters.append([obj])
             vec = np.zeros(n)
             vec[obj] = 1.0
             vectors.append(vec)
-            surviving = surviving[:0]
             break
-        sub = _round_matrix(A, surviving, config.shift)
-        x_star, trace, reason = run(sub, config.solver)
+        if left == n and config.shift == 0.0:
+            round_matrix = A
+        else:
+            round_matrix = ShiftedMatrix(A, config.shift,
+                                         None if left == n else active)
+        x_star, trace, reason = run(round_matrix, config.solver)
         traces.append(trace)
         reasons.append(reason)
         gaps.append(last_gap(trace))
         try:
-            local = extract_support(x_star, config.cutoff)
+            members = extract_support(x_star, config.cutoff)
         except EmptyCluster:
             break
-        members = [int(surviving[i]) for i in local]
         labels[members] = label
         clusters.append(members)
-        vec = np.zeros(n)
-        vec[surviving] = x_star.coords
-        vectors.append(vec)
-        keep = np.ones(surviving.size, dtype=bool)
-        keep[local] = False
-        surviving = surviving[keep]
-        # Free this round's matrix before the next round builds its own.
-        del sub
+        vectors.append(x_star.coords)  # zero off the active objects
+        active = active.copy()  # the round's matrix keeps its own mask
+        active[members] = False
     result = ClusteringResult(
         labels=labels,
         clusters=clusters,

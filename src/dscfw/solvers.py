@@ -27,6 +27,23 @@ scaled-iterate bookkeeping of sparse Frank-Wolfe codes; Jaggi, ICML 2013):
   fl(c_r * rt) unchanged, bit for bit. `SolverState.x` and `.r` read them
   folded.
 
+Shifted operators. A peel round solves B = A_SS + s(11' - I) over its
+active objects S without building B (`matrix.ShiftedMatrix`). On the
+simplex Bx = Ax + s(1 - x), so the cache keeps the constant part of the
+shift out of the scaling: c_r * rt = Ax - s x and r = c_r * rt + s. An FW
+step still multiplies c_r by 1 - g; it adds (g / c_r+) A[i] to rt and
+then subtracts g s / c_r+ from rt[i]. An away step does the same with
+1 + g, -g and row j, and a PFW step adds (g / c_r)(A[i] - A[j]) and
+corrects rt[i] and rt[j] by -/+ g s / c_r; its line search uses
+b_ij = a_ij + s. Only the reads of r_i and r_j add s: the offset is the
+same on every coordinate, so the argmax and the away vertex read rt as
+before. The identity needs sum(x) = 1, which renormalisation keeps within
+SUM_TOL. The FW vertex is the argmax over S: when S is not every object,
+the state holds fw_pen, 0 on S and -inf off it, and the argmax reads
+rt + fw_pen. The away vertex needs no such array, as the support lies in
+S. Coordinates are global throughout; with s = 0 and S = all the
+arithmetic is the unshifted one.
+
 One loop, `run`, drives every solver. Per iteration it evaluates the gap
 and, for PFW/AFW, the away vertex once, and calls the solver's step body
 (`_fw`, `_pfw`, `_afw`, `_rd`), which is only its update rule: the line
@@ -75,7 +92,7 @@ from .errors import (
 )
 from .matrix import (
     SUM_TOL,
-    SimilarityMatrix,
+    Operator,
     SimplexPoint,
     renormalize_if_needed,
 )
@@ -154,22 +171,27 @@ class SolverConfig:
 
 
 class SolverState:
-    """Iterate with cached gradient r = A x and objective f = x'Ax.
+    """Iterate with cached gradient r = B x and objective f = x'Bx of the
+    matrix B the solver runs on.
 
-    Held as x = cx * xt and r = cr * rt (see the module docstring). `x`
-    reads the folded iterate as a new SimplexPoint over the live support
-    mask; `r` reads the folded cache, and setting it stores the new cache
-    with scale 1. `pen` is 0 on the support and +inf off it, `xsum` is the
-    coordinate sum of xt, and `buf` is the steps' scratch row.
+    Held as x = cx * xt and r = cr * rt + s (see the module docstring);
+    the constructor builds the unshifted state over all objects, and
+    `make_state` sets the shift `s` and `fw_pen` (None, or 0 on the active
+    objects and -inf off them) for a `ShiftedMatrix`. `x` reads the folded
+    iterate as a new SimplexPoint over the live support mask; `r` reads
+    the folded cache, and setting it stores the new cache with scale 1.
+    `pen` is 0 on the support and +inf off it, `xsum` is the coordinate
+    sum of xt, and `buf` is the steps' scratch row.
     """
 
     __slots__ = ("xt", "mask", "cx", "xsum", "rt", "cr", "f", "t", "pen",
-                 "buf")
+                 "buf", "s", "fw_pen")
 
     def __init__(self, x: SimplexPoint, r: np.ndarray, f: float,
                  t: int = 0) -> None:
         self.xt, self.mask, self.cx = x.coords, x.mask, 1.0
         self.xsum = float(x.coords.sum())
+        self.s, self.fw_pen = 0.0, None
         self.r = r
         self.f = f
         self.t = t
@@ -182,36 +204,53 @@ class SolverState:
 
     @property
     def r(self) -> np.ndarray:
-        return self.cr * self.rt
+        return self.cr * self.rt + self.s
 
     @r.setter
     def r(self, value: np.ndarray) -> None:
-        self.rt, self.cr = value, 1.0
+        self.rt, self.cr = (value - self.s if self.s else value), 1.0
 
     @property
     def n(self) -> int:
         return self.xt.shape[0]
 
 
-def init_barycenter(n: int) -> SimplexPoint:
-    """Uniform point 1/n on every coordinate; full support."""
-    return SimplexPoint(np.full(n, 1.0 / n), np.ones(n, dtype=bool))
+def init_barycenter(n: int, active: np.ndarray | None = None) -> SimplexPoint:
+    """Uniform point 1/|S| on the active objects S (all n when `active` is
+    None), zero elsewhere."""
+    mask = np.ones(n, dtype=bool) if active is None else active.copy()
+    coords = np.where(mask, 1.0 / np.count_nonzero(mask), 0.0)
+    return SimplexPoint(coords, mask)
 
 
-def init_vertex(A: SimilarityMatrix) -> SimplexPoint:
-    """Basis vector at the row of A with largest total sum (lowest index
-    on ties)."""
-    i = int(np.argmax(A.row_sums()))
+def init_vertex(A: Operator) -> SimplexPoint:
+    """Basis vector at the active object with the largest row sum of A
+    over the active objects (lowest index on ties)."""
+    if A.active is None:
+        i = int(np.argmax(A.base.row_sums()))
+    else:
+        sums = A.base.entries @ A.active.astype(float)
+        sums[~A.active] = -np.inf
+        i = int(np.argmax(sums))
     coords = np.zeros(A.n)
     coords[i] = 1.0
     return SimplexPoint(coords, coords > 0)
 
 
-def make_state(A: SimilarityMatrix, x0: SimplexPoint) -> SolverState:
-    """Solver state at a copy of x0, with r = A x0 and f = x0'Ax0."""
-    r0 = A.entries @ x0.coords
-    f0 = float(r0 @ x0.coords)
-    return SolverState(x0.copy(), r0, f0)
+def make_state(A: Operator, x0: SimplexPoint) -> SolverState:
+    """Solver state at a copy of x0, with r = B x0 and f = x0'B x0 for the
+    matrix B that A stands for; x0 must lie on A's active objects."""
+    if A.active is not None and np.any(x0.mask & ~A.active):
+        raise BadInit("start has mass outside the active objects")
+    s = A.shift
+    st = SolverState(x0.copy(), A.base.entries @ x0.coords, 0.0)
+    if s:
+        st.s = s
+        st.rt -= s * st.xt  # cr * rt = Ax - s x
+    st.f = float(st.rt @ st.xt) + s
+    if A.active is not None:
+        st.fw_pen = np.where(A.active, 0.0, -np.inf)
+    return st
 
 
 def _fold(st: SolverState) -> None:
@@ -226,9 +265,11 @@ def _fold(st: SolverState) -> None:
         st.cr = 1.0
 
 
-def _gap(rt: np.ndarray, cr: float, f: float) -> tuple[float, int]:
-    i = int(rt.argmax())
-    return 2.0 * (cr * rt.item(i) - f), i
+def _gap(st: SolverState) -> tuple[float, int]:
+    rt = st.rt
+    scan = rt if st.fw_pen is None else np.add(rt, st.fw_pen, out=st.buf)
+    i = int(scan.argmax())
+    return 2.0 * (st.cr * rt.item(i) + st.s - st.f), i
 
 
 def _away(rt: np.ndarray, pen: np.ndarray, mask: np.ndarray,
@@ -241,8 +282,9 @@ def _away(rt: np.ndarray, pen: np.ndarray, mask: np.ndarray,
 
 
 def fw_gap(state: SolverState) -> tuple[float, int]:
-    """Full Frank-Wolfe gap 2*(max(r) - f) and the maximizing index."""
-    return _gap(state.rt, state.cr, state.f)
+    """Full Frank-Wolfe gap 2*(max(r) - f) over the active objects and the
+    maximizing index."""
+    return _gap(state)
 
 
 def select_away(state: SolverState) -> int:
@@ -259,9 +301,10 @@ def select_away(state: SolverState) -> int:
 
 def _rescale_move(st: SolverState, E: np.ndarray, scale: float, k: int,
                   g: float, drop: bool = False) -> float:
-    """x <- scale * x + g e_k and r <- scale * r + g E[k] (x_k <- 0 on a
+    """x <- scale * x + g e_k and r <- scale * r + g B[k] (x_k <- 0 on a
     drop) on the scaled representation: two scalar products, one write to
-    xt and one row axpy into rt. Returns xt[k] before the step."""
+    xt, one row axpy into rt and, under a shift s, one write of -g s / c_r
+    to rt[k]. Returns xt[k] before the step."""
     cx = st.cx = st.cx * scale
     cr = st.cr = st.cr * scale
     xt = st.xt
@@ -271,12 +314,14 @@ def _rescale_move(st: SolverState, E: np.ndarray, scale: float, k: int,
     st.xsum += new - old
     np.multiply(E[k], g / cr, out=st.buf)
     np.add(st.rt, st.buf, out=st.rt)
+    if st.s:
+        st.rt[k] -= g * st.s / cr
     return old
 
 
 def _fw(st, E, gap, i, j):
     f = st.f
-    r_i = st.cr * st.rt.item(i)
+    r_i = st.cr * st.rt.item(i) + st.s
     half = r_i - f
     if half <= 0:
         raise NotAscent("halved gap is nonpositive")
@@ -301,10 +346,10 @@ def _pfw(st, E, gap, i, j):
         # s == v makes the direction zero; the caller treats this as
         # stationary and must not request a step.
         raise NotAscent("pairwise direction is zero (s == v)")
-    f, xt, mask, cx, cr = st.f, st.xt, st.mask, st.cx, st.cr
-    r_i = cr * st.rt.item(i)
-    r_j = cr * st.rt.item(j)
-    a_ij = E.item(i, j)
+    f, xt, mask, cx, cr, s = st.f, st.xt, st.mask, st.cx, st.cr, st.s
+    r_i = cr * st.rt.item(i) + s
+    r_j = cr * st.rt.item(j) + s
+    a_ij = E.item(i, j) + s
     x_i = xt.item(i)
     x_j = xt.item(j)
     gamma_max = cx * x_j
@@ -334,6 +379,10 @@ def _pfw(st, E, gap, i, j):
     np.subtract(E[i], E[j], out=buf)
     buf *= gamma / cr
     np.add(st.rt, buf, out=st.rt)
+    if s:
+        shifted = gamma * s / cr
+        st.rt[i] -= shifted
+        st.rt[j] += shifted
     f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
     return (kind, gamma, f_after, entered - truncated, j, r_i, r_j,
             ((i, x_i), (j, x_j)))
@@ -343,8 +392,8 @@ def _afw(st, E, gap, i, j):
     if gap / 2.0 <= 0:
         raise NotAscent("halved gap is nonpositive")
     f = st.f
-    r_i = st.cr * st.rt.item(i)
-    r_j = st.cr * st.rt.item(j)
+    r_i = st.cr * st.rt.item(i) + st.s
+    r_j = st.cr * st.rt.item(j) + st.s
     if (r_i - f) >= (f - r_j):
         # FW branch: identical to fw_step. At a vertex f = r_j = 0, so
         # this branch is always taken there and the away branch never
@@ -373,11 +422,15 @@ def _afw(st, E, gap, i, j):
 
 
 def _rd(st, E, gap, i, j):
-    f, x, mask = st.f, st.xt, st.mask
+    f, x, mask, s = st.f, st.xt, st.mask, st.s
     if f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
     prev = x.copy()
     before = int(np.count_nonzero(mask))
+    if s:  # rt <- r = cr * rt + s, with scale 1
+        st.rt *= st.cr
+        st.rt += s
+        st.cr = 1.0
     # x r / f on the folded values; xt then holds the new iterate unscaled.
     x *= st.rt
     x /= f / (st.cx * st.cr)
@@ -390,7 +443,9 @@ def _rd(st, E, gap, i, j):
     st.pen[...] = np.where(mask, 0.0, np.inf)
     st.rt[...] = E @ x
     st.cr = 1.0
-    f_after = float(st.rt @ x)
+    if s:
+        st.rt -= s * x
+    f_after = float(st.rt @ x) + s
     delta = int(np.count_nonzero(mask)) - before
     return (StepKind.RD_STEP, math.nan, f_after, delta, None, math.nan,
             math.nan, ((i, prev.item(i)), (slice(None), prev)))
@@ -417,33 +472,34 @@ def _advance(body, st: SolverState, E: np.ndarray, size: int, gap: float,
     return rec, cx, moved
 
 
-def _step(state: SolverState, A: SimilarityMatrix, body, gap: float, i: int,
+def _step(state: SolverState, A: Operator, body, gap: float, i: int,
           j: int | None = None) -> tuple[SolverState, StepRecord]:
-    """A public step: `_advance` on the state."""
-    rec, _, _ = _advance(body, state, A.entries,
+    """A public step: `_advance` on the state, which `make_state` built
+    from the same A."""
+    rec, _, _ = _advance(body, state, A.base.entries,
                          int(np.count_nonzero(state.mask)), gap, i, j)
     return state, rec
 
 
-def fw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+def fw_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
     """One standard Frank-Wolfe step. Always a good step: the optimal
     gamma is interior by construction."""
     return _step(state, A, _fw, *fw_gap(state))
 
 
-def pfw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+def pfw_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
     """One pairwise Frank-Wolfe step: mass moves from the worst support
     vertex j to the best vertex i."""
     return _step(state, A, _pfw, *fw_gap(state), select_away(state))
 
 
-def afw_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+def afw_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
     """One away-steps Frank-Wolfe step: either the standard FW move or a
     move away from the worst support vertex."""
     return _step(state, A, _afw, *fw_gap(state), select_away(state))
 
 
-def rd_step(state: SolverState, A: SimilarityMatrix) -> tuple[SolverState, StepRecord]:
+def rd_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
     """One replicator-dynamics step x_i <- x_i r_i / f. Recomputes r and f
     densely (O(n^2)); zero components stay zero, so the support can only
     shrink toward machine zeros, never regrow. The mask is re-derived from
@@ -459,11 +515,11 @@ _BODY = {
 }
 
 
-def initial_point(A: SimilarityMatrix, config: SolverConfig) -> SimplexPoint:
+def initial_point(A: Operator, config: SolverConfig) -> SimplexPoint:
     """The configured start. For CUSTOM this is ``config.init_point``
     itself; `make_state` copies it."""
     if config.init_kind is InitKind.BARYCENTER:
-        return init_barycenter(A.n)
+        return init_barycenter(A.n, A.active)
     if config.init_kind is InitKind.VERTEX:
         return init_vertex(A)
     if config.init_point is None:
@@ -472,14 +528,16 @@ def initial_point(A: SimilarityMatrix, config: SolverConfig) -> SimplexPoint:
 
 
 def run(
-    A: SimilarityMatrix,
+    A: Operator,
     config: SolverConfig,
     x0: SimplexPoint | None = None,
 ) -> tuple[SimplexPoint, list[StepRecord], StopReason]:
     """Iterate the configured solver until the halved gap drops to the
     threshold, consecutive iterates coincide (||x+ - x|| <= epsilon), or
     the budget is spent. Each iteration evaluates the gap, and for PFW/AFW
-    the away vertex, once; x0 (or the configured start) is copied once."""
+    the away vertex, once; x0 (or the configured start) is copied once.
+    On a `ShiftedMatrix` the returned point covers all n objects and is
+    zero off the active ones, and trace indices are global."""
     st = make_state(A, x0 if x0 is not None else initial_point(A, config))
     kind = config.solver_kind
     if kind is SolverKind.RD and st.f <= 0:
@@ -491,12 +549,12 @@ def run(
     away = kind is SolverKind.PFW or kind is SolverKind.AFW
     pairwise = kind is SolverKind.PFW
     eps = config.epsilon
-    xt, mask, pen, buf, E = st.xt, st.mask, st.pen, st.buf, A.entries
+    xt, mask, pen, buf, E = st.xt, st.mask, st.pen, st.buf, A.base.entries
     size = int(np.count_nonzero(mask))
     trace: list[StepRecord] = []
     reason = StopReason.MAX_ITERS
     for _ in range(config.max_iters):
-        gap, i = _gap(st.rt, st.cr, st.f)
+        gap, i = _gap(st)
         if gap / 2.0 <= eps:
             reason = StopReason.GAP_REACHED
             break

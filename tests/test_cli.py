@@ -130,6 +130,29 @@ def test_data_error_returns_2(tmp_path, capsys):
                  "--noise", "2.0", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_non_finite_feature_returns_2(tmp_path, capsys):
+    feats = tmp_path / "f.csv"
+    rows = np.random.default_rng(0).normal(size=(6, 2))
+    rows[3, 1] = np.nan
+    np.savetxt(feats, rows, delimiter=",")
+    for method in ("minimax", "euclidean-max", "cosine"):
+        out = tmp_path / f"{method}.csv"
+        code = main(["similarity", "--features", str(feats),
+                     "--similarity", method, "--out", str(out)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_eval_length_mismatch_returns_2(tmp_path, capsys):
+    pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    pred.write_text("1\n1\n2\n")
+    truth.write_text("1\n2\n")
+    code = main(["eval", "--pred", str(pred), "--truth", str(truth)])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_non_finite_matrix_returns_2(tmp_path, capsys):
     for bad in ("nan", "inf", "-inf"):
         path = tmp_path / f"{bad}.csv"

@@ -14,7 +14,12 @@ from dscfw.data import (
     minimax_distances,
     pairwise_euclidean,
 )
-from dscfw.errors import AsymmetricMatrix, HsvRangeError, ZeroNormRow
+from dscfw.errors import (
+    AsymmetricMatrix,
+    HsvRangeError,
+    NonFiniteEntry,
+    ZeroNormRow,
+)
 
 from conftest import bruteforce_minimax, formula_euclidean, prim_order_minimax
 
@@ -103,6 +108,15 @@ class TestMinimaxDistances:
     def test_rejects_asymmetric(self):
         with pytest.raises(AsymmetricMatrix):
             minimax_distances([[0.0, 1.0], [2.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # A NaN distance passes the symmetry test (NaN > 0 is False) and
+        # Prim's comparisons skip it; it must not yield a finite matrix.
+        D = pairwise_euclidean([[0.0], [1.0], [5.0]])
+        D[0, 2] = D[2, 0] = bad
+        with pytest.raises(NonFiniteEntry):
+            minimax_distances(D)
 
     def test_never_exceeds_direct_distance(self):
         rng = np.random.default_rng(9)

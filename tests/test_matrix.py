@@ -10,6 +10,7 @@ from dscfw.errors import (
     DimensionMismatch,
     NegativeEntry,
     NonFiniteEntry,
+    NonSquareMatrix,
     NonzeroDiagonal,
     TooSmall,
 )
@@ -209,6 +210,20 @@ class TestCsvIO:
         save_matrix_csv(path, A)
         B = load_matrix_csv(path)
         assert np.allclose(A.entries, B.entries, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_load_features_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "f.csv"
+        path.write_text(f"0.0,1.0\n{bad},2.0\n3.0,4.0\n")
+        with pytest.raises(NonFiniteEntry):
+            load_features_csv(path)
+
+    @pytest.mark.parametrize("rows", [1, 2, 4, 6])
+    def test_load_rejects_a_non_square_csv(self, tmp_path, rows):
+        path = tmp_path / "m.csv"
+        path.write_text("0,1,1\n" * rows)
+        with pytest.raises(NonSquareMatrix):
+            load_matrix_csv(path)
 
     def test_load_features(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -77,6 +77,16 @@ def test_peel_holds_one_round_matrix(block):
     assert peak <= 1.3 * UNIT
 
 
+def test_shifted_peel_holds_no_round_matrix(block):
+    # Every round, the first shifted one too, solves over A itself through
+    # an implicit shift and an active mask: what a round holds is O(n).
+    config = PeelConfig(max_clusters=3, shift=4.0, solver=SolverConfig(
+        SolverKind.FW, InitKind.VERTEX, max_iters=40))
+    peak, result = traced_peak(peel, block, config)
+    assert len(result.clusters) == 3
+    assert peak <= 0.3 * UNIT
+
+
 def test_one_multistart_pass_copies_nothing(block):
     plan = SamplePlan(ell=2, sampler=SamplerKind.DPP, seed=0)
     solver = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=40)

@@ -49,6 +49,11 @@ class TestAri:
         with pytest.raises(LengthMismatch):
             ari([1, 2], [1, 2, 3])
 
+    def test_label_errors_are_value_errors(self):
+        # The CLI reports ValueErrors as data errors (exit 2).
+        assert issubclass(LengthMismatch, ValueError)
+        assert issubclass(EmptyOverlap, ValueError)
+
     def test_trivial_partitions_agree(self):
         # Both all-singletons and both one-block: defined as 1.
         assert ari([1, 2, 3], [5, 6, 7]) == 1.0

@@ -55,6 +55,18 @@ class TestUniformBlockSample:
         for pick, block in zip(picks, blocks):
             assert pick in block
 
+    @pytest.mark.parametrize("n, ell", [(9, 4), (5, 4), (10, 4), (7, 3)])
+    def test_exactly_ell_picks_one_per_block(self, n, ell):
+        # ceil(n / ell)-sized blocks would give fewer than ell blocks here
+        # (9 = 3 + 3 + 3); blocks of sizes differing by one give ell.
+        A = rand_sim(n, np.random.default_rng(n))
+        order = np.argsort(-A.row_sums(), kind="stable")
+        for seed in range(5):
+            picks = uniform_block_sample(A, ell, np.random.default_rng(seed))
+            assert len(picks) == ell
+            for pick, block in zip(picks, np.array_split(order, ell)):
+                assert pick in block
+
     def test_ell_equals_n_returns_row_sum_order(self, A3):
         picks = uniform_block_sample(A3, 3, np.random.default_rng(0))
         assert picks == [1, 2, 0]  # row sums (3, 5, 4) descending

@@ -5,9 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from dscfw.diagnostics import check_progress, check_state
 from dscfw.errors import EmptyCluster, NoClusters
-from dscfw.matrix import new_similarity_matrix, simplex_point
+from dscfw.matrix import (
+    ShiftedMatrix,
+    new_similarity_matrix,
+    offdiag_extremes,
+    simplex_point,
+)
 from dscfw.peel import (
     ClusteringResult,
     PeelConfig,
@@ -16,7 +24,23 @@ from dscfw.peel import (
     post_assign,
     shift_offdiag,
 )
-from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
+from dscfw.solvers import (
+    InitKind,
+    SolverConfig,
+    SolverKind,
+    StopReason,
+    afw_step,
+    fw_gap,
+    fw_step,
+    initial_point,
+    make_state,
+    pfw_step,
+    rd_step,
+    run,
+    select_away,
+)
+
+from conftest import rand_sim
 
 
 class TestExtractSupport:
@@ -172,3 +196,117 @@ class TestPostAssign:
         cfg = PeelConfig(max_clusters=1, post_assign=True)
         result = peel(two_blocks, cfg)
         assert result.assignment_rate == 1.0
+
+
+def _compacted(A, active, shift):
+    """The dense oracle of a peel round: the indices of the active objects
+    and shift_offdiag of A restricted to them."""
+    idx = np.flatnonzero(active)
+    sub = new_similarity_matrix(A.entries[np.ix_(idx, idx)])
+    return idx, shift_offdiag(sub, shift)
+
+
+def _dense_peel(A, config):
+    """Peel with every round on its compacted dense matrix: labels and
+    stop reasons."""
+    labels = np.zeros(A.n, dtype=int)
+    left = np.arange(A.n)
+    reasons = []
+    for label in range(1, config.max_clusters + 1):
+        if left.size <= 1:
+            labels[left] = label
+            break
+        _, B = _compacted(A, np.isin(np.arange(A.n), left), config.shift)
+        x, _, reason = run(B, config.solver)
+        reasons.append(reason)
+        try:
+            local = extract_support(x, config.cutoff)
+        except EmptyCluster:
+            break
+        labels[left[local]] = label
+        left = np.delete(left, local)
+    return labels, reasons
+
+
+STEPS = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
+         SolverKind.AFW: afw_step, SolverKind.RD: rd_step}
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=hst.integers(3, 14), seed=hst.integers(0, 2**32 - 1),
+       kind=hst.sampled_from(list(STEPS)),
+       init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]),
+       shift=hst.sampled_from([0.0, 0.5, 4.0]),
+       removed=hst.sampled_from([0.0, 0.3, 0.6]))
+def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
+                                                removed):
+    # A round over A with an implicit shift and an active mask takes the
+    # steps the compacted dense matrix takes, in global indices: the same
+    # start, kinds and vertices, r within 1e-8 and f within 1e-12
+    # relative after every step, and nothing off the active objects.
+    # Steps make exact ties (a pairwise step leaves r_s = r_v; an away
+    # step from the barycenter of three objects leaves r_i - f = f - r_v),
+    # and rounding may break one either way: the paths may part there, at
+    # vertices whose r agree, and the comparison ends. The diagnostics
+    # check the operator as the matrix it stands for: its off-diagonal
+    # extremes over the active objects, and the pairwise identities, which
+    # read b_ij. (An FW step's gap inequality holds with equality, and at
+    # f near the shift rounding breaks it on the dense matrix as well.)
+    rng = np.random.default_rng(seed)
+    A = rand_sim(n, rng)
+    active = rng.uniform(size=n) >= removed
+    active[rng.choice(n, size=2, replace=False)] = True
+    if kind is SolverKind.RD:
+        init = InitKind.BARYCENTER  # RD cannot start at a vertex
+    op = ShiftedMatrix(A, shift, None if active.all() else active)
+    idx, B = _compacted(A, active, shift)
+    cfg = SolverConfig(kind, init)
+    state = make_state(op, initial_point(op, cfg))
+    dense = make_state(B, initial_point(B, cfg))
+    assert np.array_equal(state.x.coords[idx], dense.x.coords)
+    assert offdiag_extremes(op) == offdiag_extremes(B)
+    step = STEPS[kind]
+    trace = []
+    for _ in range(60):
+        gap, i = fw_gap(dense)
+        # Stop while the vertex choices are decisive, far above rounding.
+        if gap / 2.0 <= 1e-6:
+            break
+        if kind is SolverKind.PFW and select_away(dense) == i:
+            break
+        state, rec = step(state, op)
+        dense, want = step(dense, B)
+        v = None if want.v_index is None else idx[want.v_index]
+        if (rec.kind, rec.s_index, rec.v_index) != (want.kind,
+                                                    idx[want.s_index], v):
+            assert rec.r_s == pytest.approx(want.r_s, rel=1e-12)
+            if not (math.isnan(rec.r_v) or math.isnan(want.r_v)):
+                assert rec.r_v == pytest.approx(want.r_v, rel=1e-12)
+            break
+        assert np.max(np.abs(state.r[idx] - dense.r)) <= 1e-8
+        assert abs(state.f - dense.f) <= 1e-12 * abs(dense.f)
+        assert check_state(state, op).ok()
+        assert not state.x.coords[~active].any()
+        trace.append(rec)
+    if kind is SolverKind.PFW:
+        assert check_progress(trace, op) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(2, 14), seed=hst.integers(0, 2**32 - 1),
+       kind=hst.sampled_from([SolverKind.PFW, SolverKind.AFW]),
+       init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]),
+       shift=hst.sampled_from([0.0, 0.5, 4.0]),
+       max_clusters=hst.integers(1, 5))
+def test_operator_peel_labels_match_the_dense_oracle(n, seed, kind, init,
+                                                     shift, max_clusters):
+    # Where every solve converges on both paths, peel over one matrix
+    # labels the objects exactly as rounds on compacted copies do.
+    A = rand_sim(n, np.random.default_rng(seed))
+    config = PeelConfig(max_clusters=max_clusters, shift=shift,
+                        solver=SolverConfig(kind, init, max_iters=5000))
+    result = peel(A, config)
+    labels, reasons = _dense_peel(A, config)
+    if StopReason.MAX_ITERS in result.stop_reasons + reasons:
+        return
+    assert np.array_equal(result.labels, labels)
