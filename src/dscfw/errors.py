@@ -78,12 +78,13 @@ class EmptyOverlap(DscfwError, ValueError):
     """No assigned object is left to score."""
 
 
-class ZeroNormRow(DscfwError):
-    pass
+class ZeroNormRow(DscfwError, ValueError):
+    """A feature row of norm zero, for which cosine similarity is
+    undefined."""
 
 
-class HsvRangeError(DscfwError):
-    pass
+class HsvRangeError(DscfwError, ValueError):
+    """Pixels that are not rows of (h, s, v) with s and v in [0, 1]."""
 
 
 class TooManySeeds(DscfwError):

@@ -1,6 +1,8 @@
 """Multi-start clustering: sample seed objects (uniform block sampling or
 a determinantal point process), solve from each per-seed starting point
-in turn, deduplicate the solutions by support overlap, peel, repeat."""
+in turn, and hand the solutions to the peel driver, which accepts them in
+decreasing objective unless their supports overlap. A pass is one peel
+round with several starts."""
 
 from __future__ import annotations
 
@@ -10,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AsymmetricMatrix, EmptyCluster, PoolTooSmall, TooManySeeds
-from .matrix import SimilarityMatrix, SimplexPoint
-from .peel import ClusteringResult, check_cutoff, extract_support, last_gap
-from .solvers import SolverConfig, SolverKind, StopReason, run
+from .errors import AsymmetricMatrix, PoolTooSmall, TooManySeeds
+from .matrix import SimilarityMatrix, SimplexPoint, _asymmetry
+from .peel import Candidate, ClusteringResult, _drive
+from .solvers import SolverConfig, SolverKind, run
 
 
 class SamplerKind(enum.Enum):
@@ -67,7 +69,7 @@ def make_diagonally_dominant(L) -> DppEnsemble:
     """Replace the diagonal with the absolute off-diagonal row sums plus a
     small margin, which makes the matrix PSD by Gershgorin."""
     L = np.asarray(L, dtype=float)
-    if np.max(np.abs(L - L.T), initial=0.0) > 1e-9:
+    if _asymmetry(L) > 1e-9:
         raise AsymmetricMatrix("likelihood matrix must be symmetric")
     out = L.copy()
     np.fill_diagonal(out, 0.0)
@@ -203,23 +205,19 @@ def multistart_cluster(
     max_clusters: int,
     cutoff: float = 2e-12,
 ) -> tuple[ClusteringResult, int]:
-    """Run the multi-start peel loop; returns the clustering and the
-    number of passes over the data. The result keeps every solve's stop
-    reason and last gap, in solve order, but no traces."""
-    check_cutoff(cutoff)
-    n = A.n
+    """Run the peel driver with several sampled starts per pass; returns
+    the clustering and the number of passes over the data. The result
+    keeps every solve's stop reason and last gap, in solve order, but no
+    traces."""
     rng = np.random.default_rng(plan.seed)
-    labels = np.zeros(n, dtype=int)
-    clusters: list[list[int]] = []
-    vectors: list[np.ndarray] = []
-    surviving = np.arange(n)
-    reasons: list[StopReason] = []
-    gaps: list[float] = []
-    passes = 0
-    while surviving.size >= 2 and len(clusters) < max_clusters:
-        if surviving.size == n:
+
+    def propose(active: np.ndarray) -> list[Candidate]:
+        surviving = np.flatnonzero(active)
+        if surviving.size == A.n:
             sub = A  # nothing removed yet: A is immutable and validated
         else:
+            # A step's row reads scale with the objects it steps over, so
+            # later passes solve a compacted copy, not an active mask.
             sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
             sub_entries.setflags(write=False)
             sub = SimilarityMatrix(sub_entries)
@@ -231,69 +229,18 @@ def multistart_cluster(
                 seeds = uniform_block_sample(sub, ell, rng)
         else:
             seeds = uniform_block_sample(sub, ell, rng)
-        starts: list[SimplexPoint] = []
+        candidates: list[Candidate] = []
         for s in seeds:
-            starts.extend(_starting_points(solver.solver_kind, s, sub.n))
-        solutions = [run(sub, solver, x0=x0) for x0 in starts]
-        passes += 1
-        # Sort by objective descending, then accept non-overlapping ones.
-        scored = []
-        for x_star, trace, reason in solutions:
-            reasons.append(reason)
-            gaps.append(last_gap(trace))
-            f_val = trace[-1].f_after if trace else float(
-                x_star.coords @ (sub.entries @ x_star.coords))
-            scored.append((f_val, x_star))
-        scored.sort(key=lambda item: -item[0])
-        accepted_union: set[int] = set()
-        new_clusters: list[list[int]] = []
-        new_vectors: list[np.ndarray] = []
-        for _, x_star in scored:
-            if len(clusters) + len(new_clusters) >= max_clusters:
-                break
-            try:
-                local = extract_support(x_star, cutoff)
-            except EmptyCluster:
-                continue
-            support = set(local)
-            # Share of this support already taken by an accepted cluster.
-            if (len(support & accepted_union) / len(support)
-                    > plan.overlap_threshold):
-                continue
-            accepted_union |= support
-            new_clusters.append(local)
-            vec = np.zeros(n)
-            vec[surviving] = x_star.coords
-            new_vectors.append(vec)
-        if not new_clusters:
-            break
-        removed = set()
-        for local, vec in zip(new_clusters, new_vectors):
-            members = [int(surviving[i]) for i in local if i not in removed]
-            removed.update(local)
-            if not members:
-                continue
-            labels[members] = len(clusters) + 1
-            clusters.append(members)
-            vectors.append(vec)
-        keep = np.ones(surviving.size, dtype=bool)
-        keep[list(removed)] = False
-        surviving = surviving[keep]
-        # Free this pass's matrix before the next pass builds its own.
-        del sub
-    if surviving.size == 1 and len(clusters) < max_clusters:
-        obj = int(surviving[0])
-        labels[obj] = len(clusters) + 1
-        clusters.append([obj])
-        vec = np.zeros(n)
-        vec[obj] = 1.0
-        vectors.append(vec)
-    result = ClusteringResult(
-        labels=labels,
-        clusters=clusters,
-        characteristic_vectors=vectors,
-        assigned_count=int(np.count_nonzero(labels)),
-        stop_reasons=reasons,
-        last_gaps=gaps,
-    )
-    return result, passes
+            for x0 in _starting_points(solver.solver_kind, s, sub.n):
+                x_star, trace, reason = run(sub, solver, x0=x0)
+                x = x_star.coords
+                f = (trace[-1].f_after if trace
+                     else float(x @ (sub.entries @ x)))
+                if sub is not A:  # back to global indices
+                    x = np.zeros(A.n)
+                    x[surviving] = x_star.coords
+                candidates.append((f, x, trace, reason))
+        return candidates
+
+    return _drive(A.n, max_clusters, cutoff, plan.overlap_threshold, propose,
+                  keep_traces=False)

@@ -1,14 +1,16 @@
 """Dominant set clustering driver: solve, cut the support into a cluster,
-peel the clustered objects off the matrix, repeat.
-
-Every round solves over the one immutable input matrix: round k is the
-StQP of A_SS + s(11' - I) over the objects S not yet clustered, which the
-solvers read as a `ShiftedMatrix` (rows of A, a scalar shift and an
-active mask), so no round builds a matrix of its own."""
+peel the clustered objects off the matrix, repeat (Pavan & Pelillo, TPAMI
+2007). `peel` and `multistart.multistart_cluster` share the one round
+loop, `_drive`, and only propose each round's solves. A peel round solves
+once over the one immutable input matrix: round k is the StQP of
+A_SS + s(11' - I) over the objects S not yet clustered, which the solvers
+read as a `ShiftedMatrix` (rows of A, a scalar shift and an active mask),
+so no round builds a matrix of its own."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,7 +34,8 @@ class ClusteringResult:
 
     labels: np.ndarray
     clusters: list[list[int]]
-    characteristic_vectors: list[np.ndarray]  # full-length, zero off-cluster
+    # The solve's x, full-length and zero off its round's objects.
+    characteristic_vectors: list[np.ndarray]
     assigned_count: int
     traces: list[list[StepRecord]] = field(default_factory=list)
     stop_reasons: list[StopReason] = field(default_factory=list)
@@ -70,11 +73,6 @@ def check_cutoff(cutoff: float) -> None:
         raise ValueError("cutoff must be positive and finite")
 
 
-def last_gap(trace: list[StepRecord]) -> float:
-    """Full gap before the last step of a trace; NaN for an empty trace."""
-    return trace[-1].gap if trace else math.nan
-
-
 def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
     """Indices with coordinate above the cutoff."""
     idx = [int(i) for i in np.nonzero(x.coords > cutoff)[0]]
@@ -91,11 +89,25 @@ def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
     return _validated(ShiftedMatrix(A, shift).entries)
 
 
-def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
-    """Run up to max_clusters rounds of solve / extract / remove. Round 1
-    solves A itself when the shift is 0; every other round solves a
-    `ShiftedMatrix` over A and the objects not yet clustered."""
-    n = A.n
+Candidate = tuple[float, np.ndarray, list[StepRecord], StopReason]
+
+
+def _drive(n: int, max_clusters: int, cutoff: float, overlap: float,
+           propose: Callable[[np.ndarray], list[Candidate]],
+           keep_traces: bool) -> tuple[ClusteringResult, int]:
+    """The one clustering loop, shared by `peel` and multistart. Each
+    round, `propose(active)` solves over the objects not yet clustered and
+    returns its solves in solve order as (f, x over all n objects and zero
+    off the active ones, trace, stop reason). The candidates are taken in
+    decreasing f; one is skipped when its support is empty or more than
+    `overlap` of it was taken this round, and accepting stops at
+    max_clusters. An accepted candidate becomes a cluster of its members
+    not yet taken; as overlap < 1, it has at least one. A 1-object
+    remainder is labelled without a solve. Returns the result and the
+    number of rounds."""
+    if max_clusters < 1:
+        raise ValueError("max_clusters must be >= 1")
+    check_cutoff(cutoff)
     labels = np.zeros(n, dtype=int)
     clusters: list[list[int]] = []
     vectors: list[np.ndarray] = []
@@ -103,47 +115,66 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
     reasons: list[StopReason] = []
     gaps: list[float] = []
     active = np.ones(n, dtype=bool)
-    for label in range(1, config.max_clusters + 1):
-        left = int(np.count_nonzero(active))
-        if left == 0:
-            break
-        if left == 1:
+    rounds = 0
+    while len(clusters) < max_clusters:
+        left = np.flatnonzero(active)
+        if left.size < 2:
             # A 1-object remainder is not a valid StQP instance; it gets
             # its own cluster label directly.
-            obj = int(np.flatnonzero(active)[0])
-            labels[obj] = label
-            clusters.append([obj])
-            vec = np.zeros(n)
-            vec[obj] = 1.0
-            vectors.append(vec)
+            if left.size == 1:
+                labels[left] = len(clusters) + 1
+                clusters.append(left.tolist())
+                vectors.append(active.astype(float))
             break
-        if left == n and config.shift == 0.0:
+        candidates = propose(active)
+        rounds += 1
+        for _, _, trace, reason in candidates:
+            if keep_traces:
+                traces.append(trace)
+            reasons.append(reason)
+            gaps.append(trace[-1].gap if trace else math.nan)
+        active = active.copy()  # the round's operator keeps its own mask
+        before = len(clusters)
+        for _, x, _, _ in sorted(candidates, key=lambda c: -c[0]):
+            if len(clusters) == max_clusters:
+                break
+            support = x > cutoff
+            size = int(np.count_nonzero(support))
+            # Supports lie in the round's active set, so the part that is
+            # no longer active was taken by this round's earlier clusters.
+            if size == 0 or (int(np.count_nonzero(support & ~active)) / size
+                             > overlap):
+                continue
+            members = np.flatnonzero(support & active)
+            active[members] = False
+            labels[members] = len(clusters) + 1
+            clusters.append(members.tolist())
+            vectors.append(x)
+        if len(clusters) == before:
+            break
+    result = ClusteringResult(labels, clusters, vectors,
+                              int(np.count_nonzero(labels)), traces=traces,
+                              stop_reasons=reasons, last_gaps=gaps)
+    return result, rounds
+
+
+def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
+    """Run up to max_clusters rounds of solve / extract / remove. Round 1
+    solves A itself when the shift is 0; every other round solves a
+    `ShiftedMatrix` over A and the objects not yet clustered."""
+
+    def propose(active: np.ndarray) -> list[Candidate]:
+        whole = bool(active.all())
+        if whole and config.shift == 0.0:
             round_matrix = A
         else:
             round_matrix = ShiftedMatrix(A, config.shift,
-                                         None if left == n else active)
+                                         None if whole else active)
         x_star, trace, reason = run(round_matrix, config.solver)
-        traces.append(trace)
-        reasons.append(reason)
-        gaps.append(last_gap(trace))
-        try:
-            members = extract_support(x_star, config.cutoff)
-        except EmptyCluster:
-            break
-        labels[members] = label
-        clusters.append(members)
-        vectors.append(x_star.coords)  # zero off the active objects
-        active = active.copy()  # the round's matrix keeps its own mask
-        active[members] = False
-    result = ClusteringResult(
-        labels=labels,
-        clusters=clusters,
-        characteristic_vectors=vectors,
-        assigned_count=int(np.count_nonzero(labels)),
-        traces=traces,
-        stop_reasons=reasons,
-        last_gaps=gaps,
-    )
+        return [(0.0, x_star.coords, trace, reason)]  # one solve: f is moot
+
+    result, _ = _drive(A.n, config.max_clusters, config.cutoff, 0.0,
+                       propose, keep_traces=True)
     if config.post_assign:
         result = post_assign(result, A)
     return result

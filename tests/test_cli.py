@@ -144,6 +144,30 @@ def test_non_finite_feature_returns_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_zero_norm_feature_row_returns_2(tmp_path, capsys):
+    feats = tmp_path / "f.csv"
+    rows = np.random.default_rng(0).normal(size=(6, 2))
+    rows[2] = 0.0
+    np.savetxt(feats, rows, delimiter=",")
+    out = tmp_path / "sim.csv"
+    code = main(["similarity", "--features", str(feats),
+                 "--similarity", "cosine", "--out", str(out)])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_multistart_max_clusters_below_one_returns_2(tmp_path, block_csv,
+                                                     capsys):
+    matrix_csv, _ = block_csv
+    out = tmp_path / "ms"
+    code = main(["multistart", "--input", matrix_csv, "--seed", "0",
+                 "--max-clusters", "0", "--out", str(out)])
+    assert code == 2
+    assert "max_clusters" in capsys.readouterr().err
+    assert not (tmp_path / "ms.passes.json").exists()
+
+
 def test_eval_length_mismatch_returns_2(tmp_path, capsys):
     pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
     pred.write_text("1\n1\n2\n")

@@ -227,3 +227,9 @@ class TestGaussDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             gauss_dataset(10, -0.1)
+
+
+def test_feature_errors_are_value_errors():
+    # The CLI reports ValueErrors as data errors (exit 2).
+    assert issubclass(ZeroNormRow, ValueError)
+    assert issubclass(HsvRangeError, ValueError)

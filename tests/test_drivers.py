@@ -2,16 +2,36 @@
 `multistart_cluster`, on small random matrices: labels partition the
 objects, clusters are the labels' level sets, every characteristic vector
 lies on the simplex and is zero outside the objects its round solved over,
-and a seed fixes the output."""
+and a seed fixes the output. `multistart_cluster` also matches, bit for
+bit, a reference copy of the multistart loop as it stood before it ran on
+the peel driver."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dscfw.matrix import new_similarity_matrix
-from dscfw.multistart import SamplePlan, SamplerKind, multistart_cluster
-from dscfw.peel import PeelConfig, peel, shift_offdiag
-from dscfw.solvers import InitKind, SolverConfig, SolverKind
+from dscfw.errors import DscfwError, EmptyCluster, PoolTooSmall
+from dscfw.matrix import SimilarityMatrix, new_similarity_matrix
+from dscfw.multistart import (
+    SamplePlan,
+    SamplerKind,
+    _starting_points,
+    multistart_cluster,
+    two_step_dpp_sample,
+    uniform_block_sample,
+)
+from dscfw.peel import (
+    ClusteringResult,
+    PeelConfig,
+    check_cutoff,
+    extract_support,
+    peel,
+    shift_offdiag,
+)
+from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
 
 from conftest import rand_sim
 
@@ -119,3 +139,133 @@ def test_multistart_properties(A, kind, sampler, ell, seed, overlap,
     again, passes_again = multistart_cluster(A, plan, solver, max_clusters)
     assert passes_again == passes
     _same(result, again)
+
+
+def last_gap(trace):
+    return trace[-1].gap if trace else math.nan
+
+
+def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
+    """The multistart loop with its own round bookkeeping, kept verbatim
+    from before it ran on the peel driver: an exact oracle."""
+    check_cutoff(cutoff)
+    n = A.n
+    rng = np.random.default_rng(plan.seed)
+    labels = np.zeros(n, dtype=int)
+    clusters: list[list[int]] = []
+    vectors: list[np.ndarray] = []
+    surviving = np.arange(n)
+    reasons = []
+    gaps: list[float] = []
+    passes = 0
+    while surviving.size >= 2 and len(clusters) < max_clusters:
+        if surviving.size == n:
+            sub = A  # nothing removed yet: A is immutable and validated
+        else:
+            sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
+            sub_entries.setflags(write=False)
+            sub = SimilarityMatrix(sub_entries)
+        ell = min(plan.ell, sub.n)
+        if plan.sampler is SamplerKind.DPP:
+            try:
+                seeds = two_step_dpp_sample(sub, ell, rng)
+            except PoolTooSmall:
+                seeds = uniform_block_sample(sub, ell, rng)
+        else:
+            seeds = uniform_block_sample(sub, ell, rng)
+        starts = []
+        for s in seeds:
+            starts.extend(_starting_points(solver.solver_kind, s, sub.n))
+        solutions = [run(sub, solver, x0=x0) for x0 in starts]
+        passes += 1
+        # Sort by objective descending, then accept non-overlapping ones.
+        scored = []
+        for x_star, trace, reason in solutions:
+            reasons.append(reason)
+            gaps.append(last_gap(trace))
+            f_val = trace[-1].f_after if trace else float(
+                x_star.coords @ (sub.entries @ x_star.coords))
+            scored.append((f_val, x_star))
+        scored.sort(key=lambda item: -item[0])
+        accepted_union: set[int] = set()
+        new_clusters: list[list[int]] = []
+        new_vectors: list[np.ndarray] = []
+        for _, x_star in scored:
+            if len(clusters) + len(new_clusters) >= max_clusters:
+                break
+            try:
+                local = extract_support(x_star, cutoff)
+            except EmptyCluster:
+                continue
+            support = set(local)
+            # Share of this support already taken by an accepted cluster.
+            if (len(support & accepted_union) / len(support)
+                    > plan.overlap_threshold):
+                continue
+            accepted_union |= support
+            new_clusters.append(local)
+            vec = np.zeros(n)
+            vec[surviving] = x_star.coords
+            new_vectors.append(vec)
+        if not new_clusters:
+            break
+        removed = set()
+        for local, vec in zip(new_clusters, new_vectors):
+            members = [int(surviving[i]) for i in local if i not in removed]
+            removed.update(local)
+            if not members:
+                continue
+            labels[members] = len(clusters) + 1
+            clusters.append(members)
+            vectors.append(vec)
+        keep = np.ones(surviving.size, dtype=bool)
+        keep[list(removed)] = False
+        surviving = surviving[keep]
+        # Free this pass's matrix before the next pass builds its own.
+        del sub
+    if surviving.size == 1 and len(clusters) < max_clusters:
+        obj = int(surviving[0])
+        labels[obj] = len(clusters) + 1
+        clusters.append([obj])
+        vec = np.zeros(n)
+        vec[obj] = 1.0
+        vectors.append(vec)
+    result = ClusteringResult(
+        labels=labels,
+        clusters=clusters,
+        characteristic_vectors=vectors,
+        assigned_count=int(np.count_nonzero(labels)),
+        stop_reasons=reasons,
+        last_gaps=gaps,
+    )
+    return result, passes
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=matrices(),
+       kind=hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW,
+                              SolverKind.RD]),
+       sampler=hst.sampled_from([SamplerKind.UNI, SamplerKind.DPP]),
+       ell=hst.integers(1, 4), seed=hst.integers(0, 2**16),
+       overlap=hst.sampled_from([0.1, 0.5, 0.9]),
+       max_clusters=hst.integers(1, 5))
+def test_multistart_matches_the_reference(A, kind, sampler, ell, seed,
+                                          overlap, max_clusters):
+    # FW starts from each seed's vertex, PFW and AFW from its vertex and
+    # its biased point, RD from the biased point only. An overlap of 0.9
+    # lets one pass accept overlapping supports; shared members go to the
+    # candidate with the larger objective.
+    plan = SamplePlan(ell=ell, sampler=sampler, overlap_threshold=overlap,
+                      seed=seed)
+    solver = SolverConfig(kind, InitKind.VERTEX, max_iters=200)
+    try:
+        expected, expected_passes = _reference_multistart(A, plan, solver,
+                                                          max_clusters)
+    except DscfwError as exc:  # e.g. RD on a matrix where x'Ax = 0
+        with pytest.raises(type(exc)):
+            multistart_cluster(A, plan, solver, max_clusters)
+        return
+    result, passes = multistart_cluster(A, plan, solver, max_clusters)
+    _same(result, expected)
+    assert passes == expected_passes
+    assert result.traces == []

@@ -210,6 +210,13 @@ class TestMultistartCluster:
                 multistart_cluster(A3, SamplePlan(ell=2, seed=0), cfg,
                                    max_clusters=1, cutoff=bad)
 
+    def test_rejects_max_clusters_below_one(self, A3):
+        cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_clusters"):
+                multistart_cluster(A3, SamplePlan(ell=2, seed=0), cfg,
+                                   max_clusters=bad)
+
     def test_respects_max_clusters(self):
         rng = np.random.default_rng(12)
         A = rand_sim(30, rng)

@@ -1,4 +1,5 @@
-"""The README's quick start runs as printed: each `print(...)  # value`
+"""The README's code runs as printed: the quick start, then the
+multi-start example in the same namespace. Each `print(...)  # value`
 line prints that value ("0.760..." means a value starting with 0.760)."""
 
 import contextlib
@@ -9,19 +10,17 @@ from pathlib import Path
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _quick_start() -> str:
-    text = README.read_text()
-    section = text.split("## Quick start", 1)[1]
+def _snippet(heading: str) -> str:
+    section = README.read_text().split(heading, 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_quick_start_prints_its_figures():
-    code = _quick_start()
+def _check_prints(code: str, namespace: dict, expected: list[str]) -> None:
     claimed = re.findall(r"^print\(.*\)\s*#\s*(\S+)$", code, re.M)
-    assert claimed == ["1.0", "0.845", "0.760..."]
+    assert claimed == expected
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(code, str(README), "exec"), {})
+        exec(compile(code, str(README), "exec"), namespace)
     printed = out.getvalue().split()
     assert len(printed) == len(claimed)
     for value, claim in zip(printed, claimed):
@@ -29,3 +28,16 @@ def test_quick_start_prints_its_figures():
             assert value.startswith(claim[:-3]), (value, claim)
         else:
             assert value == claim, (value, claim)
+
+
+def test_quick_start_prints_its_figures():
+    _check_prints(_snippet("## Quick start"), {}, ["1.0", "0.845", "0.760..."])
+
+
+def test_multistart_example_prints_its_figures():
+    namespace: dict = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(_snippet("## Quick start"), str(README), "exec"),
+             namespace)
+    _check_prints(_snippet("## Multi-start"), namespace,
+                  ["2", "5", "0.125", "0.490..."])
