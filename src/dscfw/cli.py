@@ -167,22 +167,31 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    t0 = time.perf_counter()
     if args.kind == "block":
         A, truth = data.block_noise_matrix(args.n, args.k, args.noise,
                                            seed=args.seed)
-        save_matrix_csv(f"{args.out}.matrix.csv", A)
     else:
         F, truth = data.gauss_dataset(args.n, args.noise, seed=args.seed)
+    t1 = time.perf_counter()
+    if args.kind == "block":
+        save_matrix_csv(f"{args.out}.matrix.csv", A)
+    else:
         np.savetxt(f"{args.out}.features.csv", F, delimiter=",")
     np.savetxt(f"{args.out}.truth.csv", truth, fmt="%d", delimiter=",")
-    _write_manifest(args.out, "synth", vars(args), [], {})
+    _write_manifest(args.out, "synth", vars(args), [],
+                    {"generate": t1 - t0, "write": time.perf_counter() - t1})
     return 0
 
 
 def cmd_similarity(args) -> int:
+    t0 = time.perf_counter()
     A, inputs = _load_similarity(args)
+    t1 = time.perf_counter()
     save_matrix_csv(args.out, A)
-    _write_manifest(args.out, "similarity", vars(args), inputs, {})
+    _write_manifest(args.out, "similarity", vars(args), inputs,
+                    {"similarity": t1 - t0,
+                     "write": time.perf_counter() - t1})
     return 0
 
 

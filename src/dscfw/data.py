@@ -24,7 +24,14 @@ from .errors import (
     NonFiniteEntry,
     ZeroNormRow,
 )
-from .matrix import _TILE, SimilarityMatrix, _asymmetry, _tiles, _validated
+from .matrix import (
+    _TILE,
+    SimilarityMatrix,
+    _asymmetry,
+    _row_chunks,
+    _tiles,
+    _validated,
+)
 
 GAUSS_MEANS = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
 GAUSS_PROPORTIONS = (0.1, 0.2, 0.3, 0.4)
@@ -58,13 +65,6 @@ def hsv_features(pixels) -> np.ndarray:
     if np.any((s < 0) | (s > 1)) or np.any((v < 0) | (v > 1)):
         raise HsvRangeError("s and v must lie in [0, 1]")
     return np.column_stack([v, v * s * np.sin(h), v * s * np.cos(h)])
-
-
-def _row_chunks(n: int) -> list[slice]:
-    """Runs of consecutive rows of an n x n array, each holding about one
-    tile's worth of entries, so per-chunk temporaries stay tile-sized."""
-    step = max(1, _TILE * _TILE // max(n, 1))
-    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 def _symmetrize(M: np.ndarray) -> None:

@@ -16,11 +16,24 @@ operator with s = 0 and S = all, so both expose `base`, `shift` and
 
 The dense primitives here (matvec, quadratic_form) are deliberately O(n^2):
 they serve as oracles against the solvers' O(n) incremental updates.
+
+`save_matrix_csv` writes the bytes np.savetxt(path, A.entries,
+delimiter=",") writes, one run of rows (a tile's worth of entries) at a
+time, so its scratch is O(block * n), never n x n. Within a run it
+formats each distinct float64 bit pattern once and gathers the run's
+lines from those tokens; a run whose values are mostly distinct is
+formatted line by line instead. Matrices from the block generator or
+the minimax pipeline repeat few values, so they are written several
+times faster than by np.savetxt.
 """
 
 from __future__ import annotations
 
+import bz2
+import gzip
+import lzma
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -148,6 +161,13 @@ def simplex_point(coords) -> SimplexPoint:
     return pt
 
 
+def _row_chunks(n: int) -> list[slice]:
+    """Runs of consecutive rows of an n x n array, each holding about one
+    tile's worth of entries, so per-chunk temporaries stay tile-sized."""
+    step = max(1, _TILE * _TILE // max(n, 1))
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
 def _tiles(n: int) -> list[tuple[slice, slice]]:
     """Pairs of square tiles (I, J) with J at or right of I; with their
     mirrors (J, I) they cover the n x n index set once."""
@@ -273,8 +293,69 @@ def load_matrix_csv(path) -> SimilarityMatrix:
     return _validated(arr)
 
 
+# The suffixes that np.savetxt compresses and np.loadtxt decompresses.
+_COMPRESSED = {".gz": gzip.open, ".bz2": bz2.open,
+               ".xz": lzma.open, ".lzma": lzma.open}
+_FMT = "%.18e"
+
+
 def save_matrix_csv(path, A: SimilarityMatrix) -> None:
-    np.savetxt(path, A.entries, delimiter=",")
+    """Write the bytes of np.savetxt(path, A.entries, delimiter=","): n
+    lines of n comma-separated "%.18e" tokens, compressed when the suffix
+    is one np.savetxt compresses.
+
+    Each run of rows from _row_chunks is formatted and written on its own,
+    so the scratch is a few runs' worth, never an n x n temporary."""
+    E = A.entries
+    row_fmt = ",".join([_FMT] * E.shape[1]) + "\n"
+    with _COMPRESSED.get(Path(path).suffix, open)(path, "wb") as fh:
+        for r in _row_chunks(E.shape[0]):
+            _write_rows(fh, np.ascontiguousarray(E[r]), row_fmt)
+
+
+def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
+    """Write the CSV lines of `rows`, formatting each distinct float64 bit
+    pattern once (so -0.0 and +0.0 stay apart).
+
+    Rows whose values are mostly distinct are formatted line by line, as
+    np.savetxt does: deduplicating them would cost more than it saves.
+    The distinct values come from a plain sort, which is an order of
+    magnitude faster here than np.unique."""
+    bits = rows.view(np.uint64)
+    u = np.sort(bits, axis=None)
+    first = np.empty(u.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(u[1:], u[:-1], out=first[1:])
+    uniq = u[first]
+    del u, first
+    if 2 * uniq.size > bits.size:
+        for row in rows:
+            fh.write((row_fmt % tuple(row)).encode())
+        return
+    # One "token," per distinct value; a finite value's token has 24 to
+    # 26 characters. When the widths differ, table rows are NUL-padded at
+    # the front, so every comma sits in the last column and the pads drop
+    # out at the end.
+    values = tuple(uniq.view(np.float64).tolist())
+    flat = np.frombuffer(
+        (((_FMT + ",") * uniq.size) % values).encode(), dtype=np.uint8)
+    del values
+    widths = np.diff(np.flatnonzero(flat == ord(",")), prepend=-1)
+    width = int(widths.max())
+    padded = widths.min() < width
+    if padded:
+        table = np.zeros((uniq.size, width), dtype=np.uint8)
+        table[np.arange(width) >= width - widths[:, None]] = flat
+    else:
+        table = flat.reshape(-1, width)
+    cells = table.view(f"V{width}")[:, 0][np.searchsorted(uniq, bits)]
+    lines = cells.view(np.uint8)
+    lines[:, -1] = ord("\n")
+    if padded:
+        for text in lines:
+            fh.write(text[text != 0])
+    else:
+        fh.write(lines)
 
 
 def load_features_csv(path) -> np.ndarray:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EmptyCluster, NoClusters
-from .matrix import ShiftedMatrix, SimilarityMatrix, SimplexPoint, _validated
+from .errors import NoClusters
+from .matrix import ShiftedMatrix, SimilarityMatrix, _validated
 from .solvers import SolverConfig, StepRecord, StopReason, run
 
 DEFAULT_CUTOFF = 2e-12
@@ -71,14 +71,6 @@ def check_cutoff(cutoff: float) -> None:
     included): no coordinate would pass it, or every one would."""
     if not 0.0 < cutoff < math.inf:
         raise ValueError("cutoff must be positive and finite")
-
-
-def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
-    """Indices with coordinate above the cutoff."""
-    idx = [int(i) for i in np.nonzero(x.coords > cutoff)[0]]
-    if not idx:
-        raise EmptyCluster("no component exceeds the cutoff")
-    return idx
 
 
 def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:

@@ -6,13 +6,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dscfw.matrix import SimilarityMatrix, new_similarity_matrix
+from dscfw.errors import EmptyCluster
+from dscfw.matrix import SimilarityMatrix, SimplexPoint, new_similarity_matrix
 
 
 def rand_sim(n: int, rng) -> SimilarityMatrix:
     """Random symmetric nonnegative zero-diagonal similarity matrix."""
     upper = np.triu(rng.uniform(size=(n, n)), 1)
     return new_similarity_matrix(upper + upper.T)
+
+
+def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
+    """Indices with coordinate above the cutoff, as the reference drivers
+    take a cluster from a solution; EmptyCluster when there are none."""
+    idx = [int(i) for i in np.nonzero(x.coords > cutoff)[0]]
+    if not idx:
+        raise EmptyCluster("no component exceeds the cutoff")
+    return idx
 
 
 def bruteforce_minimax(D):

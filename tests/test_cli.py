@@ -13,8 +13,13 @@ import pytest
 
 import dscfw
 from dscfw.cli import main
-from dscfw.data import block_noise_matrix
-from dscfw.matrix import load_matrix_csv, save_matrix_csv
+from dscfw.data import (
+    block_noise_matrix,
+    max_transform,
+    minimax_distances,
+    pairwise_euclidean,
+)
+from dscfw.matrix import load_features_csv, load_matrix_csv, save_matrix_csv
 from dscfw.peel import PeelConfig, peel, shift_offdiag
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, load_trace_csv
 
@@ -40,6 +45,9 @@ def test_synth_block(tmp_path, capsys):
     assert truth.shape == (30,)
     manifest = json.loads((tmp_path / "synth.manifest.json").read_text())
     assert manifest["subcommand"] == "synth"
+    phases = manifest["wall_clock_s"]
+    assert set(phases) == {"generate", "write"}
+    assert all(t >= 0 for t in phases.values())
 
 
 def test_synth_gauss(tmp_path):
@@ -60,6 +68,25 @@ def test_similarity_pipeline(tmp_path):
                  "--similarity", "cosine", "--shift", "1.0", "--out", out])
     assert code == 0
     assert load_matrix_csv(out).n == 10
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    phases = manifest["wall_clock_s"]
+    assert set(phases) == {"similarity", "write"}
+    assert all(t >= 0 for t in phases.values())
+
+
+def test_similarity_minimax_writes_the_bytes_of_savetxt(tmp_path):
+    # 300 objects span several of the writer's row runs.
+    feats = tmp_path / "f.csv"
+    np.savetxt(feats, np.random.default_rng(3).normal(size=(300, 2)),
+               delimiter=",")
+    out = tmp_path / "sim.csv"
+    code = main(["similarity", "--features", str(feats),
+                 "--similarity", "minimax", "--out", str(out)])
+    assert code == 0
+    F = load_features_csv(feats)
+    A = max_transform(minimax_distances(pairwise_euclidean(F)))
+    np.savetxt(tmp_path / "ref.csv", A.entries, delimiter=",")
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_cluster_and_eval(tmp_path, block_csv, capsys):

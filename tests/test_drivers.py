@@ -27,13 +27,12 @@ from dscfw.peel import (
     ClusteringResult,
     PeelConfig,
     check_cutoff,
-    extract_support,
     peel,
     shift_offdiag,
 )
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
 
-from conftest import rand_sim
+from conftest import extract_support, rand_sim
 
 KINDS = hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW])
 

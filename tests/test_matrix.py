@@ -1,8 +1,12 @@
 """Matrix-core unit tests: validation contracts, dense oracles, CSV I/O."""
 
+import bz2
+import gzip
+import lzma
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dscfw.errors import (
@@ -15,7 +19,9 @@ from dscfw.errors import (
     TooSmall,
 )
 from dscfw.matrix import (
+    SimilarityMatrix,
     _asymmetry,
+    _row_chunks,
     load_features_csv,
     load_matrix_csv,
     matvec,
@@ -202,14 +208,70 @@ class TestOffdiagExtremes:
         assert offdiag_extremes(A) == (off.min(), off.max())
 
 
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.uint64)
+
+
+# Tokens of every width "%.18e" gives a finite float64: 24 characters,
+# 25 for a sign or a three-digit exponent, 26 for both.
+SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 1e300, -1e-300, 0.5, 1.0]
+
+
 class TestCsvIO:
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        A = rand_sim(6, rng)
+        raw = np.array(rand_sim(6, rng).entries)
+        for (i, j), v in zip([(0, 1), (0, 2), (1, 2)], [-0.0, 5e-324, 1e300]):
+            raw[i, j] = raw[j, i] = v
+        A = new_similarity_matrix(raw)
         path = tmp_path / "m.csv"
         save_matrix_csv(path, A)
         B = load_matrix_csv(path)
-        assert np.allclose(A.entries, B.entries, atol=1e-15)
+        assert np.array_equal(_bits(A.entries), _bits(B.entries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 5, 200]),
+           kind=st.sampled_from(["equal", "repeated", "distinct"]),
+           palette=st.lists(st.one_of(st.sampled_from(SPECIAL),
+                                      st.floats(allow_nan=False,
+                                                allow_infinity=False)),
+                            min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=2, kind="repeated", palette=[0.0, -0.0], seed=0)
+    @example(n=200, kind="repeated", palette=SPECIAL, seed=1)
+    @example(n=200, kind="distinct", palette=SPECIAL, seed=2)
+    def test_save_writes_the_bytes_of_savetxt(self, tmp_path_factory, n,
+                                              kind, palette, seed):
+        # Any float64 array, not only a valid similarity matrix: the
+        # writer must match np.savetxt on every bit pattern it is given.
+        # n = 200 spans several row runs of the writer.
+        assert len(_row_chunks(200)) > 1
+        rng = np.random.default_rng(seed)
+        values = np.array(palette)
+        if kind == "equal":
+            E = np.full((n, n), values[0])
+        elif kind == "repeated":
+            E = values[rng.integers(values.size, size=(n, n))]
+        else:
+            E = rng.standard_normal((n, n)) * 10.0 ** rng.integers(
+                -300, 300, size=(n, n))
+            E.flat[: values.size] = values[: E.size]
+        out = tmp_path_factory.mktemp("csv")
+        save_matrix_csv(out / "new.csv", SimilarityMatrix(E))
+        np.savetxt(out / "ref.csv", E, delimiter=",")
+        assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("suffix, opener", [
+        (".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)])
+    def test_save_compresses_like_savetxt(self, tmp_path, suffix, opener):
+        A = rand_sim(5, np.random.default_rng(6))
+        save_matrix_csv(tmp_path / f"new.csv{suffix}", A)
+        np.savetxt(tmp_path / f"ref.csv{suffix}", A.entries, delimiter=",")
+        with opener(tmp_path / f"new.csv{suffix}") as new, \
+                opener(tmp_path / f"ref.csv{suffix}") as ref:
+            assert new.read() == ref.read()
+        B = load_matrix_csv(tmp_path / f"new.csv{suffix}")
+        assert np.array_equal(_bits(A.entries), _bits(B.entries))
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_load_features_rejects_non_finite(self, tmp_path, bad):

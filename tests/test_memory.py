@@ -12,12 +12,17 @@ import pytest
 
 from dscfw.cli import _digest
 from dscfw.data import block_noise_matrix, minimax_distances, pairwise_euclidean
-from dscfw.matrix import _validated, load_matrix_csv, new_similarity_matrix
+from dscfw.matrix import (
+    _validated,
+    load_matrix_csv,
+    new_similarity_matrix,
+    save_matrix_csv,
+)
 from dscfw.multistart import SamplePlan, SamplerKind, multistart_cluster
 from dscfw.peel import PeelConfig, peel
 from dscfw.solvers import InitKind, SolverConfig, SolverKind
 
-from conftest import traced_peak
+from conftest import rand_sim, traced_peak
 
 N = 512
 UNIT = N * N * 8
@@ -63,6 +68,17 @@ def test_load_matrix_csv(tmp_path, block):
     np.savetxt(path, block.entries, delimiter=",")
     peak, _ = traced_peak(load_matrix_csv, path)
     assert peak <= 1.5 * UNIT
+
+
+@pytest.mark.parametrize("kind", ["block", "dense"])
+def test_save_matrix_csv_needs_only_row_runs(tmp_path, block, kind):
+    # The writer holds one run of about 128 x 128 entries: their sorted
+    # bits, gather indices and formatted bytes, well under one n x n
+    # array. The block matrix takes the deduplicating path, the dense
+    # one the line-by-line path.
+    A = block if kind == "block" else rand_sim(N, np.random.default_rng(2))
+    peak, _ = traced_peak(save_matrix_csv, tmp_path / "m.csv", A)
+    assert peak <= 0.5 * UNIT
 
 
 def test_peel_holds_one_round_matrix(block):

@@ -14,12 +14,10 @@ from dscfw.matrix import (
     ShiftedMatrix,
     new_similarity_matrix,
     offdiag_extremes,
-    simplex_point,
 )
 from dscfw.peel import (
     ClusteringResult,
     PeelConfig,
-    extract_support,
     peel,
     post_assign,
     shift_offdiag,
@@ -40,22 +38,7 @@ from dscfw.solvers import (
     select_away,
 )
 
-from conftest import rand_sim
-
-
-class TestExtractSupport:
-    def test_threshold(self):
-        x = simplex_point([0.5, 0.5, 0.0])
-        assert extract_support(x, 2e-12) == [0, 1]
-
-    def test_cutoff_excludes_small_mass(self):
-        x = simplex_point([1.0 - 1e-13, 1e-13, 0.0])
-        assert extract_support(x, 2e-12) == [0]
-
-    def test_empty_cluster(self):
-        x = simplex_point([0.5, 0.5])
-        with pytest.raises(EmptyCluster):
-            extract_support(x, 0.9)
+from conftest import extract_support, rand_sim
 
 
 class TestShiftOffdiag:
