@@ -21,10 +21,11 @@ they serve as oracles against the solvers' O(n) incremental updates.
 delimiter=",") writes, one run of rows (a tile's worth of entries) at a
 time, so its scratch is O(block * n), never n x n. Within a run it
 formats each distinct float64 bit pattern once and gathers the run's
-lines from those tokens; a run whose values are mostly distinct is
-formatted line by line instead. Matrices from the block generator or
-the minimax pipeline repeat few values, so they are written several
-times faster than by np.savetxt.
+lines from those tokens; a run whose values are mostly distinct, or
+whose tokens differ in width, is formatted line by line instead.
+Matrices from the block generator or the minimax pipeline hold few
+distinct values, so they are written several times faster than by
+np.savetxt.
 """
 
 from __future__ import annotations
@@ -315,12 +316,15 @@ def save_matrix_csv(path, A: SimilarityMatrix) -> None:
 
 def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
     """Write the CSV lines of `rows`, formatting each distinct float64 bit
-    pattern once (so -0.0 and +0.0 stay apart).
+    pattern once (so -0.0 and +0.0 stay apart) and gathering the lines
+    from a table of fixed-width tokens.
 
-    Rows whose values are mostly distinct are formatted line by line, as
-    np.savetxt does: deduplicating them would cost more than it saves.
-    The distinct values come from a plain sort, which is an order of
-    magnitude faster here than np.unique."""
+    Rows are formatted line by line, as np.savetxt does, when their values
+    are mostly distinct (deduplicating them would cost more than it saves)
+    or when the tokens differ in width, which only a negative value, -0.0
+    or a three-digit exponent brings about. The distinct values come from
+    a plain sort, which is an order of magnitude faster here than
+    np.unique."""
     bits = rows.view(np.uint64)
     u = np.sort(bits, axis=None)
     first = np.empty(u.size, dtype=bool)
@@ -328,34 +332,24 @@ def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
     np.not_equal(u[1:], u[:-1], out=first[1:])
     uniq = u[first]
     del u, first
-    if 2 * uniq.size > bits.size:
-        for row in rows:
-            fh.write((row_fmt % tuple(row)).encode())
-        return
-    # One "token," per distinct value; a finite value's token has 24 to
-    # 26 characters. When the widths differ, table rows are NUL-padded at
-    # the front, so every comma sits in the last column and the pads drop
-    # out at the end.
-    values = tuple(uniq.view(np.float64).tolist())
-    flat = np.frombuffer(
-        (((_FMT + ",") * uniq.size) % values).encode(), dtype=np.uint8)
-    del values
-    widths = np.diff(np.flatnonzero(flat == ord(",")), prepend=-1)
-    width = int(widths.max())
-    padded = widths.min() < width
-    if padded:
-        table = np.zeros((uniq.size, width), dtype=np.uint8)
-        table[np.arange(width) >= width - widths[:, None]] = flat
-    else:
-        table = flat.reshape(-1, width)
-    cells = table.view(f"V{width}")[:, 0][np.searchsorted(uniq, bits)]
-    lines = cells.view(np.uint8)
-    lines[:, -1] = ord("\n")
-    if padded:
-        for text in lines:
-            fh.write(text[text != 0])
-    else:
-        fh.write(lines)
+    if 2 * uniq.size <= bits.size:
+        # One "token," per distinct value; they share one width when
+        # every width-th byte is a comma.
+        values = tuple(uniq.view(np.float64).tolist())
+        flat = np.frombuffer(
+            (((_FMT + ",") * uniq.size) % values).encode(), dtype=np.uint8)
+        del values
+        width = flat.size // uniq.size
+        if (flat.size == width * uniq.size
+                and (flat[width - 1::width] == ord(",")).all()):
+            table = flat.reshape(-1, width)
+            cells = table.view(f"V{width}")[:, 0][np.searchsorted(uniq, bits)]
+            lines = cells.view(np.uint8)
+            lines[:, -1] = ord("\n")
+            fh.write(lines)
+            return
+    for row in rows:
+        fh.write((row_fmt % tuple(row)).encode())
 
 
 def load_features_csv(path) -> np.ndarray:

@@ -238,6 +238,8 @@ class TestCsvIO:
                             min_size=1, max_size=8),
            seed=st.integers(0, 2**32 - 1))
     @example(n=2, kind="repeated", palette=[0.0, -0.0], seed=0)
+    # Tokens of 24 and 26 characters: a whole mean width, yet not one width.
+    @example(n=2, kind="repeated", palette=[0.0, -1e-300], seed=0)
     @example(n=200, kind="repeated", palette=SPECIAL, seed=1)
     @example(n=200, kind="distinct", palette=SPECIAL, seed=2)
     def test_save_writes_the_bytes_of_savetxt(self, tmp_path_factory, n,
