@@ -28,7 +28,7 @@ from .matrix import (
     save_matrix_csv,
 )
 from .multistart import SamplePlan, SamplerKind, multistart_cluster
-from .peel import DEFAULT_CUTOFF, PeelConfig, peel
+from .peel import DEFAULT_CUTOFF, PeelConfig, peel, post_assign
 from .solvers import (
     DEFAULT_EPSILON,
     InitKind,
@@ -149,10 +149,11 @@ def cmd_cluster(args) -> int:
         solver=_solver_config(args),
         cutoff=args.cutoff,
         shift=args.peel_shift,
-        post_assign=args.post_assign,
     )
     t0 = time.perf_counter()
     result = peel(A, config)
+    if args.post_assign:
+        result = post_assign(result, A)
     t_solve = time.perf_counter() - t0
     _emit_labels(args.out, result)
     if args.trace:

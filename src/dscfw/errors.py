@@ -35,8 +35,9 @@ class NonSquareMatrix(DimensionMismatch, ValueError):
     """A similarity matrix input that is not square."""
 
 
-class TooSmall(DscfwError):
-    pass
+class TooSmall(DscfwError, ValueError):
+    """A matrix input with too few objects: none, or fewer than two where
+    off-diagonal entries are needed."""
 
 
 class EmptySupport(DscfwError):
@@ -60,10 +61,6 @@ class ZeroDenominator(DscfwError):
 class BadInit(DscfwError):
     """Starting point invalid for the chosen solver (e.g. a vertex for
     replicator dynamics, where the denominator x'Ax is zero)."""
-
-
-class EmptyCluster(DscfwError):
-    pass
 
 
 class NoClusters(DscfwError):
@@ -101,6 +98,11 @@ class IdentityViolated(DscfwError):
 
 class EmptyTrace(DscfwError):
     pass
+
+
+class MalformedTrace(DscfwError, ValueError):
+    """A trace CSV whose header is not the trace columns, or with a row
+    that does not have one field per column."""
 
 
 class TooFewPoints(DscfwError):

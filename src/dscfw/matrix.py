@@ -197,6 +197,8 @@ def _validated(arr: np.ndarray) -> SimilarityMatrix:
     tiny diagonal entries to zero and freezes it."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquareMatrix(f"expected a square matrix, got {arr.shape}")
+    if arr.shape[0] == 0:
+        raise TooSmall("a similarity matrix needs at least one object")
     # min and max propagate NaN, so both are finite exactly when every
     # entry is.
     if not (np.isfinite(arr.min(initial=0.0))
@@ -218,7 +220,7 @@ def new_similarity_matrix(raw) -> SimilarityMatrix:
     """Validate a copy of a raw square array as a similarity matrix; the
     caller's array is never frozen or aliased.
 
-    Raises NonSquareMatrix, NonFiniteEntry, AsymmetricMatrix,
+    Raises NonSquareMatrix, TooSmall, NonFiniteEntry, AsymmetricMatrix,
     NegativeEntry or NonzeroDiagonal (all ValueErrors) when the respective
     contract is violated. Diagonal entries within 1e-12 of zero are forced
     to exactly zero.
@@ -353,8 +355,11 @@ def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
 
 
 def load_features_csv(path) -> np.ndarray:
-    """Feature-matrix CSV: one row per object, d columns, all finite."""
+    """Feature-matrix CSV: one row per object (at least one), d columns,
+    all finite."""
     F = np.loadtxt(path, delimiter=",", ndmin=2)
+    if F.shape[0] == 0:
+        raise TooSmall("feature CSV has no rows")
     if not np.isfinite(F).all():
         raise NonFiniteEntry("features must be finite (no NaN or inf)")
     return F

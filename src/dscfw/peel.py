@@ -36,7 +36,6 @@ class ClusteringResult:
     clusters: list[list[int]]
     # The solve's x, full-length and zero off its round's objects.
     characteristic_vectors: list[np.ndarray]
-    assigned_count: int
     traces: list[list[StepRecord]] = field(default_factory=list)
     stop_reasons: list[StopReason] = field(default_factory=list)
     last_gaps: list[float] = field(default_factory=list)
@@ -44,6 +43,10 @@ class ClusteringResult:
     @property
     def n(self) -> int:
         return self.labels.shape[0]
+
+    @property
+    def assigned_count(self) -> int:
+        return int(np.count_nonzero(self.labels))
 
     @property
     def assignment_rate(self) -> float:
@@ -56,7 +59,6 @@ class PeelConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     cutoff: float = DEFAULT_CUTOFF
     shift: float = 0.0
-    post_assign: bool = False
 
     def __post_init__(self) -> None:
         if self.max_clusters < 1:
@@ -144,8 +146,7 @@ def _drive(n: int, max_clusters: int, cutoff: float, overlap: float,
             vectors.append(x)
         if len(clusters) == before:
             break
-    result = ClusteringResult(labels, clusters, vectors,
-                              int(np.count_nonzero(labels)), traces=traces,
+    result = ClusteringResult(labels, clusters, vectors, traces=traces,
                               stop_reasons=reasons, last_gaps=gaps)
     return result, rounds
 
@@ -165,11 +166,8 @@ def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
         x_star, trace, reason = run(round_matrix, config.solver)
         return [(0.0, x_star.coords, trace, reason)]  # one solve: f is moot
 
-    result, _ = _drive(A.n, config.max_clusters, config.cutoff, 0.0,
-                       propose, keep_traces=True)
-    if config.post_assign:
-        result = post_assign(result, A)
-    return result
+    return _drive(A.n, config.max_clusters, config.cutoff, 0.0, propose,
+                  keep_traces=True)[0]
 
 
 def post_assign(result: ClusteringResult, A: SimilarityMatrix) -> ClusteringResult:
@@ -188,9 +186,4 @@ def post_assign(result: ClusteringResult, A: SimilarityMatrix) -> ClusteringResu
     clusters = [list(c) for c in result.clusters]
     for j in unassigned:
         clusters[labels[j] - 1].append(int(j))
-    return replace(
-        result,
-        labels=labels,
-        clusters=clusters,
-        assigned_count=int(np.count_nonzero(labels)),
-    )
+    return replace(result, labels=labels, clusters=clusters)

@@ -45,13 +45,14 @@ S. Coordinates are global throughout; with s = 0 and S = all the
 arithmetic is the unshifted one.
 
 One loop, `run`, drives every solver. Per iteration it evaluates the gap
-and, for PFW/AFW, the away vertex once, and calls the solver's step body
-(`_fw`, `_pfw`, `_afw`, `_rd`), which is only its update rule: the line
-search and the coordinate, mask, penalty and cache updates. What every
-step shares is in `_advance`: fold the scales when due, renormalise, keep
-the support size as a count (+1 when a vertex enters, -1 on a drop) and
-build the StepRecord. The public ``*_step(state, A)`` functions evaluate
-and go through the same `_advance` and bodies.
+(`fw_gap`) and, for PFW/AFW, the away vertex (`select_away`) once, and
+calls the solver's step body (`_fw`, `_pfw`, `_afw`, `_rd`), which is only
+its update rule: the line search and the coordinate, mask, penalty and
+cache updates. What every step shares is in `_advance`: fold the scales
+when due, renormalise, keep the support size as a count (+1 when a vertex
+enters, -1 on a drop) and build the StepRecord. The public
+``step(state, A, kind)`` takes one step of any solver the same way:
+`fw_gap`, `select_away` for PFW/AFW, then `_advance` and the body.
 
 Stop test. `run` stops when ||x+ - x|| <= epsilon for the folded iterates
 x = fl(c_x * xt) and x+ = fl(c_x+ * xt+). The norm is sqrt(d.d) with
@@ -87,6 +88,7 @@ from .errors import (
     BadInit,
     BrokenInvariant,
     EmptySupport,
+    MalformedTrace,
     NotAscent,
     ZeroDenominator,
 )
@@ -127,7 +129,6 @@ class SolverKind(enum.Enum):
 class InitKind(enum.Enum):
     BARYCENTER = "barycenter"
     VERTEX = "vertex"
-    CUSTOM = "custom"
 
 
 class StopReason(enum.Enum):
@@ -161,7 +162,6 @@ class SolverConfig:
     init_kind: InitKind = InitKind.VERTEX
     epsilon: float = DEFAULT_EPSILON
     max_iters: int = 1000
-    init_point: SimplexPoint | None = None  # used when init_kind is CUSTOM
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < math.inf:  # NaN fails too
@@ -265,31 +265,22 @@ def _fold(st: SolverState) -> None:
         st.cr = 1.0
 
 
-def _gap(st: SolverState) -> tuple[float, int]:
-    rt = st.rt
-    scan = rt if st.fw_pen is None else np.add(rt, st.fw_pen, out=st.buf)
-    i = int(scan.argmax())
-    return 2.0 * (st.cr * rt.item(i) + st.s - st.f), i
-
-
-def _away(rt: np.ndarray, pen: np.ndarray, mask: np.ndarray,
-          buf: np.ndarray) -> int:
-    np.add(rt, pen, out=buf)
-    j = int(buf.argmin())
-    if not mask[j]:  # only an empty support leaves the argmin outside it
-        raise EmptySupport("away selection needs a nonempty support")
-    return j
-
-
 def fw_gap(state: SolverState) -> tuple[float, int]:
     """Full Frank-Wolfe gap 2*(max(r) - f) over the active objects and the
     maximizing index."""
-    return _gap(state)
+    rt, pen = state.rt, state.fw_pen
+    scan = rt if pen is None else np.add(rt, pen, out=state.buf)
+    i = int(scan.argmax())
+    return 2.0 * (state.cr * rt.item(i) + state.s - state.f), i
 
 
 def select_away(state: SolverState) -> int:
     """Index in the support minimizing r; lowest index on ties."""
-    return _away(state.rt, state.pen, state.mask, state.buf)
+    buf = np.add(state.rt, state.pen, out=state.buf)
+    j = int(buf.argmin())
+    if not state.mask[j]:  # only an empty support leaves the argmin outside
+        raise EmptySupport("away selection needs a nonempty support")
+    return j
 
 
 # A step body takes the state and the matrix entries E, with the
@@ -395,7 +386,7 @@ def _afw(st, E, gap, i, j):
     r_i = st.cr * st.rt.item(i) + st.s
     r_j = st.cr * st.rt.item(j) + st.s
     if (r_i - f) >= (f - r_j):
-        # FW branch: identical to fw_step. At a vertex f = r_j = 0, so
+        # FW branch: identical to an FW step. At a vertex f = r_j = 0, so
         # this branch is always taken there and the away branch never
         # sees a singleton support.
         return _fw(st, E, gap, i, j)
@@ -472,41 +463,6 @@ def _advance(body, st: SolverState, E: np.ndarray, size: int, gap: float,
     return rec, cx, moved
 
 
-def _step(state: SolverState, A: Operator, body, gap: float, i: int,
-          j: int | None = None) -> tuple[SolverState, StepRecord]:
-    """A public step: `_advance` on the state, which `make_state` built
-    from the same A."""
-    rec, _, _ = _advance(body, state, A.base.entries,
-                         int(np.count_nonzero(state.mask)), gap, i, j)
-    return state, rec
-
-
-def fw_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
-    """One standard Frank-Wolfe step. Always a good step: the optimal
-    gamma is interior by construction."""
-    return _step(state, A, _fw, *fw_gap(state))
-
-
-def pfw_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
-    """One pairwise Frank-Wolfe step: mass moves from the worst support
-    vertex j to the best vertex i."""
-    return _step(state, A, _pfw, *fw_gap(state), select_away(state))
-
-
-def afw_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
-    """One away-steps Frank-Wolfe step: either the standard FW move or a
-    move away from the worst support vertex."""
-    return _step(state, A, _afw, *fw_gap(state), select_away(state))
-
-
-def rd_step(state: SolverState, A: Operator) -> tuple[SolverState, StepRecord]:
-    """One replicator-dynamics step x_i <- x_i r_i / f. Recomputes r and f
-    densely (O(n^2)); zero components stay zero, so the support can only
-    shrink toward machine zeros, never regrow. The mask is re-derived from
-    the coordinates."""
-    return _step(state, A, _rd, *fw_gap(state))
-
-
 _BODY = {
     SolverKind.FW: _fw,
     SolverKind.PFW: _pfw,
@@ -514,17 +470,28 @@ _BODY = {
     SolverKind.RD: _rd,
 }
 
+_AWAY_KINDS = frozenset({SolverKind.PFW, SolverKind.AFW})
+
+
+def step(state: SolverState, A: Operator, kind: SolverKind) -> StepRecord:
+    """One step of the `kind` solver from the state, which `make_state`
+    built from the same A; the state is updated in place. FW always makes
+    a good step; PFW moves mass from the away vertex j to the FW vertex i;
+    AFW makes the FW move or a move away from j; RD is x_i <- x_i r_i / f,
+    recomputing r and f densely (O(n^2)), so the support never regrows."""
+    gap, i = fw_gap(state)
+    j = select_away(state) if kind in _AWAY_KINDS else None
+    rec, _, _ = _advance(_BODY[kind], state, A.base.entries,
+                         int(np.count_nonzero(state.mask)), gap, i, j)
+    return rec
+
 
 def initial_point(A: Operator, config: SolverConfig) -> SimplexPoint:
-    """The configured start. For CUSTOM this is ``config.init_point``
-    itself; `make_state` copies it."""
+    """The configured start: the barycenter of A's active objects, or the
+    vertex `init_vertex` picks."""
     if config.init_kind is InitKind.BARYCENTER:
         return init_barycenter(A.n, A.active)
-    if config.init_kind is InitKind.VERTEX:
-        return init_vertex(A)
-    if config.init_point is None:
-        raise ValueError("custom init requires init_point")
-    return config.init_point
+    return init_vertex(A)
 
 
 def run(
@@ -535,7 +502,8 @@ def run(
     """Iterate the configured solver until the halved gap drops to the
     threshold, consecutive iterates coincide (||x+ - x|| <= epsilon), or
     the budget is spent. Each iteration evaluates the gap, and for PFW/AFW
-    the away vertex, once; x0 (or the configured start) is copied once.
+    the away vertex, once. A caller-chosen start is given as x0, which is
+    copied once; without it the run starts at the configured start.
     On a `ShiftedMatrix` the returned point covers all n objects and is
     zero off the active ones, and trace indices are global."""
     st = make_state(A, x0 if x0 is not None else initial_point(A, config))
@@ -546,21 +514,21 @@ def run(
             "(e.g. any vertex: the update denominator vanishes)"
         )
     body = _BODY[kind]
-    away = kind is SolverKind.PFW or kind is SolverKind.AFW
+    away = kind in _AWAY_KINDS
     pairwise = kind is SolverKind.PFW
     eps = config.epsilon
-    xt, mask, pen, buf, E = st.xt, st.mask, st.pen, st.buf, A.base.entries
+    xt, mask, E = st.xt, st.mask, A.base.entries
     size = int(np.count_nonzero(mask))
     trace: list[StepRecord] = []
     reason = StopReason.MAX_ITERS
     for _ in range(config.max_iters):
-        gap, i = _gap(st)
+        gap, i = fw_gap(st)
         if gap / 2.0 <= eps:
             reason = StopReason.GAP_REACHED
             break
         j = None
         if away:
-            j = _away(st.rt, pen, mask, buf)
+            j = select_away(st)
             if pairwise and j == i:
                 # Zero pairwise direction: stationary for this solver.
                 reason = StopReason.GAP_REACHED
@@ -607,25 +575,26 @@ def save_trace_csv(path, trace: list[StepRecord]) -> None:
 
 
 def load_trace_csv(path) -> list[StepRecord]:
+    """Read a trace CSV written by `save_trace_csv`; MalformedTrace when
+    its header is not TRACE_COLUMNS or a row has another number of
+    fields. f_before of step k is f_after of step k-1; that of the first
+    step, f(x_0), is not in the file and reads NaN."""
     trace: list[StepRecord] = []
+    f_before = math.nan
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            gap = float(row["gap_full"])
-            f_after = float(row["f"])
+        rows = csv.reader(fh)
+        if next(rows, None) != TRACE_COLUMNS:
+            raise MalformedTrace(
+                f"trace CSV header is not {','.join(TRACE_COLUMNS)}")
+        for row in filter(None, rows):  # a blank line is no step
+            if len(row) != len(TRACE_COLUMNS):
+                raise MalformedTrace(
+                    f"trace CSV line {rows.line_num} has {len(row)} fields, "
+                    f"not {len(TRACE_COLUMNS)}")
+            t, kind, gamma, gap, _, f_after, size, s, v = row
             trace.append(StepRecord(
-                t=int(row["t"]),
-                kind=StepKind(row["kind"]),
-                gamma=float(row["gamma"]),
-                gap=gap,
-                f_before=math.nan,
-                f_after=f_after,
-                support_size=int(row["support_size"]),
-                s_index=int(row["s_index"]) if row["s_index"] else None,
-                v_index=int(row["v_index"]) if row["v_index"] else None,
-            ))
-    # f_before of step k equals f_after of step k-1; the first one is
-    # recoverable only for traces written by this package's solvers, where
-    # f_before of the very first record is f(x_0).
-    for prev_rec, rec in zip(trace, trace[1:]):
-        rec.f_before = prev_rec.f_after
+                int(t), StepKind(kind), float(gamma), float(gap), f_before,
+                float(f_after), int(size), int(s) if s else None,
+                int(v) if v else None))
+            f_before = trace[-1].f_after
     return trace

@@ -37,30 +37,25 @@ from dscfw.multistart import (
     make_diagonally_dominant,
     multistart_cluster,
 )
-from dscfw.peel import PeelConfig, peel, shift_offdiag
+from dscfw.peel import PeelConfig, peel, post_assign, shift_offdiag
 from dscfw.solvers import (
     DEFAULT_EPSILON,
     InitKind,
     SolverConfig,
     SolverKind,
     StepKind,
-    afw_step,
     fw_gap,
-    fw_step,
     init_barycenter,
     init_vertex,
     make_state,
-    pfw_step,
-    rd_step,
     run,
     select_away,
+    step,
 )
 
 from conftest import bruteforce_minimax, rand_sim
 
 FW_KINDS = (SolverKind.FW, SolverKind.PFW, SolverKind.AFW)
-STEP_FNS = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
-            SolverKind.AFW: afw_step, SolverKind.RD: rd_step}
 
 
 def report(capsys, k, ok, detail):
@@ -75,7 +70,6 @@ def _checked_run(A, kind, max_iters=1000):
     x0 = init_vertex(A) if kind is SolverKind.FW else init_barycenter(A.n)
     support0 = len(x0.support)
     state = make_state(A, x0)
-    step_fn = STEP_FNS[kind]
     trace = []
     max_r_dev = max_f_dev = 0.0
     for _ in range(max_iters):
@@ -85,8 +79,7 @@ def _checked_run(A, kind, max_iters=1000):
         if kind is SolverKind.PFW and select_away(state) == i:
             break
         prev = state.x.coords.copy()
-        state, rec = step_fn(state, A)
-        trace.append(rec)
+        trace.append(step(state, A, kind))
         consistency = check_state(state, A)
         max_r_dev = max(max_r_dev, consistency.max_r_deviation)
         max_f_dev = max(max_f_dev, consistency.max_f_deviation)
@@ -268,7 +261,7 @@ def _median_step_time(A, kind, n_steps=50):
     while len(times) < n_steps:
         t0 = time.perf_counter()
         try:
-            state, _ = STEP_FNS[kind](state, A)
+            step(state, A, kind)
         except DscfwError:
             state = fresh()
             continue
@@ -370,8 +363,7 @@ def test_criterion_8_metric_oracles(capsys):
     v_ok = v_worst <= 1e-12
 
     A, _ = block_noise_matrix(60, 3, 0.2, seed=0)
-    result = peel(A, PeelConfig(max_clusters=2, shift=4.0,
-                                post_assign=True))
+    result = post_assign(peel(A, PeelConfig(max_clusters=2, shift=4.0)), A)
     ar = assignment_rate(result.labels)
     ar_ok = ar == 1.0
 

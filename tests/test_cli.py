@@ -20,7 +20,7 @@ from dscfw.data import (
     pairwise_euclidean,
 )
 from dscfw.matrix import load_features_csv, load_matrix_csv, save_matrix_csv
-from dscfw.peel import PeelConfig, peel, shift_offdiag
+from dscfw.peel import PeelConfig, peel, post_assign, shift_offdiag
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, load_trace_csv
 
 
@@ -143,6 +143,47 @@ def test_trace_check(tmp_path, block_csv, capsys):
     assert report["t"] >= 1
 
 
+@pytest.mark.parametrize("edit", [
+    lambda lines: [",".join(lines[0].split(",")[:-1])]
+    + [",".join(line.split(",")[:-1]) for line in lines[1:]],  # no v_index
+    lambda lines: lines[:2] + [lines[2].rsplit(",", 3)[0]] + lines[3:],
+], ids=["missing-column", "short-row"])
+def test_malformed_trace_returns_2(tmp_path, block_csv, capsys, edit):
+    # A trace that lacks a column, or has a short row, is a data error.
+    matrix_csv, _ = block_csv
+    trace = tmp_path / "trace.csv"
+    assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
+                 "--max-clusters", "1", "--trace", str(trace),
+                 "--out", str(tmp_path / "run")]) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) > 3
+    trace.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    code = main(["trace-check", "--trace", str(trace), "--matrix",
+                 matrix_csv, "--solver-kind", "pfw", "--support0", "40"])
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_cluster_post_assign_labels_every_object(tmp_path, block_csv,
+                                                 capsys):
+    # A 1000-step pfw-b solve of shift 0 leaves objects unassigned, and
+    # --post-assign labels them as post_assign does through the API.
+    matrix_csv, _ = block_csv
+    out = tmp_path / "run"
+    assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
+                 "--max-clusters", "1", "--post-assign",
+                 "--out", str(out)]) == 0
+    labels = np.loadtxt(f"{out}.labels.csv", delimiter=",", skiprows=1,
+                        dtype=int)[:, 1]
+    A = load_matrix_csv(matrix_csv)
+    solver = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER)
+    plain = peel(A, PeelConfig(max_clusters=1, solver=solver))
+    assert plain.assignment_rate < 1.0
+    assert np.array_equal(labels, post_assign(plain, A).labels)
+    assert labels.min() == 1
+
+
 def test_usage_error_returns_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["cluster"]) == 1  # missing required --max-clusters
@@ -168,6 +209,19 @@ def test_non_finite_feature_returns_2(tmp_path, capsys):
                      "--similarity", method, "--out", str(out)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # input contained no data
+def test_empty_features_return_2(tmp_path, capsys):
+    feats = tmp_path / "empty.csv"
+    feats.write_text("")
+    for method in ("minimax", "euclidean-max", "cosine"):
+        out = tmp_path / f"{method}.csv"
+        code = main(["similarity", "--features", str(feats),
+                     "--similarity", method, "--out", str(out)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
         assert not out.exists()
 
 

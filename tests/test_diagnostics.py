@@ -65,10 +65,8 @@ class TestCheckProgress:
         assert check_progress(trace, A) == []
 
     def test_tampered_trace_raises(self, A3):
-        cfg = SolverConfig(SolverKind.FW, InitKind.CUSTOM,
-                           init_point=simplex_point([0.2, 0.3, 0.5]),
-                           max_iters=5)
-        _, trace, _ = run(A3, cfg)
+        cfg = SolverConfig(SolverKind.FW, max_iters=5)
+        _, trace, _ = run(A3, cfg, x0=simplex_point([0.2, 0.3, 0.5]))
         trace[0].f_after += 0.01
         with pytest.raises(IdentityViolated):
             check_progress(trace, A3)

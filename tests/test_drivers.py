@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from dscfw.errors import DscfwError, EmptyCluster, PoolTooSmall
+from dscfw.errors import DscfwError, PoolTooSmall
 from dscfw.matrix import SimilarityMatrix, new_similarity_matrix
 from dscfw.multistart import (
     SamplePlan,
@@ -192,9 +192,8 @@ def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
         for _, x_star in scored:
             if len(clusters) + len(new_clusters) >= max_clusters:
                 break
-            try:
-                local = extract_support(x_star, cutoff)
-            except EmptyCluster:
+            local = extract_support(x_star, cutoff)
+            if not local:
                 continue
             support = set(local)
             # Share of this support already taken by an accepted cluster.
@@ -233,7 +232,6 @@ def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
         labels=labels,
         clusters=clusters,
         characteristic_vectors=vectors,
-        assigned_count=int(np.count_nonzero(labels)),
         stop_reasons=reasons,
         last_gaps=gaps,
     )

@@ -45,6 +45,11 @@ class TestNewSimilarityMatrix:
         with pytest.raises(DimensionMismatch):
             new_similarity_matrix([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
+    def test_rejects_empty(self):
+        # n = 0 would leave peel's assignment rate 0/0.
+        with pytest.raises(TooSmall):
+            new_similarity_matrix(np.zeros((0, 0)))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(AsymmetricMatrix):
             new_similarity_matrix([[0.0, 1.0], [2.0, 0.0]])
@@ -100,7 +105,10 @@ class TestTiledAsymmetry:
     def test_equals_whole_array_max(self, n):
         rng = np.random.default_rng(n)
         a = rng.normal(size=(n, n))
-        near = rand_sim(n, rng).entries + 1e-10 * rng.normal(size=(n, n))
+        # rand_sim's entries, built unvalidated: n = 0 is no similarity
+        # matrix, but _asymmetry takes any square array.
+        upper = np.triu(rng.uniform(size=(n, n)), 1)
+        near = upper + upper.T + 1e-10 * rng.normal(size=(n, n))
         for arr in (a, near):
             assert _asymmetry(arr) == np.max(np.abs(arr - arr.T), initial=0.0)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from dscfw.diagnostics import check_progress, check_state
-from dscfw.errors import EmptyCluster, NoClusters
+from dscfw.errors import NoClusters
 from dscfw.matrix import (
     ShiftedMatrix,
     new_similarity_matrix,
@@ -27,15 +27,12 @@ from dscfw.solvers import (
     SolverConfig,
     SolverKind,
     StopReason,
-    afw_step,
     fw_gap,
-    fw_step,
     initial_point,
     make_state,
-    pfw_step,
-    rd_step,
     run,
     select_away,
+    step,
 )
 
 from conftest import extract_support, rand_sim
@@ -142,7 +139,7 @@ class TestPeel:
 class TestPostAssign:
     def test_requires_clusters(self, A3):
         empty = ClusteringResult(labels=np.zeros(3, dtype=int), clusters=[],
-                                 characteristic_vectors=[], assigned_count=0)
+                                 characteristic_vectors=[])
         with pytest.raises(NoClusters):
             post_assign(empty, A3)
 
@@ -153,7 +150,7 @@ class TestPostAssign:
                                    [0.2, 0.2, 0.9, 0.0]])
         partial = ClusteringResult(
             labels=np.array([1, 1, 2, 0]), clusters=[[0, 1], [2]],
-            characteristic_vectors=[], assigned_count=3)
+            characteristic_vectors=[])
         result = post_assign(partial, A)
         # Object 3: mean similarity 0.2 to cluster 1, 0.9 to cluster 2.
         assert result.labels[3] == 2
@@ -167,18 +164,13 @@ class TestPostAssign:
                                    [0.5, 0.5, 0.5, 0.0]])
         partial = ClusteringResult(
             labels=np.array([1, 1, 2, 0]), clusters=[[0, 1], [2]],
-            characteristic_vectors=[], assigned_count=3)
+            characteristic_vectors=[])
         result = post_assign(partial, A)
         assert result.labels[3] == 1
 
     def test_noop_when_all_assigned(self, two_blocks):
         result = peel(two_blocks, PeelConfig(max_clusters=2))
         assert post_assign(result, two_blocks) is result
-
-    def test_via_peel_config(self, two_blocks):
-        cfg = PeelConfig(max_clusters=1, post_assign=True)
-        result = peel(two_blocks, cfg)
-        assert result.assignment_rate == 1.0
 
 
 def _compacted(A, active, shift):
@@ -202,22 +194,17 @@ def _dense_peel(A, config):
         _, B = _compacted(A, np.isin(np.arange(A.n), left), config.shift)
         x, _, reason = run(B, config.solver)
         reasons.append(reason)
-        try:
-            local = extract_support(x, config.cutoff)
-        except EmptyCluster:
+        local = extract_support(x, config.cutoff)
+        if not local:
             break
         labels[left[local]] = label
         left = np.delete(left, local)
     return labels, reasons
 
 
-STEPS = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
-         SolverKind.AFW: afw_step, SolverKind.RD: rd_step}
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=hst.integers(3, 14), seed=hst.integers(0, 2**32 - 1),
-       kind=hst.sampled_from(list(STEPS)),
+       kind=hst.sampled_from(list(SolverKind)),
        init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]),
        shift=hst.sampled_from([0.0, 0.5, 4.0]),
        removed=hst.sampled_from([0.0, 0.3, 0.6]))
@@ -248,7 +235,6 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
     dense = make_state(B, initial_point(B, cfg))
     assert np.array_equal(state.x.coords[idx], dense.x.coords)
     assert offdiag_extremes(op) == offdiag_extremes(B)
-    step = STEPS[kind]
     trace = []
     for _ in range(60):
         gap, i = fw_gap(dense)
@@ -257,8 +243,8 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
             break
         if kind is SolverKind.PFW and select_away(dense) == i:
             break
-        state, rec = step(state, op)
-        dense, want = step(dense, B)
+        rec = step(state, op, kind)
+        want = step(dense, B, kind)
         v = None if want.v_index is None else idx[want.v_index]
         if (rec.kind, rec.s_index, rec.v_index) != (want.kind,
                                                     idx[want.s_index], v):

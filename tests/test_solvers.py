@@ -34,19 +34,16 @@ from dscfw.solvers import (
     SolverState,
     StepKind,
     StopReason,
-    afw_step,
     fw_gap,
-    fw_step,
     init_barycenter,
     init_vertex,
     initial_point,
     load_trace_csv,
     make_state,
-    pfw_step,
-    rd_step,
     run,
     save_trace_csv,
     select_away,
+    step,
 )
 
 from conftest import rand_sim
@@ -117,7 +114,7 @@ class TestFwStep:
     def test_frozen_example(self, A3, state3):
         # gamma = (r_s - f)/(2 r_s - f) = 0.56/2.46;
         # f_after = f + (r_s - f)^2/(2 r_s - f).
-        st, rec = fw_step(state3, A3)
+        rec = step(state3, A3, SolverKind.FW)
         assert rec.kind is StepKind.FW_GOOD
         assert rec.gamma == pytest.approx(0.56 / 2.46, rel=1e-12)
         assert rec.gap == pytest.approx(1.12, rel=1e-12)
@@ -127,13 +124,14 @@ class TestFwStep:
         assert rec.r_s == pytest.approx(1.9, rel=1e-12)
         assert rec.support_size == 3
         # Cached f matches the dense oracle after the update.
-        assert st.f == pytest.approx(quadratic_form(A3, st.x), rel=1e-12)
+        assert state3.f == pytest.approx(quadratic_form(A3, state3.x),
+                                         rel=1e-12)
 
     def test_not_ascent_at_stationary_point(self):
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
         st = make_state(A, simplex_point([0.5, 0.5]))
         with pytest.raises(NotAscent):
-            fw_step(st, A)
+            step(st, A, SolverKind.FW)
 
     def test_convex_line_search_is_a_typed_error(self):
         # A cache inconsistent with any nonnegative matrix: r_i > f but
@@ -142,7 +140,7 @@ class TestFwStep:
         st = SolverState(simplex_point([0.5, 0.5]),
                          np.array([-1.0, -2.0]), -1.5)
         with pytest.raises(BrokenInvariant):
-            fw_step(st, A)
+            step(st, A, SolverKind.FW)
 
 
 class TestPfwStep:
@@ -153,7 +151,7 @@ class TestPfwStep:
                                    [5.0, 0.0, 0.5],
                                    [1.0, 0.5, 0.0]])
         st = make_state(A, simplex_point([0.2, 0.4, 0.4]))
-        st, rec = pfw_step(st, A)
+        rec = step(st, A, SolverKind.PFW)
         assert rec.kind is StepKind.DROP
         assert rec.gamma == pytest.approx(0.4, rel=1e-12)
         assert (rec.s_index, rec.v_index) == (0, 2)
@@ -168,7 +166,7 @@ class TestPfwStep:
                                    [1.0, 0.0, 2.0],
                                    [0.0, 2.0, 0.0]])
         st = make_state(A, simplex_point([0.5, 0.5, 0.0]))
-        st, rec = pfw_step(st, A)
+        rec = step(st, A, SolverKind.PFW)
         assert rec.kind is StepKind.SWAP
         assert rec.gamma == pytest.approx(0.5, rel=1e-12)
         assert np.allclose(st.x.coords, [0.0, 0.5, 0.5], atol=1e-15)
@@ -179,7 +177,7 @@ class TestPfwStep:
         # r = (0.7, 1.9, 1.1), f = 1.06: i=1, j=0, a_ij=2, and the optimal
         # gamma (1.9-0.7)/4 = 0.3 sits below the cap x_0 = 0.5.
         st = make_state(A3, simplex_point([0.5, 0.2, 0.3]))
-        st, rec = pfw_step(st, A3)
+        rec = step(st, A3, SolverKind.PFW)
         assert rec.kind is StepKind.PAIRWISE_GOOD
         assert rec.gamma == pytest.approx(0.3, rel=1e-12)
         assert np.allclose(st.x.coords, [0.2, 0.5, 0.3], atol=1e-15)
@@ -192,13 +190,13 @@ class TestPfwStep:
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
         st = make_state(A, simplex_point([0.5, 0.5]))
         with pytest.raises(NotAscent):
-            pfw_step(st, A)
+            step(st, A, SolverKind.PFW)
 
 
 class TestAfwStep:
     def test_fw_branch_matches_fw_step(self, A3, state3):
         # r_i - f = 0.56 >= f - r_j = 0.24 -> standard FW move.
-        st, rec = afw_step(state3, A3)
+        rec = step(state3, A3, SolverKind.AFW)
         assert rec.kind is StepKind.FW_GOOD
         assert rec.gamma == pytest.approx(0.56 / 2.46, rel=1e-12)
 
@@ -209,7 +207,7 @@ class TestAfwStep:
                                    [1.0, 0.0, 0.0],
                                    [0.0, 0.0, 0.0]])
         st = make_state(A, simplex_point([0.45, 0.45, 0.1]))
-        st, rec = afw_step(st, A)
+        rec = step(st, A, SolverKind.AFW)
         assert rec.kind is StepKind.DROP
         assert rec.gamma == pytest.approx(1.0 / 9.0, rel=1e-12)
         assert rec.v_index == 2
@@ -231,7 +229,7 @@ class TestAfwStep:
         j = int(np.argmin(r))  # index 2, also the worst support vertex
         expected_gamma = (f - r[j]) / (2.0 * r[j] - f)
         st = make_state(A, simplex_point(x))
-        st, rec = afw_step(st, A)
+        rec = step(st, A, SolverKind.AFW)
         assert rec.kind is StepKind.AWAY_GOOD
         assert rec.v_index == j
         assert rec.gamma == pytest.approx(expected_gamma, rel=1e-12)
@@ -247,14 +245,14 @@ class TestAfwStep:
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
         st = SolverState(simplex_point([1.0, 0.0]), np.array([0.0, 1.0]), 0.8)
         with pytest.raises(BrokenInvariant):
-            afw_step(st, A)
+            step(st, A, SolverKind.AFW)
 
 
 class TestRdStep:
     def test_frozen_update(self):
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
         st = make_state(A, simplex_point([0.25, 0.75]))
-        st, rec = rd_step(st, A)
+        rec = step(st, A, SolverKind.RD)
         assert rec.kind is StepKind.RD_STEP
         assert math.isnan(rec.gamma)
         assert np.allclose(st.x.coords, [0.5, 0.5], atol=1e-15)
@@ -265,11 +263,11 @@ class TestRdStep:
     def test_zero_denominator_at_vertex(self, A3):
         st = make_state(A3, simplex_point([1.0, 0.0, 0.0]))
         with pytest.raises(ZeroDenominator):
-            rd_step(st, A3)
+            step(st, A3, SolverKind.RD)
 
     def test_support_never_grows(self, A3):
         st = make_state(A3, simplex_point([0.5, 0.5, 0.0]))
-        st, _ = rd_step(st, A3)
+        step(st, A3, SolverKind.RD)
         assert 2 not in st.x.support
 
 
@@ -282,11 +280,6 @@ class TestConfig:
     def test_rejects_negative_max_iters(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=-1)
-
-    def test_custom_init_requires_point(self, A3):
-        cfg = SolverConfig(init_kind=InitKind.CUSTOM)
-        with pytest.raises(ValueError):
-            run(A3, cfg)
 
 
 class TestRun:
@@ -316,9 +309,8 @@ class TestRun:
         A = new_similarity_matrix([[0.0, 1.0, 2.0],
                                    [1.0, 0.0, 2.0],
                                    [2.0, 2.0, 0.0]])
-        cfg = SolverConfig(SolverKind.RD, InitKind.CUSTOM,
-                           init_point=simplex_point([0.5, 0.5, 0.0]))
-        x, trace, reason = run(A, cfg)
+        x, trace, reason = run(A, SolverConfig(SolverKind.RD),
+                               x0=simplex_point([0.5, 0.5, 0.0]))
         assert reason is StopReason.ITERATE_CONVERGED
         assert len(trace) == 1
         assert np.allclose(x.coords, [0.5, 0.5, 0.0], atol=1e-15)
@@ -333,9 +325,8 @@ class TestRun:
         A = new_similarity_matrix([[0.0, 2.0, 0.0],
                                    [2.0, 0.0, 0.0],
                                    [0.0, 0.0, 0.0]])
-        cfg = SolverConfig(kind, InitKind.CUSTOM,
-                           init_point=simplex_point([0.3, 0.7, 1e-300]))
-        x, trace, reason = run(A, cfg)
+        x, trace, reason = run(A, SolverConfig(kind),
+                               x0=simplex_point([0.3, 0.7, 1e-300]))
         assert reason is StopReason.ITERATE_CONVERGED
         assert [rec.kind for rec in trace] == [StepKind.DROP]
         assert trace[0].v_index == 2
@@ -347,9 +338,8 @@ class TestRun:
         # by +0.3 and x_0 by -0.3: |d_1| = 0.3 <= epsilon = 0.35 < ||d|| =
         # 0.42, so only the full norm shows that the iterate moved. The
         # run goes on and stops on the gap (halved gap 0.28).
-        cfg = SolverConfig(SolverKind.PFW, InitKind.CUSTOM, epsilon=0.35,
-                           init_point=simplex_point([0.5, 0.2, 0.3]))
-        x, trace, reason = run(A3, cfg)
+        cfg = SolverConfig(SolverKind.PFW, epsilon=0.35)
+        x, trace, reason = run(A3, cfg, x0=simplex_point([0.5, 0.2, 0.3]))
         assert reason is StopReason.GAP_REACHED
         assert [rec.kind for rec in trace] == [StepKind.PAIRWISE_GOOD]
         assert np.allclose(x.coords, [0.2, 0.5, 0.3], atol=1e-15)
@@ -357,9 +347,8 @@ class TestRun:
     def test_pfw_stationary_when_best_equals_away(self):
         # Zero pairwise direction stops the run without a step.
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
-        cfg = SolverConfig(SolverKind.PFW, InitKind.CUSTOM,
-                           init_point=simplex_point([0.5, 0.5]))
-        _, trace, reason = run(A, cfg)
+        _, trace, reason = run(A, SolverConfig(SolverKind.PFW),
+                               x0=simplex_point([0.5, 0.5]))
         assert reason is StopReason.GAP_REACHED
         assert trace == []
 
@@ -372,13 +361,11 @@ class TestRun:
         rng = np.random.default_rng(21)
         A = rand_sim(12, rng)
         B = new_similarity_matrix(4.0 * A.entries)
-        step_fn = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
-                   SolverKind.AFW: afw_step}[kind]
         sa = make_state(A, init_barycenter(12))
         sb = make_state(B, init_barycenter(12))
         for _ in range(30):
-            sa, ra = step_fn(sa, A)
-            sb, rb = step_fn(sb, B)
+            ra = step(sa, A, kind)
+            rb = step(sb, B, kind)
             assert ra.kind is rb.kind
             assert np.allclose(sa.x.coords, sb.x.coords, atol=1e-12)
 
@@ -421,8 +408,8 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
                                       epsilon):
     # run evaluates each iterate once, keeps the support size as a count
     # and tests convergence on one coordinate before the full norm; a loop
-    # over the public two-argument steps, each evaluating for itself, with
-    # the full norm every step, must give the same trace, iterate and stop
+    # over the public `step`, which evaluates for itself, with the full
+    # norm every step, must give the same trace, iterate and stop
     # reason. Integer weights make ties, zero edges, drops and swaps
     # common; the seed starts are multistart's, the shift is peel's, and a
     # loose epsilon makes the iterate-converged stop common.
@@ -433,20 +420,18 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
     else:
         A = rand_sim(n, rng)
     A = shift_offdiag(A, shift)
+    x0 = None
     if start.startswith("seed-"):
         vertex, biased = seed_starting_points(int(rng.integers(n)), n)
-        point = biased if start == "seed-biased" else vertex
-        start_coords = point.coords.copy()
-        cfg = SolverConfig(kind, InitKind.CUSTOM, epsilon=epsilon,
-                           max_iters=200, init_point=point)
+        x0 = biased if start == "seed-biased" else vertex
+        start_coords = x0.coords.copy()
+        cfg = SolverConfig(kind, epsilon=epsilon, max_iters=200)
     else:
         cfg = SolverConfig(kind, InitKind(start), epsilon=epsilon,
                            max_iters=200)
-    step_fn = {SolverKind.FW: fw_step, SolverKind.PFW: pfw_step,
-               SolverKind.AFW: afw_step}[kind]
-    x, trace, reason = run(A, cfg)
+    x, trace, reason = run(A, cfg, x0=x0)
 
-    state = make_state(A, initial_point(A, cfg))
+    state = make_state(A, initial_point(A, cfg) if x0 is None else x0)
     expected, expected_reason = [], StopReason.MAX_ITERS
     for _ in range(cfg.max_iters):
         gap, i = fw_gap(state)
@@ -457,8 +442,7 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
             expected_reason = StopReason.GAP_REACHED
             break
         prev = state.x.coords.copy()
-        state, rec = step_fn(state, A)
-        expected.append(rec)
+        expected.append(step(state, A, kind))
         if float(np.linalg.norm(state.x.coords - prev)) <= cfg.epsilon:
             expected_reason = StopReason.ITERATE_CONVERGED
             break
@@ -467,8 +451,8 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
         _record_fields(r) for r in expected]
     assert np.array_equal(x.coords, state.x.coords)
     assert np.array_equal(x.mask, state.x.mask)
-    if cfg.init_point is not None:  # run copies the start it is given
-        assert np.array_equal(cfg.init_point.coords, start_coords)
+    if x0 is not None:  # run copies the start it is given
+        assert np.array_equal(x0.coords, start_coords)
 
 
 def test_run_matches_public_step_loop_with_frequent_folds(monkeypatch):
@@ -508,7 +492,7 @@ def test_folds_keep_the_cache_exact(monkeypatch):
         gap, _ = fw_gap(state)
         if gap / 2.0 <= DEFAULT_EPSILON:
             break
-        state, rec = afw_step(state, A)
+        rec = step(state, A, SolverKind.AFW)
         kinds.append(rec.kind)
         worst = max(worst, check_state(state, A).max_r_deviation)
     away = sum(k is not StepKind.FW_GOOD for k in kinds)
@@ -544,5 +528,5 @@ class TestTraceCsv:
         assert math.isnan(loaded[0].f_before)
 
     def test_gap_half_property(self, state3, A3):
-        _, rec = fw_step(state3, A3)
+        rec = step(state3, A3, SolverKind.FW)
         assert rec.gap_half == pytest.approx(rec.gap / 2.0)
