@@ -21,6 +21,7 @@ import numpy as np
 from . import data, diagnostics, metrics
 from .errors import DscfwError
 from .matrix import (
+    ShiftedMatrix,
     load_features_csv,
     load_matrix_csv,
     new_similarity_matrix,
@@ -144,14 +145,9 @@ def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     A, inputs = _load_similarity(args)
     t_load = time.perf_counter() - t0
-    config = PeelConfig(
-        max_clusters=args.max_clusters,
-        solver=_solver_config(args),
-        cutoff=args.cutoff,
-        shift=args.peel_shift,
-    )
+    config = PeelConfig(args.max_clusters, _solver_config(args), args.cutoff)
     t0 = time.perf_counter()
-    result = peel(A, config)
+    result = peel(ShiftedMatrix(A, args.peel_shift), config)
     if args.post_assign:
         result = post_assign(result, A)
     t_solve = time.perf_counter() - t0

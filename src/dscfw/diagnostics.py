@@ -23,6 +23,7 @@ from .matrix import Operator, matvec, offdiag_extremes
 from .solvers import GOOD_KINDS, SolverKind, SolverState, StepKind, StepRecord
 
 IDENTITY_RTOL = 1e-9
+GAIN_ROUNDOFF = 4 * 2.0**-53  # units of roundoff of f in a recorded gain
 
 
 @dataclass
@@ -99,12 +100,14 @@ def check_progress(
             violations.append(
                 ProgressViolation(rec.t, rec.kind, expected, gain))
             continue
-        # Gap-vs-progress inequalities (small slack for rounding).
+        # Gap-vs-progress inequalities (small slack for rounding; FW's holds
+        # with equality, so its gain's rounding error, ~ulp(f), counts too).
         slack = 1.0 + 1e-9
+        gain_err = GAIN_ROUNDOFF * (abs(rec.f_before) + abs(rec.f_after))
         if rec.kind is StepKind.FW_GOOD:
-            bound = 4.0 * (2.0 * rec.r_s - rec.f_before) * gain
+            bound = 4.0 * (2.0 * rec.r_s - rec.f_before) * (gain + gain_err)
         elif rec.kind is StepKind.PAIRWISE_GOOD:
-            bound = 8.0 * max_off * gain
+            bound = 8.0 * max_off * (gain + gain_err)
         else:  # AWAY_GOOD: the away branch implies gap/2 < f - r_v
             away_gap = rec.f_before - rec.r_v
             bound = 4.0 * away_gap * away_gap

@@ -7,12 +7,12 @@ so constructors that build their own array hand it over without a copy;
 (symmetry, off-diagonal extremes) walk square tiles of _TILE x _TILE, so
 their scratch is one tile, not an n x n temporary.
 
-A peel round solves B = A_SS + s(11' - I) over the objects S it has not
-clustered yet. `ShiftedMatrix` stands for B without building it: the
-solvers read rows of the one immutable A, add the scalar shift s and keep
-their Frank-Wolfe vertex inside S. A `SimilarityMatrix` is the same
-operator with s = 0 and S = all, so both expose `base`, `shift` and
-`active`.
+`ShiftedMatrix(A, s, S)` stands for B = A_SS + s(11' - I), the matrix a
+clustering round solves over the objects S it has not clustered yet, without
+building it: the solvers read rows of the one immutable A, add the scalar
+shift s and keep their Frank-Wolfe vertex inside S. A `SimilarityMatrix`
+is the same operator with s = 0 and S = all, so both expose `base`,
+`shift` and `active`.
 
 The dense primitives here (matvec, quadratic_form) are deliberately O(n^2):
 they serve as oracles against the solvers' O(n) incremental updates.
@@ -90,12 +90,19 @@ class ShiftedMatrix:
     A_SS + shift * (11' - I). For x supported in S, Bx = Ax + shift * (1 - x)
     on every coordinate, so the solvers read rows of A and add the scalar
     shift; only the Frank-Wolfe vertex is restricted to S. Coordinates stay
-    global: a solve returns x over all n objects, zero off S.
+    global: a solve returns x over all n objects, zero off S. The shift,
+    finite and nonnegative, is stated here and nowhere else.
     """
 
     base: SimilarityMatrix
     shift: float = 0.0
     active: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.base, SimilarityMatrix):
+            raise TypeError("a ShiftedMatrix shifts a SimilarityMatrix")
+        if not 0.0 <= self.shift < np.inf:  # NaN fails too
+            raise ValueError("shift must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -281,6 +288,18 @@ def offdiag_extremes(A: Operator) -> tuple[float, float]:
     return float(lo) + A.shift, float(hi) + A.shift
 
 
+# The suffixes that np.savetxt compresses and np.loadtxt decompresses.
+_COMPRESSED = {".gz": gzip.open, ".bz2": bz2.open,
+               ".xz": lzma.open, ".lzma": lzma.open}
+
+
+def _require_rows(path, what: str) -> None:
+    """Raise TooSmall where np.loadtxt would find no rows and warn."""
+    with _COMPRESSED.get(Path(path).suffix, open)(path, "rb") as fh:
+        if not any(line.split(b"#", 1)[0].strip() for line in fh):
+            raise TooSmall(f"{what} has no rows")
+
+
 def load_matrix_csv(path) -> SimilarityMatrix:
     """Read a header-free CSV of n rows of n comma-separated values.
 
@@ -288,6 +307,7 @@ def load_matrix_csv(path) -> SimilarityMatrix:
     n + 1: numpy then allocates its output once instead of growing it, so
     the load holds one n x n array, not the pieces of a growing one. An
     (n + 1)-th row means the matrix is not square."""
+    _require_rows(path, "matrix CSV")
     n = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=1).shape[1]
     arr = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=n + 1)
     if arr.shape[0] > n:
@@ -296,9 +316,6 @@ def load_matrix_csv(path) -> SimilarityMatrix:
     return _validated(arr)
 
 
-# The suffixes that np.savetxt compresses and np.loadtxt decompresses.
-_COMPRESSED = {".gz": gzip.open, ".bz2": bz2.open,
-               ".xz": lzma.open, ".lzma": lzma.open}
 _FMT = "%.18e"
 
 
@@ -357,9 +374,8 @@ def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
 def load_features_csv(path) -> np.ndarray:
     """Feature-matrix CSV: one row per object (at least one), d columns,
     all finite."""
+    _require_rows(path, "feature CSV")
     F = np.loadtxt(path, delimiter=",", ndmin=2)
-    if F.shape[0] == 0:
-        raise TooSmall("feature CSV has no rows")
     if not np.isfinite(F).all():
         raise NonFiniteEntry("features must be finite (no NaN or inf)")
     return F

@@ -2,7 +2,7 @@
 a determinantal point process), solve from each per-seed starting point
 in turn, and hand the solutions to the peel driver, which accepts them in
 decreasing objective unless their supports overlap. A pass is one peel
-round with several starts."""
+round with several starts, on the operator given, shifted or not."""
 
 from __future__ import annotations
 
@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricMatrix, PoolTooSmall, TooManySeeds
-from .matrix import SimilarityMatrix, SimplexPoint, _asymmetry
-from .peel import Candidate, ClusteringResult, _drive
+from .matrix import (Operator, ShiftedMatrix, SimilarityMatrix, SimplexPoint,
+                     _asymmetry, quadratic_form)
+from .peel import Candidate, ClusteringResult, PeelConfig, _drive
 from .solvers import SolverConfig, SolverKind, run
 
 
@@ -54,14 +55,15 @@ def _blocks(order: np.ndarray, block_size: int) -> list[np.ndarray]:
     return [order[i : i + block_size] for i in range(0, order.size, block_size)]
 
 
-def uniform_block_sample(A: SimilarityMatrix, ell: int, rng) -> list[int]:
+def uniform_block_sample(A: Operator, ell: int, rng) -> list[int]:
     """Sort objects by row sum (descending), split into exactly ell
     contiguous blocks whose sizes differ by at most one, draw one object
-    uniformly from each."""
+    uniformly from each. The row sums are those of A.base: a shift adds
+    the same constant to every one, so the order is the same."""
     n = A.n
     if ell > n:
         raise TooManySeeds(f"ell={ell} exceeds n={n}")
-    order = np.argsort(-A.row_sums(), kind="stable")
+    order = np.argsort(-A.base.row_sums(), kind="stable")
     return [int(rng.choice(block)) for block in np.array_split(order, ell)]
 
 
@@ -130,14 +132,13 @@ def dpp_sample(ensemble: DppEnsemble, rng) -> list[int]:
     return sorted(chosen)
 
 
-def two_step_dpp_sample(
-    A: SimilarityMatrix, ell: int, rng
-) -> list[int]:
-    """Stage 1: uniform block subsample of roughly n^(2/3) objects; stage
-    2: DPP over the induced (diagonally dominated) submatrix, reduced or
+def two_step_dpp_sample(A: Operator, ell: int, rng) -> list[int]:
+    """Stage 1: uniform block subsample of roughly n^(2/3) objects, in the
+    row-sum order of `uniform_block_sample`; stage 2: DPP over the induced
+    (diagonally dominated) submatrix of the shifted entries, reduced or
     padded to exactly ell indices."""
     n = A.n
-    order = np.argsort(-A.row_sums(), kind="stable")
+    order = np.argsort(-A.base.row_sums(), kind="stable")
     block_size = math.ceil(n / 10)
     per_block = math.ceil(n ** (2.0 / 3.0) / 10.0)
     pool: list[int] = []
@@ -147,7 +148,7 @@ def two_step_dpp_sample(
     if len(pool) < ell:
         raise PoolTooSmall(f"stage-1 pool {len(pool)} < ell={ell}")
     pool = sorted(pool)
-    sub = A.entries[np.ix_(pool, pool)]
+    sub = A.base.entries[np.ix_(pool, pool)] + A.shift  # diagonal unused
     ensemble = rescale_expected_size(make_diagonally_dominant(sub), float(ell))
     local = dpp_sample(ensemble, rng)
     picked = [pool[i] for i in local]
@@ -199,28 +200,29 @@ def _starting_points(kind: SolverKind, seed_idx: int, n: int) -> list[SimplexPoi
 
 
 def multistart_cluster(
-    A: SimilarityMatrix,
+    A: Operator,
     plan: SamplePlan,
     solver: SolverConfig,
     max_clusters: int,
     cutoff: float = 2e-12,
 ) -> tuple[ClusteringResult, int]:
-    """Run the peel driver with several sampled starts per pass; returns
-    the clustering and the number of passes over the data. The result
-    keeps every solve's stop reason and last gap, in solve order, but no
-    traces."""
+    """Run the peel driver with several sampled starts per pass on A, as
+    `peel` does; returns the clustering and the number of passes over the
+    data. The result keeps every solve's stop reason and last gap, in
+    solve order, but no traces."""
+    config = PeelConfig(max_clusters, solver, cutoff)  # raises on bad values
     rng = np.random.default_rng(plan.seed)
 
-    def propose(active: np.ndarray) -> list[Candidate]:
-        surviving = np.flatnonzero(active)
-        if surviving.size == A.n:
-            sub = A  # nothing removed yet: A is immutable and validated
+    def propose(B: Operator) -> list[Candidate]:
+        if B.active is None:
+            sub = B  # pass 1 solves the operator as given
         else:
             # A step's row reads scale with the objects it steps over, so
             # later passes solve a compacted copy, not an active mask.
-            sub_entries = A.entries[np.ix_(surviving, surviving)]  # copies
+            surviving = np.flatnonzero(B.active)
+            sub_entries = B.base.entries[np.ix_(surviving, surviving)]
             sub_entries.setflags(write=False)
-            sub = SimilarityMatrix(sub_entries)
+            sub = ShiftedMatrix(SimilarityMatrix(sub_entries), B.shift)
         ell = min(plan.ell, sub.n)
         if plan.sampler is SamplerKind.DPP:
             try:
@@ -234,13 +236,12 @@ def multistart_cluster(
             for x0 in _starting_points(solver.solver_kind, s, sub.n):
                 x_star, trace, reason = run(sub, solver, x0=x0)
                 x = x_star.coords
-                f = (trace[-1].f_after if trace
-                     else float(x @ (sub.entries @ x)))
-                if sub is not A:  # back to global indices
-                    x = np.zeros(A.n)
+                f = trace[-1].f_after if trace else quadratic_form(sub, x)
+                if sub is not B:  # back to global indices
+                    x = np.zeros(B.n)
                     x[surviving] = x_star.coords
                 candidates.append((f, x, trace, reason))
         return candidates
 
-    return _drive(A.n, max_clusters, cutoff, plan.overlap_threshold, propose,
+    return _drive(A, config, plan.overlap_threshold, propose,
                   keep_traces=False)

@@ -1,11 +1,11 @@
 """Dominant set clustering driver: solve, cut the support into a cluster,
 peel the clustered objects off the matrix, repeat (Pavan & Pelillo, TPAMI
 2007). `peel` and `multistart.multistart_cluster` share the one round
-loop, `_drive`, and only propose each round's solves. A peel round solves
-once over the one immutable input matrix: round k is the StQP of
-A_SS + s(11' - I) over the objects S not yet clustered, which the solvers
-read as a `ShiftedMatrix` (rows of A, a scalar shift and an active mask),
-so no round builds a matrix of its own."""
+loop, `_drive`, and only propose each round's solves. Both cluster the
+operator they are given, A or `ShiftedMatrix(A, s)`: round k is the StQP
+of A_SS + s(11' - I) over the objects S not yet clustered, which the
+solvers read as `ShiftedMatrix(A, s, S)` (rows of A, a scalar shift and
+an active mask), so no peel round builds a matrix of its own."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NoClusters
-from .matrix import ShiftedMatrix, SimilarityMatrix, _validated
+from .matrix import Operator, ShiftedMatrix, SimilarityMatrix, _validated
 from .solvers import SolverConfig, StepRecord, StopReason, run
 
 DEFAULT_CUTOFF = 2e-12
@@ -58,21 +58,13 @@ class PeelConfig:
     max_clusters: int
     solver: SolverConfig = field(default_factory=SolverConfig)
     cutoff: float = DEFAULT_CUTOFF
-    shift: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_clusters < 1:
             raise ValueError("max_clusters must be >= 1")
-        check_cutoff(self.cutoff)
-        if not 0.0 <= self.shift < math.inf:
-            raise ValueError("shift must be finite and nonnegative")
-
-
-def check_cutoff(cutoff: float) -> None:
-    """Reject a support cutoff that is not positive and finite (NaN
-    included): no coordinate would pass it, or every one would."""
-    if not 0.0 < cutoff < math.inf:
-        raise ValueError("cutoff must be positive and finite")
+        # NaN fails too: no coordinate would pass it, or every one would.
+        if not 0.0 < self.cutoff < math.inf:
+            raise ValueError("cutoff must be positive and finite")
 
 
 def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
@@ -86,22 +78,21 @@ def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
 Candidate = tuple[float, np.ndarray, list[StepRecord], StopReason]
 
 
-def _drive(n: int, max_clusters: int, cutoff: float, overlap: float,
-           propose: Callable[[np.ndarray], list[Candidate]],
+def _drive(A: Operator, config: PeelConfig, overlap: float,
+           propose: Callable[[Operator], list[Candidate]],
            keep_traces: bool) -> tuple[ClusteringResult, int]:
-    """The one clustering loop, shared by `peel` and multistart. Each
-    round, `propose(active)` solves over the objects not yet clustered and
-    returns its solves in solve order as (f, x over all n objects and zero
-    off the active ones, trace, stop reason). The candidates are taken in
-    decreasing f; one is skipped when its support is empty or more than
-    `overlap` of it was taken this round, and accepting stops at
-    max_clusters. An accepted candidate becomes a cluster of its members
-    not yet taken; as overlap < 1, it has at least one. A 1-object
-    remainder is labelled without a solve. Returns the result and the
-    number of rounds."""
-    if max_clusters < 1:
-        raise ValueError("max_clusters must be >= 1")
-    check_cutoff(cutoff)
+    """The one clustering loop, shared by `peel` and multistart. Each round,
+    `propose(B)` solves B, which is A over the objects not yet clustered (A
+    itself in round 1), and returns its solves in solve order as (f, x over all
+    n objects and zero off the active ones, trace, stop reason). The candidates
+    are taken in decreasing f; one is skipped when its support is empty or more
+    than `overlap` of it was taken this round, and accepting stops at
+    max_clusters. An accepted candidate becomes a cluster of its members not
+    yet taken; as overlap < 1, it has at least one. A 1-object remainder is
+    labelled without a solve. Returns the result and the number of rounds."""
+    if A.active is not None:
+        raise ValueError("a driver sets the active mask; A must have none")
+    n, max_clusters = A.n, config.max_clusters
     labels = np.zeros(n, dtype=int)
     clusters: list[list[int]] = []
     vectors: list[np.ndarray] = []
@@ -120,7 +111,8 @@ def _drive(n: int, max_clusters: int, cutoff: float, overlap: float,
                 clusters.append(left.tolist())
                 vectors.append(active.astype(float))
             break
-        candidates = propose(active)
+        candidates = propose(A if left.size == n
+                             else ShiftedMatrix(A.base, A.shift, active))
         rounds += 1
         for _, _, trace, reason in candidates:
             if keep_traces:
@@ -132,7 +124,7 @@ def _drive(n: int, max_clusters: int, cutoff: float, overlap: float,
         for _, x, _, _ in sorted(candidates, key=lambda c: -c[0]):
             if len(clusters) == max_clusters:
                 break
-            support = x > cutoff
+            support = x > config.cutoff
             size = int(np.count_nonzero(support))
             # Supports lie in the round's active set, so the part that is
             # no longer active was taken by this round's earlier clusters.
@@ -151,23 +143,15 @@ def _drive(n: int, max_clusters: int, cutoff: float, overlap: float,
     return result, rounds
 
 
-def peel(A: SimilarityMatrix, config: PeelConfig) -> ClusteringResult:
-    """Run up to max_clusters rounds of solve / extract / remove. Round 1
-    solves A itself when the shift is 0; every other round solves a
-    `ShiftedMatrix` over A and the objects not yet clustered."""
+def peel(A: Operator, config: PeelConfig) -> ClusteringResult:
+    """Run up to max_clusters rounds of solve / extract / remove on A, a
+    `SimilarityMatrix` or `ShiftedMatrix(A, s)` without an active mask."""
 
-    def propose(active: np.ndarray) -> list[Candidate]:
-        whole = bool(active.all())
-        if whole and config.shift == 0.0:
-            round_matrix = A
-        else:
-            round_matrix = ShiftedMatrix(A, config.shift,
-                                         None if whole else active)
-        x_star, trace, reason = run(round_matrix, config.solver)
+    def propose(B: Operator) -> list[Candidate]:
+        x_star, trace, reason = run(B, config.solver)
         return [(0.0, x_star.coords, trace, reason)]  # one solve: f is moot
 
-    return _drive(A.n, config.max_clusters, config.cutoff, 0.0, propose,
-                  keep_traces=True)[0]
+    return _drive(A, config, 0.0, propose, keep_traces=True)[0]
 
 
 def post_assign(result: ClusteringResult, A: SimilarityMatrix) -> ClusteringResult:

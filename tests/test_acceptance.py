@@ -28,7 +28,7 @@ from dscfw.diagnostics import (
     theorem_bound,
 )
 from dscfw.errors import DscfwError
-from dscfw.matrix import SimplexPoint, offdiag_extremes
+from dscfw.matrix import ShiftedMatrix, SimplexPoint, offdiag_extremes
 from dscfw.metrics import ari, assignment_rate, v_measure
 from dscfw.multistart import (
     SamplePlan,
@@ -130,8 +130,8 @@ def block_aris():
             vals = []
             for A, truth in instances:
                 config = PeelConfig(max_clusters=5, solver=cfg,
-                                    cutoff=2e-12, shift=4.0)
-                result = peel(A, config)
+                                    cutoff=2e-12)
+                result = peel(ShiftedMatrix(A, 4.0), config)
                 vals.append(ari(result.labels, truth))
             scores[name][p] = float(np.mean(vals))
     return scores
@@ -363,7 +363,8 @@ def test_criterion_8_metric_oracles(capsys):
     v_ok = v_worst <= 1e-12
 
     A, _ = block_noise_matrix(60, 3, 0.2, seed=0)
-    result = post_assign(peel(A, PeelConfig(max_clusters=2, shift=4.0)), A)
+    result = post_assign(
+        peel(ShiftedMatrix(A, 4.0), PeelConfig(max_clusters=2)), A)
     ar = assignment_rate(result.labels)
     ar_ok = ar == 1.0
 

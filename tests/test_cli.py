@@ -19,7 +19,12 @@ from dscfw.data import (
     minimax_distances,
     pairwise_euclidean,
 )
-from dscfw.matrix import load_features_csv, load_matrix_csv, save_matrix_csv
+from dscfw.matrix import (
+    ShiftedMatrix,
+    load_features_csv,
+    load_matrix_csv,
+    save_matrix_csv,
+)
 from dscfw.peel import PeelConfig, peel, post_assign, shift_offdiag
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, load_trace_csv
 
@@ -212,7 +217,6 @@ def test_non_finite_feature_returns_2(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # input contained no data
 def test_empty_features_return_2(tmp_path, capsys):
     feats = tmp_path / "empty.csv"
     feats.write_text("")
@@ -221,8 +225,32 @@ def test_empty_features_return_2(tmp_path, capsys):
         code = main(["similarity", "--features", str(feats),
                      "--similarity", method, "--out", str(out)])
         assert code == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error: feature CSV has no rows" in err
+        assert "Warning" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command,what", [
+    (["cluster", "--max-clusters", "1", "--input"], "matrix"),
+    (["similarity", "--out", "sim.csv", "--features"], "feature"),
+])
+@pytest.mark.parametrize("content", ["", "\n  \n# a comment\n"],
+                         ids=["empty", "blank-and-comment"])
+def test_empty_csv_returns_2_without_a_warning(tmp_path, command, what,
+                                               content):
+    # An input with no rows is reported as such before numpy reads it: the
+    # process prints one data-error line and no numpy warning.
+    empty = tmp_path / "empty.csv"
+    empty.write_text(content)
+    src = Path(dscfw.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "dscfw.cli", *command, str(empty)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"data error: {what} CSV has no rows"]
 
 
 def test_zero_norm_feature_row_returns_2(tmp_path, capsys):
@@ -272,13 +300,16 @@ def test_non_finite_matrix_returns_2(tmp_path, capsys):
     ["cluster", "--epsilon", "inf"],
     ["cluster", "--epsilon", "nan"],
     ["cluster", "--cutoff", "nan"],
+    ["cluster", "--peel-shift", "nan"],
+    ["cluster", "--peel-shift", "-1"],
     ["multistart", "--cutoff", "nan"],
     ["multistart", "--epsilon", "inf"],
 ])
 def test_non_finite_threshold_returns_2(tmp_path, block_csv, capsys, flags):
     # An infinite epsilon would stop every solve before its first step, a
-    # NaN one would make every step fail as NotAscent, and a NaN cutoff
-    # would keep no object: all are data errors, caught before solving.
+    # NaN one would make every step fail as NotAscent, a NaN cutoff would
+    # keep no object, and ShiftedMatrix rejects a NaN or negative shift:
+    # all are data errors, caught before solving.
     matrix_csv, _ = block_csv
     code = main([*flags, "--input", matrix_csv, "--max-clusters", "2",
                  "--out", str(tmp_path / "run")])
@@ -345,7 +376,8 @@ def test_trace_is_the_first_shifted_round(tmp_path, block_csv, capsys):
                  "--trace", trace, "--out", str(tmp_path / "run")]) == 0
     A = load_matrix_csv(matrix_csv)
     solver = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER)
-    result = peel(A, PeelConfig(max_clusters=2, solver=solver, shift=4.0))
+    result = peel(ShiftedMatrix(A, 4.0),
+                  PeelConfig(max_clusters=2, solver=solver))
     x = result.characteristic_vectors[0]  # round 1 solves all of A
     f_shifted = float(x @ shift_offdiag(A, 4.0).entries @ x)
     written = load_trace_csv(trace)

@@ -4,7 +4,9 @@ objects, clusters are the labels' level sets, every characteristic vector
 lies on the simplex and is zero outside the objects its round solved over,
 and a seed fixes the output. `multistart_cluster` also matches, bit for
 bit, a reference copy of the multistart loop as it stood before it ran on
-the peel driver."""
+the peel driver. On a `ShiftedMatrix`, multistart labels the objects as on
+the dense shifted matrix, and every peel round passes the progress
+checks against the operator it solved."""
 
 import math
 
@@ -13,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from dscfw.data import block_noise_matrix
+from dscfw.diagnostics import check_progress
 from dscfw.errors import DscfwError, PoolTooSmall
-from dscfw.matrix import SimilarityMatrix, new_similarity_matrix
+from dscfw.matrix import ShiftedMatrix, SimilarityMatrix, new_similarity_matrix
 from dscfw.multistart import (
     SamplePlan,
     SamplerKind,
@@ -26,29 +30,33 @@ from dscfw.multistart import (
 from dscfw.peel import (
     ClusteringResult,
     PeelConfig,
-    check_cutoff,
     peel,
     shift_offdiag,
 )
-from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
+from dscfw.solvers import InitKind, SolverConfig, SolverKind, StopReason, run
 
 from conftest import extract_support, rand_sim
 
 KINDS = hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW])
+SHIFTS = hst.sampled_from([0.0, 0.5, 4.0])
 
 
 @hst.composite
-def matrices(draw):
+def bases(draw):
     """A random similarity matrix, n 2-12, float or integer weights (ties,
-    zero edges), with an off-diagonal shift of 0 or more."""
+    zero edges)."""
     n = draw(hst.integers(2, 12))
     rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
     if draw(hst.booleans()):
         upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
-        A = new_similarity_matrix(upper + upper.T)
-    else:
-        A = rand_sim(n, rng)
-    return shift_offdiag(A, draw(hst.sampled_from([0.0, 0.5, 4.0])))
+        return new_similarity_matrix(upper + upper.T)
+    return rand_sim(n, rng)
+
+
+@hst.composite
+def matrices(draw):
+    """A `bases` matrix with an off-diagonal shift of 0 or more, dense."""
+    return shift_offdiag(draw(bases()), draw(SHIFTS))
 
 
 def _check_result(result, n, active_sets):
@@ -146,8 +154,9 @@ def last_gap(trace):
 
 def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
     """The multistart loop with its own round bookkeeping, kept verbatim
-    from before it ran on the peel driver: an exact oracle."""
-    check_cutoff(cutoff)
+    from before it ran on the peel driver (but for its argument check):
+    an exact oracle."""
+    PeelConfig(max_clusters, solver, cutoff)  # rejects a bad cutoff
     n = A.n
     rng = np.random.default_rng(plan.seed)
     labels = np.zeros(n, dtype=int)
@@ -266,3 +275,68 @@ def test_multistart_matches_the_reference(A, kind, sampler, ell, seed,
     _same(result, expected)
     assert passes == expected_passes
     assert result.traces == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(2, 14), seed=hst.integers(0, 2**32 - 1),
+       kind=hst.sampled_from([SolverKind.PFW, SolverKind.AFW]),
+       sampler=hst.sampled_from([SamplerKind.UNI, SamplerKind.DPP]),
+       ell=hst.integers(1, 4), shift=SHIFTS,
+       max_clusters=hst.integers(1, 5))
+def test_operator_multistart_labels_match_the_dense_matrix(
+        n, seed, kind, sampler, ell, shift, max_clusters):
+    # Where every solve converges on both paths, multistart on the shifted
+    # operator labels the objects as it does on the dense shifted matrix:
+    # the samplers draw the same seeds, and the solves from each seed's
+    # starts find the same supports.
+    A = rand_sim(n, np.random.default_rng(seed))
+    plan = SamplePlan(ell=ell, sampler=sampler, seed=seed)
+    solver = SolverConfig(kind, InitKind.VERTEX, max_iters=5000)
+    result, _ = multistart_cluster(ShiftedMatrix(A, shift), plan, solver,
+                                   max_clusters)
+    dense, _ = multistart_cluster(shift_offdiag(A, shift), plan, solver,
+                                  max_clusters)
+    if StopReason.MAX_ITERS in result.stop_reasons + dense.stop_reasons:
+        return
+    assert np.array_equal(result.labels, dense.labels)
+
+
+def _round_operators(A, shift, result):
+    """The operator each traced peel round solved: the shifted A over the
+    objects that no earlier round clustered."""
+    active = np.ones(A.n, dtype=bool)
+    for k in range(len(result.traces)):
+        yield ShiftedMatrix(A, shift, None if active.all() else active.copy())
+        if k < len(result.clusters):
+            active[result.clusters[k]] = False
+
+
+def _check_every_round(A, shift, config):
+    result = peel(ShiftedMatrix(A, shift), config)
+    assert result.traces
+    for trace, op in zip(result.traces, _round_operators(A, shift, result)):
+        assert check_progress(trace, op) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=bases(), shift=SHIFTS, kind=KINDS,
+       init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]),
+       max_clusters=hst.integers(1, 5))
+def test_progress_identities_hold_on_every_shifted_round(A, shift, kind, init,
+                                                         max_clusters):
+    _check_every_round(A, shift, PeelConfig(
+        max_clusters=max_clusters, solver=SolverConfig(kind, init,
+                                                       max_iters=200)))
+
+
+@pytest.mark.parametrize("kind,init", [
+    (SolverKind.FW, InitKind.VERTEX),
+    (SolverKind.PFW, InitKind.BARYCENTER),
+    (SolverKind.AFW, InitKind.BARYCENTER),
+], ids=["fw", "pfw-b", "afw-b"])
+def test_progress_identities_hold_on_the_readme_rounds(kind, init):
+    # The README quick start's five rounds at shift 4, where f is about 4
+    # and a step's gain carries the rounding error of f.
+    A, _ = block_noise_matrix(n=200, k=5, noise=0.3, seed=0)
+    _check_every_round(A, 4.0, PeelConfig(
+        max_clusters=5, solver=SolverConfig(kind, init, max_iters=400)))

@@ -19,6 +19,7 @@ from dscfw.errors import (
     TooSmall,
 )
 from dscfw.matrix import (
+    ShiftedMatrix,
     SimilarityMatrix,
     _asymmetry,
     _row_chunks,
@@ -97,6 +98,17 @@ class TestNewSimilarityMatrix:
         A = new_similarity_matrix(raw)
         assert raw.flags.writeable
         assert not np.shares_memory(raw, A.entries)
+
+
+class TestShiftedMatrix:
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_shift(self, A3, bad):
+        with pytest.raises(ValueError, match="shift"):
+            ShiftedMatrix(A3, bad)
+
+    def test_rejects_a_shifted_base(self, A3):
+        with pytest.raises(TypeError):
+            ShiftedMatrix(ShiftedMatrix(A3, 1.0), 1.0)
 
 
 class TestTiledAsymmetry:

@@ -13,6 +13,7 @@ import pytest
 from dscfw.cli import _digest
 from dscfw.data import block_noise_matrix, minimax_distances, pairwise_euclidean
 from dscfw.matrix import (
+    ShiftedMatrix,
     _validated,
     load_matrix_csv,
     new_similarity_matrix,
@@ -85,9 +86,9 @@ def test_peel_holds_one_round_matrix(block):
     # FW from a vertex keeps round 1's cluster under 40 objects, so round
     # 2's matrix is more than 0.8 of a unit: two round matrices alive at
     # once would exceed the bound.
-    config = PeelConfig(max_clusters=3, shift=4.0, solver=SolverConfig(
+    config = PeelConfig(max_clusters=3, solver=SolverConfig(
         SolverKind.FW, InitKind.VERTEX, max_iters=40))
-    peak, result = traced_peak(peel, block, config)
+    peak, result = traced_peak(peel, ShiftedMatrix(block, 4.0), config)
     assert len(result.clusters) == 3
     assert len(result.clusters[0]) < 40
     assert peak <= 1.3 * UNIT
@@ -96,9 +97,11 @@ def test_peel_holds_one_round_matrix(block):
 def test_shifted_peel_holds_no_round_matrix(block):
     # Every round, the first shifted one too, solves over A itself through
     # an implicit shift and an active mask: what a round holds is O(n).
-    config = PeelConfig(max_clusters=3, shift=4.0, solver=SolverConfig(
+    # Later rounds mask the given operator's base, never the operator, so
+    # no solve reads the dense entries of a ShiftedMatrix.
+    config = PeelConfig(max_clusters=3, solver=SolverConfig(
         SolverKind.FW, InitKind.VERTEX, max_iters=40))
-    peak, result = traced_peak(peel, block, config)
+    peak, result = traced_peak(peel, ShiftedMatrix(block, 4.0), config)
     assert len(result.clusters) == 3
     assert peak <= 0.3 * UNIT
 
@@ -107,6 +110,18 @@ def test_one_multistart_pass_copies_nothing(block):
     plan = SamplePlan(ell=2, sampler=SamplerKind.DPP, seed=0)
     solver = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=40)
     peak, (_, passes) = traced_peak(multistart_cluster, block, plan, solver,
+                                    max_clusters=1)
+    assert passes == 1
+    assert peak <= 0.3 * UNIT
+
+
+def test_one_shifted_multistart_pass_copies_nothing(block):
+    # Pass 1 solves the shifted operator as given, and the samplers read
+    # its base and shift: no dense shifted copy.
+    plan = SamplePlan(ell=2, sampler=SamplerKind.DPP, seed=0)
+    solver = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=40)
+    peak, (_, passes) = traced_peak(multistart_cluster,
+                                    ShiftedMatrix(block, 4.0), plan, solver,
                                     max_clusters=1)
     assert passes == 1
     assert peak <= 0.3 * UNIT

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dscfw.errors import AsymmetricMatrix, PoolTooSmall, TooManySeeds
-from dscfw.matrix import new_similarity_matrix
+from dscfw.matrix import ShiftedMatrix, new_similarity_matrix
 from dscfw.metrics import ari
 from dscfw.multistart import (
     SamplePlan,
@@ -21,6 +21,7 @@ from dscfw.multistart import (
     two_step_dpp_sample,
     uniform_block_sample,
 )
+from dscfw.peel import shift_offdiag
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
 
 from conftest import rand_sim
@@ -130,6 +131,19 @@ class TestTwoStepDppSample:
         assert len(picks) == 4
         assert picks == sorted(set(picks))
 
+    def test_a_shifted_operator_samples_as_its_dense_matrix(self):
+        # The pool's entries are those of the dense shifted matrix, bit for
+        # bit, and integer weights keep its row sums in the same order.
+        upper = np.triu(np.random.default_rng(16).integers(
+            0, 4, size=(60, 60)).astype(float), 1)
+        A = new_similarity_matrix(upper + upper.T)
+        for seed in range(5):
+            picks = [sample(B, 4, np.random.default_rng(seed))
+                     for sample in (two_step_dpp_sample,
+                                    uniform_block_sample)
+                     for B in (ShiftedMatrix(A, 4.0), shift_offdiag(A, 4.0))]
+            assert picks[0] == picks[1] and picks[2] == picks[3]
+
     def test_pool_too_small(self):
         rng = np.random.default_rng(10)
         # n=30 gives a stage-1 pool of 10 candidates; asking for 11 fails.
@@ -202,6 +216,33 @@ class TestMultistartCluster:
         first = [B for B in solved if B.n == A.n]
         assert len(first) == 2 and all(B is A for B in first)
         assert all(B.n < A.n for B in solved[2:])
+
+    def test_later_passes_keep_the_shift(self, monkeypatch):
+        solved = []
+
+        def recording_run(A, config, x0=None):
+            solved.append(A)
+            return run(A, config, x0=x0)
+
+        module = importlib.import_module("dscfw.multistart")
+        monkeypatch.setattr(module, "run", recording_run)
+        A = rand_sim(30, np.random.default_rng(15))
+        op = ShiftedMatrix(A, 0.5)
+        plan = SamplePlan(ell=2, seed=3)
+        cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX, max_iters=500)
+        _, passes = multistart_cluster(op, plan, cfg, max_clusters=3)
+        assert passes >= 2
+        assert solved[0] is op and solved[1] is op
+        later = solved[2:]
+        assert later and all(B.n < A.n for B in later)
+        assert all(B.shift == 0.5 and B.active is None for B in later)
+
+    def test_rejects_an_operator_with_an_active_mask(self, A3):
+        cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX)
+        masked = ShiftedMatrix(A3, 0.0, np.array([True, True, False]))
+        with pytest.raises(ValueError, match="active mask"):
+            multistart_cluster(masked, SamplePlan(ell=2, seed=0), cfg,
+                               max_clusters=1)
 
     def test_rejects_bad_cutoff(self, A3):
         cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX)

@@ -58,10 +58,6 @@ class TestPeelConfig:
             with pytest.raises(ValueError):
                 PeelConfig(max_clusters=1, cutoff=bad)
 
-    def test_rejects_negative_shift(self):
-        with pytest.raises(ValueError):
-            PeelConfig(max_clusters=1, shift=-1.0)
-
 
 class TestPeel:
     def test_two_blocks(self, two_blocks):
@@ -85,9 +81,11 @@ class TestPeel:
         assert np.array_equal(result.labels, [1, 1, 2])
         assert result.clusters == [[0, 1], [2]]
 
-    @pytest.mark.parametrize("shift", [0.0, 2.0])
-    def test_round_one_solves_a_itself_without_a_shift(self, monkeypatch,
-                                                       two_blocks, shift):
+    @pytest.mark.parametrize("shift", [0.0, 0.5])
+    def test_round_one_solves_the_operator_itself(self, monkeypatch,
+                                                  two_blocks, shift):
+        # Round 1 solves the operator as given; round 2 the same base and
+        # shift over the objects left, with no operator nested in another.
         solved = []
 
         def recording_run(A, config, x0=None):
@@ -96,10 +94,19 @@ class TestPeel:
 
         module = importlib.import_module("dscfw.peel")
         monkeypatch.setattr(module, "run", recording_run)
-        peel(two_blocks, PeelConfig(max_clusters=2, shift=shift))
-        assert (solved[0] is two_blocks) == (shift == 0.0)
+        op = two_blocks if shift == 0.0 else ShiftedMatrix(two_blocks, shift)
+        result = peel(op, PeelConfig(max_clusters=2))
+        assert solved[0] is op
         assert np.array_equal(solved[0].entries,
                               shift_offdiag(two_blocks, shift).entries)
+        assert solved[1].base is two_blocks and solved[1].shift == shift
+        assert np.array_equal(solved[1].active, result.labels != 1)
+
+    def test_rejects_an_operator_with_an_active_mask(self, two_blocks):
+        masked = ShiftedMatrix(two_blocks, 1.0,
+                               np.array([True, True, True, False]))
+        with pytest.raises(ValueError, match="active mask"):
+            peel(masked, PeelConfig(max_clusters=1))
 
     def test_characteristic_vectors_full_length(self, two_blocks):
         result = peel(two_blocks, PeelConfig(max_clusters=2))
@@ -115,8 +122,8 @@ class TestPeel:
         rng = np.random.default_rng(0)
         upper = np.triu(rng.uniform(size=(16, 16)), 1)
         A = new_similarity_matrix(upper + upper.T)
-        narrow = peel(A, PeelConfig(max_clusters=1, shift=0.0))
-        wide = peel(A, PeelConfig(max_clusters=1, shift=4.0))
+        narrow = peel(A, PeelConfig(max_clusters=1))
+        wide = peel(ShiftedMatrix(A, 4.0), PeelConfig(max_clusters=1))
         assert len(narrow.clusters[0]) < 16
         assert len(wide.clusters[0]) == 16
 
@@ -181,9 +188,9 @@ def _compacted(A, active, shift):
     return idx, shift_offdiag(sub, shift)
 
 
-def _dense_peel(A, config):
-    """Peel with every round on its compacted dense matrix: labels and
-    stop reasons."""
+def _dense_peel(A, shift, config):
+    """Peel with every round on its compacted dense matrix, shifted by
+    `shift`: labels and stop reasons."""
     labels = np.zeros(A.n, dtype=int)
     left = np.arange(A.n)
     reasons = []
@@ -191,7 +198,7 @@ def _dense_peel(A, config):
         if left.size <= 1:
             labels[left] = label
             break
-        _, B = _compacted(A, np.isin(np.arange(A.n), left), config.shift)
+        _, B = _compacted(A, np.isin(np.arange(A.n), left), shift)
         x, _, reason = run(B, config.solver)
         reasons.append(reason)
         local = extract_support(x, config.cutoff)
@@ -219,9 +226,8 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
     # and rounding may break one either way: the paths may part there, at
     # vertices whose r agree, and the comparison ends. The diagnostics
     # check the operator as the matrix it stands for: its off-diagonal
-    # extremes over the active objects, and the pairwise identities, which
-    # read b_ij. (An FW step's gap inequality holds with equality, and at
-    # f near the shift rounding breaks it on the dense matrix as well.)
+    # extremes over the active objects, and the progress identities, of
+    # which the pairwise ones read b_ij.
     rng = np.random.default_rng(seed)
     A = rand_sim(n, rng)
     active = rng.uniform(size=n) >= removed
@@ -257,7 +263,7 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
         assert check_state(state, op).ok()
         assert not state.x.coords[~active].any()
         trace.append(rec)
-    if kind is SolverKind.PFW:
+    if kind is not SolverKind.RD:
         assert check_progress(trace, op) == []
 
 
@@ -272,10 +278,10 @@ def test_operator_peel_labels_match_the_dense_oracle(n, seed, kind, init,
     # Where every solve converges on both paths, peel over one matrix
     # labels the objects exactly as rounds on compacted copies do.
     A = rand_sim(n, np.random.default_rng(seed))
-    config = PeelConfig(max_clusters=max_clusters, shift=shift,
+    config = PeelConfig(max_clusters=max_clusters,
                         solver=SolverConfig(kind, init, max_iters=5000))
-    result = peel(A, config)
-    labels, reasons = _dense_peel(A, config)
+    result = peel(ShiftedMatrix(A, shift), config)
+    labels, reasons = _dense_peel(A, shift, config)
     if StopReason.MAX_ITERS in result.stop_reasons + reasons:
         return
     assert np.array_equal(result.labels, labels)

@@ -40,4 +40,4 @@ def test_multistart_example_prints_its_figures():
         exec(compile(_snippet("## Quick start"), str(README), "exec"),
              namespace)
     _check_prints(_snippet("## Multi-start"), namespace,
-                  ["2", "5", "0.125", "0.490..."])
+                  ["2", "5", "0.845", "1.0"])
