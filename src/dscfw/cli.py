@@ -2,12 +2,14 @@
 and trace-check subcommands.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/solver
-error. Every run writes a JSON manifest next to its outputs.
+error. eval and trace-check print one JSON line; the other subcommands
+write a JSON manifest next to their outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -19,13 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import data, diagnostics, metrics
-from .errors import DscfwError
+from .errors import DscfwError, UncheckableRun
 from .matrix import (
     ShiftedMatrix,
     load_features_csv,
     load_matrix_csv,
-    new_similarity_matrix,
-    offdiag_extremes,
     save_matrix_csv,
 )
 from .multistart import SamplePlan, SamplerKind, multistart_cluster
@@ -36,6 +36,7 @@ from .solvers import (
     SolverConfig,
     SolverKind,
     StopReason,
+    initial_point,
     load_trace_csv,
     save_trace_csv,
 )
@@ -231,25 +232,25 @@ def cmd_multistart(args) -> int:
 
 
 def cmd_trace_check(args) -> int:
-    trace = load_trace_csv(args.trace)
-    A = load_matrix_csv(args.matrix)
-    m_lo, m_hi = offdiag_extremes(A)
-    kind = SolverKind(args.solver_kind)
+    """Hold a traced `cluster` run to its gap bound on the operator and the
+    start its manifest records, reading relative paths from the cwd."""
+    manifest = json.loads(Path(args.manifest).read_text())
+    sub = manifest.get("subcommand") if isinstance(manifest, dict) else None
+    if sub != "cluster":
+        raise UncheckableRun(
+            f"{args.manifest} records a {sub} run, not a cluster run")
+    run = argparse.Namespace(**manifest["flags"])
+    if run.trace is None:
+        raise UncheckableRun(f"{args.manifest} records a run without --trace")
+    for path, digest in manifest["input_digests"].items():
+        if _digest(path) != digest:
+            raise UncheckableRun(f"{path} changed since the run (sha256)")
+    config = _solver_config(run)
+    A = ShiftedMatrix(_load_similarity(run)[0], run.peel_shift)
     report = diagnostics.theorem_bound(
-        trace, kind, m_lo, m_hi,
-        support0=args.support0, n=A.n, f0=args.f0,
-    )
-    print(json.dumps({
-        "t": report.t,
-        "min_gap": report.min_gap,
-        "bound_value": report.bound_value,
-        "satisfied": report.satisfied,
-        "beta": report.beta,
-        "good_steps": report.good_steps,
-        "drop_steps": report.drop_steps,
-        "swap_steps": report.swap_steps,
-        "support0": report.support0,
-    }))
+        load_trace_csv(run.trace), config.solver_kind, A,
+        initial_point(A, config))
+    print(json.dumps(dataclasses.asdict(report)))
     return 0
 
 
@@ -263,7 +264,9 @@ def _add_similarity_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", default="fw", choices=sorted(SOLVER_FLAGS))
+    p.add_argument("--solver", default="fw", choices=sorted(SOLVER_FLAGS),
+                   help="-b/-v: barycenter/vertex start; multistart ignores "
+                   "the suffix and starts from each sampled seed")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
@@ -317,13 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_multistart)
 
     p = sub.add_parser("trace-check", help="evaluate gap bounds on a trace")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--solver-kind", choices=["fw", "pfw", "afw"],
-                   required=True)
-    p.add_argument("--support0", type=int, default=1)
-    p.add_argument("--f0", type=float, default=0.0,
-                   help="objective at the starting point (0 for a vertex)")
+    p.add_argument("--manifest", required=True,
+                   help="manifest of a `cluster --trace` run")
     p.set_defaults(func=cmd_trace_check)
     return parser
 

@@ -3,7 +3,8 @@ per-step progress identities, minimum-gap tracking, and the worst-case
 gap-bound evaluations.
 
 Every check takes the matrix a solve ran on, a `SimilarityMatrix` or a
-peel round's `ShiftedMatrix`, and checks against the matrix it stands for.
+peel round's `ShiftedMatrix`, and checks against the matrix it stands for;
+the gap bound takes the solve's start too, never numbers taken from it.
 
 Bound violations are reported, never asserted fatally: the constant
 2*max_offdiag - min_offdiag in the common gap bound rests on a premise the
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrace, IdentityViolated, TooFewPoints
-from .matrix import Operator, matvec, offdiag_extremes
+from .errors import EmptyTrace, IdentityViolated, TooFewPoints, UncheckableRun
+from .matrix import (Operator, SimplexPoint, matvec, offdiag_extremes,
+                     quadratic_form)
 from .solvers import GOOD_KINDS, SolverKind, SolverState, StepKind, StepRecord
 
 IDENTITY_RTOL = 1e-9
@@ -138,36 +140,33 @@ def step_counts(trace: list[StepRecord]) -> tuple[int, int, int]:
 def theorem_bound(
     trace: list[StepRecord],
     solver_kind: SolverKind,
-    min_offdiag: float,
-    max_offdiag: float,
-    support0: int,
-    n: int | None = None,
-    f0: float | None = None,
+    A: Operator,
+    x0: SimplexPoint,
 ) -> BoundReport:
-    """Evaluate the worst-case minimum-gap bound for the given solver
-    using the realized objective gain f(x_t) - f(x_0) from the trace."""
-    if not trace:
-        raise EmptyTrace("no steps recorded")
-    if f0 is None:
-        f0 = trace[0].f_before
+    """Evaluate the worst-case minimum-gap bound of the given solver for
+    the solve that `trace` records: on the matrix A stands for, from x0.
+    The off-diagonal extremes, the number n of active objects, |supp x0|
+    and f(x0) come from A and x0; the gain f(x_t) - f(x0) from the trace."""
+    if solver_kind is SolverKind.RD:
+        raise UncheckableRun("replicator dynamics has no gap bound")
+    g_min = min_gap(trace)  # raises EmptyTrace on an empty trace
+    min_offdiag, max_offdiag = offdiag_extremes(A)
+    n = A.n if A.active is None else int(np.count_nonzero(A.active))
+    support0 = int(np.count_nonzero(x0.mask))
     t = len(trace)
-    gain = max(trace[-1].f_after - f0, 0.0)
-    g_min = min_gap(trace)
+    gain = max(trace[-1].f_after - quadratic_form(A, x0), 0.0)
     good, drops, swaps = step_counts(trace)
+    beta = 2.0 * max_offdiag - min_offdiag
     if solver_kind is SolverKind.FW:
-        beta = 2.0 * max_offdiag - min_offdiag
         bound = 2.0 * math.sqrt(max(beta, 0.0) * gain / t)
     elif solver_kind is SolverKind.AFW:
-        beta = 2.0 * max_offdiag - min_offdiag
         denom = t + 1 - support0
         if denom <= 0:
             bound = math.inf
         else:
             bound = 2.0 * math.sqrt(2.0 * max(beta, 0.0) * gain / denom)
-    elif solver_kind is SolverKind.PFW:
+    else:  # PFW
         beta = 2.0 * max_offdiag
-        if n is None:
-            raise ValueError("PFW bound needs the dimension n")
         # 2*sqrt(6 n! max_offdiag gain / t), with n! in log space.
         if gain <= 0 or max_offdiag <= 0:
             bound = 0.0 if gain <= 0 else math.inf
@@ -176,8 +175,6 @@ def theorem_bound(
                 math.log(6.0) + math.lgamma(n + 1)
                 + math.log(max_offdiag) + math.log(gain) - math.log(t)))
             bound = math.exp(log_b) if log_b < 700 else math.inf
-    else:
-        raise ValueError("no gap bound for replicator dynamics")
     # A bound beyond the largest possible gap is trivially satisfied
     # (the gap never exceeds 2*max_offdiag on the simplex).
     satisfied = g_min <= bound or bound > 2.0 * max_offdiag

@@ -107,3 +107,8 @@ class MalformedTrace(DscfwError, ValueError):
 
 class TooFewPoints(DscfwError):
     pass
+
+
+class UncheckableRun(DscfwError, ValueError):
+    """A run that cannot be held to a gap bound: replicator dynamics, a
+    manifest of no traced `cluster` run, or an input changed since."""

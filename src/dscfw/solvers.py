@@ -432,7 +432,9 @@ def _rd(st, E, gap, i, j):
     renormalize_if_needed(x)
     st.xsum = float(x.sum())
     st.pen[...] = np.where(mask, 0.0, np.inf)
-    st.rt[...] = E @ x
+    # numpy's own loop, not a threaded BLAS gemv: on a 2-CPU host that gemv
+    # sometimes costs ~8 ms at n=1000 for a whole process, ~40x its usual.
+    np.einsum("ij,j->i", E, x, out=st.rt)
     st.cr = 1.0
     if s:
         st.rt -= s * x

@@ -28,7 +28,7 @@ from dscfw.diagnostics import (
     theorem_bound,
 )
 from dscfw.errors import DscfwError
-from dscfw.matrix import ShiftedMatrix, SimplexPoint, offdiag_extremes
+from dscfw.matrix import ShiftedMatrix, SimplexPoint
 from dscfw.metrics import ari, assignment_rate, v_measure
 from dscfw.multistart import (
     SamplePlan,
@@ -85,7 +85,8 @@ def _checked_run(A, kind, max_iters=1000):
         max_f_dev = max(max_f_dev, consistency.max_f_deviation)
         if float(np.linalg.norm(state.x.coords - prev)) <= DEFAULT_EPSILON:
             break
-    return {"A": A, "kind": kind, "trace": trace, "support0": support0,
+    return {"A": A, "kind": kind, "trace": trace, "x0": x0,
+            "support0": support0,
             "max_r_dev": max_r_dev, "max_f_dev": max_f_dev}
 
 
@@ -188,9 +189,7 @@ def test_criterion_4_theorem_bounds(checked_runs, capsys):
     for r in checked_runs:
         if r["kind"] is SolverKind.PFW or not r["trace"]:
             continue
-        lo, hi = offdiag_extremes(r["A"])
-        rep = theorem_bound(r["trace"], r["kind"], lo, hi,
-                            support0=r["support0"], n=r["A"].n)
+        rep = theorem_bound(r["trace"], r["kind"], r["A"], r["x0"])
         if not rep.satisfied:
             failures.append((r["kind"].value, r["A"].n, rep.min_gap,
                              rep.bound_value))
@@ -200,9 +199,7 @@ def test_criterion_4_theorem_bounds(checked_runs, capsys):
         r = _checked_run(A, SolverKind.PFW)
         if not r["trace"]:
             continue
-        lo, hi = offdiag_extremes(A)
-        rep = theorem_bound(r["trace"], SolverKind.PFW, lo, hi,
-                            support0=r["support0"], n=4)
+        rep = theorem_bound(r["trace"], SolverKind.PFW, A, r["x0"])
         if not rep.satisfied:
             pfw_failures.append((rep.min_gap, rep.bound_value))
     ok = not failures and not pfw_failures

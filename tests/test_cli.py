@@ -1,6 +1,7 @@
 """CLI tests: every subcommand end-to-end plus the exit-code contract
 (0 success, 1 usage, 2 data, 3 solver/numeric)."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import dscfw
-from dscfw.cli import main
+from dscfw.cli import SOLVER_FLAGS, main
 from dscfw.data import (
     block_noise_matrix,
     max_transform,
@@ -25,8 +26,15 @@ from dscfw.matrix import (
     load_matrix_csv,
     save_matrix_csv,
 )
+from dscfw.diagnostics import theorem_bound
 from dscfw.peel import PeelConfig, peel, post_assign, shift_offdiag
-from dscfw.solvers import InitKind, SolverConfig, SolverKind, load_trace_csv
+from dscfw.solvers import (
+    InitKind,
+    SolverConfig,
+    SolverKind,
+    initial_point,
+    load_trace_csv,
+)
 
 
 @pytest.fixture
@@ -132,6 +140,20 @@ def test_multistart_subcommand(tmp_path, block_csv, capsys):
     assert summary["k_found"] >= 1
 
 
+def test_multistart_ignores_the_start_suffix(tmp_path, block_csv, capsys):
+    # A seed's starts depend on the solver kind only, so afw-b and afw-v
+    # are the same multistart run.
+    matrix_csv, _ = block_csv
+    labels = []
+    for solver in ("afw-b", "afw-v"):
+        out = tmp_path / solver
+        assert main(["multistart", "--input", matrix_csv, "--solver", solver,
+                     "--sampler", "dpp", "--seed", "0", "--max-clusters", "2",
+                     "--out", str(out)]) == 0
+        labels.append(Path(f"{out}.labels.csv").read_bytes())
+    assert labels[0] == labels[1]
+
+
 def test_trace_check(tmp_path, block_csv, capsys):
     matrix_csv, _ = block_csv
     out = str(tmp_path / "run")
@@ -140,12 +162,72 @@ def test_trace_check(tmp_path, block_csv, capsys):
                  "--max-clusters", "1", "--trace", trace,
                  "--out", out]) == 0
     capsys.readouterr()
-    code = main(["trace-check", "--trace", trace, "--matrix", matrix_csv,
-                 "--solver-kind", "fw", "--support0", "1", "--f0", "0.0"])
+    code = main(["trace-check", "--manifest", f"{out}.manifest.json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out.strip())
     assert report["satisfied"] is True
     assert report["t"] >= 1
+    assert report["support0"] == 1
+
+
+@pytest.mark.parametrize("solver, beta, bound, support0", [
+    ("afw-b", 5.99993, 0.1220, 200),
+    ("fw", 5.99993, 0.3210, 1),
+])
+def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
+                                                 beta, bound, support0):
+    # The README data at --peel-shift 4: the check holds the run to the
+    # bound of the operator it solved, A + 4(11' - I), from its start.
+    A, _ = block_noise_matrix(200, 5, 0.3, seed=0)
+    matrix_csv = str(tmp_path / "data.matrix.csv")
+    save_matrix_csv(matrix_csv, A)
+    out, trace = str(tmp_path / "run"), str(tmp_path / "trace.csv")
+    assert main(["cluster", "--input", matrix_csv, "--solver", solver,
+                 "--max-clusters", "5", "--peel-shift", "4.0",
+                 "--trace", trace, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["trace-check", "--manifest", f"{out}.manifest.json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    kind, init = SOLVER_FLAGS[solver]
+    B = ShiftedMatrix(load_matrix_csv(matrix_csv), 4.0)
+    expected = theorem_bound(load_trace_csv(trace), kind, B,
+                             initial_point(B, SolverConfig(kind, init)))
+    assert report == dataclasses.asdict(expected)
+    assert report["beta"] == pytest.approx(beta, abs=1e-5)
+    assert report["bound_value"] == pytest.approx(bound, abs=1e-4)
+    assert report["support0"] == support0
+
+
+def _edit_input(matrix_csv):
+    with open(matrix_csv, "a") as fh:
+        fh.write("# edited after the run\n")
+
+
+@pytest.mark.parametrize("command, spoil, cause", [
+    (["multistart", "--solver", "afw-v", "--samples", "2", "--seed", "0"],
+     None, "records a multistart run, not a cluster run"),
+    (["cluster", "--solver", "fw"], None, "records a run without --trace"),
+    (["cluster", "--solver", "rd", "--trace", "TRACE"], None,
+     "replicator dynamics has no gap bound"),
+    (["cluster", "--solver", "fw", "--trace", "TRACE"], _edit_input,
+     "changed since the run (sha256)"),
+], ids=["multistart-manifest", "no-trace", "rd", "input-changed"])
+def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
+                                                command, spoil, cause):
+    matrix_csv, _ = block_csv
+    out = str(tmp_path / "run")
+    command = [str(tmp_path / "trace.csv") if a == "TRACE" else a
+               for a in command]
+    assert main([*command, "--input", matrix_csv, "--max-clusters", "1",
+                 "--out", out]) == 0
+    if spoil is not None:
+        spoil(matrix_csv)
+    capsys.readouterr()
+    code = main(["trace-check", "--manifest", f"{out}.manifest.json"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("data error: ") and cause in lines[0]
 
 
 @pytest.mark.parametrize("edit", [
@@ -157,15 +239,15 @@ def test_malformed_trace_returns_2(tmp_path, block_csv, capsys, edit):
     # A trace that lacks a column, or has a short row, is a data error.
     matrix_csv, _ = block_csv
     trace = tmp_path / "trace.csv"
+    out = str(tmp_path / "run")
     assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
                  "--max-clusters", "1", "--trace", str(trace),
-                 "--out", str(tmp_path / "run")]) == 0
+                 "--out", out]) == 0
     lines = trace.read_text().splitlines()
     assert len(lines) > 3
     trace.write_text("\n".join(edit(lines)) + "\n")
     capsys.readouterr()
-    code = main(["trace-check", "--trace", str(trace), "--matrix",
-                 matrix_csv, "--solver-kind", "pfw", "--support0", "40"])
+    code = main(["trace-check", "--manifest", f"{out}.manifest.json"])
     assert code == 2
     assert "data error" in capsys.readouterr().err
 
@@ -192,6 +274,12 @@ def test_cluster_post_assign_labels_every_object(tmp_path, block_csv,
 def test_usage_error_returns_1(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["cluster"]) == 1  # missing required --max-clusters
+    # trace-check reads everything from the manifest and takes no other
+    # option.
+    for flag in ("--trace", "--matrix", "--solver-kind", "--support0",
+                 "--f0"):
+        assert main(["trace-check", "--manifest", "run.manifest.json",
+                     flag, "1"]) == 1
 
 
 def test_data_error_returns_2(tmp_path, capsys):

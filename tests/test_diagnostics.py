@@ -16,7 +16,14 @@ from dscfw.diagnostics import (
     theorem_bound,
 )
 from dscfw.errors import EmptyTrace, IdentityViolated, TooFewPoints
-from dscfw.matrix import offdiag_extremes, simplex_point
+from dscfw.matrix import (
+    ShiftedMatrix,
+    new_similarity_matrix,
+    offdiag_extremes,
+    quadratic_form,
+    simplex_point,
+)
+from dscfw.peel import shift_offdiag
 from dscfw.solvers import (
     InitKind,
     SolverConfig,
@@ -29,6 +36,14 @@ from dscfw.solvers import (
 )
 
 from conftest import rand_sim
+
+
+def _extremes_matrix(n):
+    """n objects, all off-diagonal entries 0.1 but a_01 = a_10 = 1.0."""
+    raw = np.full((n, n), 0.1)
+    np.fill_diagonal(raw, 0.0)
+    raw[0, 1] = raw[1, 0] = 1.0
+    return new_similarity_matrix(raw)
 
 
 def _rec(t, kind, gap, f_before=0.0, f_after=0.0):
@@ -116,54 +131,79 @@ class TestTheoremBound:
         A = rand_sim(32, rng)
         trace = self._trace(A, SolverKind.FW)
         lo, hi = offdiag_extremes(A)
-        report = theorem_bound(trace, SolverKind.FW, lo, hi, support0=32)
+        report = theorem_bound(trace, SolverKind.FW, A, init_barycenter(32))
         assert report.satisfied
         assert report.beta == pytest.approx(2 * hi - lo, rel=1e-12)
         assert report.t == len(trace)
+        assert report.support0 == 32
 
     def test_afw_bound_satisfied(self):
         rng = np.random.default_rng(20)
         A = rand_sim(32, rng)
         trace = self._trace(A, SolverKind.AFW)
-        lo, hi = offdiag_extremes(A)
-        report = theorem_bound(trace, SolverKind.AFW, lo, hi, support0=32)
+        report = theorem_bound(trace, SolverKind.AFW, A, init_barycenter(32))
         assert report.satisfied
 
     def test_afw_small_t_gives_infinite_bound(self):
         trace = [_rec(0, StepKind.FW_GOOD, 1.0, f_before=0.0, f_after=0.3)]
-        report = theorem_bound(trace, SolverKind.AFW, 0.1, 1.0, support0=5)
+        report = theorem_bound(trace, SolverKind.AFW, _extremes_matrix(5),
+                               init_barycenter(5))
         assert report.bound_value == math.inf
         assert report.satisfied
-
-    def test_pfw_requires_dimension(self):
-        trace = [_rec(0, StepKind.PAIRWISE_GOOD, 1.0, f_after=0.3)]
-        with pytest.raises(ValueError):
-            theorem_bound(trace, SolverKind.PFW, 0.1, 1.0, support0=2)
 
     def test_pfw_small_n_bound(self):
         rng = np.random.default_rng(21)
         A = rand_sim(4, rng)
         trace = self._trace(A, SolverKind.PFW)
-        lo, hi = offdiag_extremes(A)
-        report = theorem_bound(trace, SolverKind.PFW, lo, hi,
-                               support0=4, n=4)
+        report = theorem_bound(trace, SolverKind.PFW, A, init_barycenter(4))
         assert report.satisfied
 
     def test_rd_has_no_bound(self):
         trace = [_rec(0, StepKind.RD_STEP, 1.0)]
         with pytest.raises(ValueError):
-            theorem_bound(trace, SolverKind.RD, 0.1, 1.0, support0=2)
+            theorem_bound(trace, SolverKind.RD, _extremes_matrix(2),
+                          init_barycenter(2))
 
     def test_empty_trace(self):
         with pytest.raises(EmptyTrace):
-            theorem_bound([], SolverKind.FW, 0.1, 1.0, support0=1)
+            theorem_bound([], SolverKind.FW, _extremes_matrix(2),
+                          simplex_point([1.0, 0.0]))
 
     def test_explicit_f0_overrides_trace(self):
+        # f0 is f at the start x0, a vertex here, not the trace's f_before.
         trace = [_rec(0, StepKind.FW_GOOD, 0.5, f_before=math.nan,
                       f_after=0.4)]
-        report = theorem_bound(trace, SolverKind.FW, 0.1, 1.0,
-                               support0=1, f0=0.0)
+        report = theorem_bound(trace, SolverKind.FW, _extremes_matrix(3),
+                               simplex_point([1.0, 0.0, 0.0]))
         expected = 2.0 * math.sqrt((2.0 - 0.1) * 0.4 / 1.0)
+        assert report.bound_value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", [SolverKind.FW, SolverKind.PFW,
+                                      SolverKind.AFW])
+    def test_constants_come_from_the_operator_and_start(self, kind):
+        # A masked, shifted round: the extremes, n and f0 are those of
+        # B = A + s(11' - I) on the active objects, from x0 on them.
+        A = _extremes_matrix(6)
+        active = np.array([True, True, False, True, True, False])
+        B = ShiftedMatrix(A, 2.0, active)
+        x0 = init_barycenter(6, active)
+        trace = [_rec(t, StepKind.FW_GOOD, 0.5, f_before=math.nan,
+                      f_after=3.0) for t in range(5)]
+        report = theorem_bound(trace, kind, B, x0)
+        dense = shift_offdiag(
+            new_similarity_matrix(A.entries[np.ix_(active, active)]), 2.0)
+        lo, hi = offdiag_extremes(dense)
+        gain = 3.0 - quadratic_form(dense, init_barycenter(4))
+        assert report.support0 == 4
+        if kind is SolverKind.PFW:  # n = 4 active objects, t = 5
+            assert report.beta == 2.0 * hi
+            expected = 2.0 * math.sqrt(6 * math.factorial(4) * hi * gain / 5)
+        elif kind is SolverKind.FW:
+            assert report.beta == 2.0 * hi - lo
+            expected = 2.0 * math.sqrt(report.beta * gain / 5)
+        else:  # t + 1 - |supp x0| = 2
+            assert report.beta == 2.0 * hi - lo
+            expected = 2.0 * math.sqrt(2.0 * report.beta * gain / 2)
         assert report.bound_value == pytest.approx(expected, rel=1e-12)
 
 

@@ -1,18 +1,23 @@
 """The README's code runs as printed: the quick start, then the
 multi-start example in the same namespace. Each `print(...)  # value`
-line prints that value ("0.760..." means a value starting with 0.760)."""
+line prints that value ("0.760..." means a value starting with 0.760).
+The trace-check example's commands run in a fresh directory."""
 
 import contextlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
+
+from dscfw.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _snippet(heading: str) -> str:
+def _snippet(heading: str, lang: str = "python") -> str:
     section = README.read_text().split(heading, 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
 
 def _check_prints(code: str, namespace: dict, expected: list[str]) -> None:
@@ -41,3 +46,17 @@ def test_multistart_example_prints_its_figures():
              namespace)
     _check_prints(_snippet("## Multi-start"), namespace,
                   ["2", "5", "0.845", "1.0"])
+
+
+def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    script = _snippet("### Checking a run against its gap bound", "sh")
+    commands = [shlex.split(line)
+                for line in script.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["dscfw", "synth"], ["dscfw", "cluster"], ["dscfw", "trace-check"]]
+    assert "--trace" in commands[1]
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv[1:]) == 0, argv
+    assert json.loads(capsys.readouterr().out)["satisfied"] is True
