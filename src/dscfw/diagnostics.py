@@ -51,6 +51,10 @@ class BoundReport:
     min_gap: float
     bound_value: float
     satisfied: bool
+    # False when the bound is at or above the trace's first full gap: the
+    # minimum gap never exceeds the first, so such a bound holds whatever
+    # the solver does after its first step, and checks nothing.
+    informative: bool
     beta: float
     good_steps: int
     drop_steps: int
@@ -183,6 +187,7 @@ def theorem_bound(
         min_gap=g_min,
         bound_value=bound,
         satisfied=satisfied,
+        informative=bound < trace[0].gap,
         beta=beta,
         good_steps=good,
         drop_steps=drops,

@@ -44,29 +44,30 @@ rt + fw_pen. The away vertex needs no such array, as the support lies in
 S. Coordinates are global throughout; with s = 0 and S = all the
 arithmetic is the unshifted one.
 
-One loop, `run`, drives every solver. Per iteration it evaluates the gap
-(`fw_gap`) and, for PFW/AFW, the away vertex (`select_away`) once, and
-calls the solver's step body (`_fw`, `_pfw`, `_afw`, `_rd`), which is only
-its update rule: the line search and the coordinate, mask, penalty and
-cache updates. What every step shares is in `_advance`: fold the scales
-when due, renormalise, keep the support size as a count (+1 when a vertex
-enters, -1 on a drop) and build the StepRecord. The public
-``step(state, A, kind)`` takes one step of any solver the same way:
-`fw_gap`, `select_away` for PFW/AFW, then `_advance` and the body.
+One loop, `_iterate`, drives every solver. It holds the state's scalars
+(c_x, c_r, f, the coordinate sum, the step count and the support size) in
+locals and stores them back when it returns. Per iteration it evaluates
+the FW vertex and gap once and, for PFW/AFW, the away vertex once, with
+the arithmetic of `fw_gap` and `select_away`; folds the scales when one is
+out of range; takes the FW, pairwise or away update inline (RD calls its
+dense `_rd`); renormalises; counts the support (+1 when a vertex enters,
+-1 on a drop) and appends the StepRecord. `run` is `make_state`, then
+`_iterate`, then `_fold`. The public ``step(state, A, kind)`` raises
+NotAscent where the solver has no ascent direction, then takes one
+iteration of the same loop with every stop test off.
 
-Stop test. `run` stops when ||x+ - x|| <= epsilon for the folded iterates
-x = fl(c_x * xt) and x+ = fl(c_x+ * xt+). The norm is sqrt(d.d) with
-d = x+ - x, exactly what np.linalg.norm computes for a 1-D array. Every
-term of the computed d.d is >= 0 and IEEE rounding is monotone, so the
-computed d.d is at least fl(d_c^2) for any coordinate c. If
+Stop test. The loop stops when ||x+ - x|| <= epsilon for the folded
+iterates x = fl(c_x * xt) and x+ = fl(c_x+ * xt+). The norm is sqrt(d.d)
+with d = x+ - x, exactly what np.linalg.norm computes for a 1-D array.
+Every term of the computed d.d is >= 0 and IEEE rounding is monotone, so
+the computed d.d is at least fl(d_c^2) for any coordinate c. If
 sqrt(d_c^2) > epsilon, the iterate has not converged and the O(n) norm
-is skipped; `run` takes c to be the coordinate the step moves (i for FW
-and pairwise steps, j for an away step), whose old value the step
-returns, and this decides almost every step. Otherwise it rebuilds the
-old xt from the new one and the old values of the coordinates the step
-wrote (no other coordinate of xt changes) and computes the full norm
-from the two scales, so every stop decision is the one
-||fl(c_x+ * xt+) - fl(c_x * xt)|| gives.
+is skipped; the loop takes c to be the coordinate the step moves (i for
+FW and pairwise steps, j for an away step), and this decides almost
+every step. Otherwise it rebuilds the old xt from the new one and the old
+values of the coordinates the step wrote (no other coordinate of xt
+changes) and computes the full norm from the two scales, so every stop
+decision is the one ||fl(c_x+ * xt+) - fl(c_x * xt)|| gives.
 
 Gap convention: the solvers compare the HALVED quantity max(r) - f against
 the stopping threshold, exactly as the update rules are stated.
@@ -283,136 +284,10 @@ def select_away(state: SolverState) -> int:
     return j
 
 
-# A step body takes the state and the matrix entries E, with the
-# evaluation (gap, FW vertex i, away vertex j or None). It updates xt, the
-# scales, the mask, pen and rt in place and returns (kind, gamma, f_after,
-# entered - dropped, v_index, r_s, r_v, moved), where `moved` holds
-# (k, xt[k] before the step) for every coordinate k the step wrote, the
-# stop-test coordinate first. Everything else a step does is in `_advance`.
-
-def _rescale_move(st: SolverState, E: np.ndarray, scale: float, k: int,
-                  g: float, drop: bool = False) -> float:
-    """x <- scale * x + g e_k and r <- scale * r + g B[k] (x_k <- 0 on a
-    drop) on the scaled representation: two scalar products, one write to
-    xt, one row axpy into rt and, under a shift s, one write of -g s / c_r
-    to rt[k]. Returns xt[k] before the step."""
-    cx = st.cx = st.cx * scale
-    cr = st.cr = st.cr * scale
-    xt = st.xt
-    old = xt.item(k)
-    new = 0.0 if drop else old + g / cx
-    xt[k] = new
-    st.xsum += new - old
-    np.multiply(E[k], g / cr, out=st.buf)
-    np.add(st.rt, st.buf, out=st.rt)
-    if st.s:
-        st.rt[k] -= g * st.s / cr
-    return old
-
-
-def _fw(st, E, gap, i, j):
-    f = st.f
-    r_i = st.cr * st.rt.item(i) + st.s
-    half = r_i - f
-    if half <= 0:
-        raise NotAscent("halved gap is nonpositive")
-    # d'Ad = f - 2 r_i <= 0: the line-search polynomial is concave.
-    if not f - 2.0 * r_i <= 0:
-        raise BrokenInvariant("FW line search is not concave")
-    gamma = half / (2.0 * r_i - f)
-    entered = not st.mask[i]
-    if entered:
-        st.mask[i] = True
-        st.pen[i] = 0.0
-    old = _rescale_move(st, E, 1.0 - gamma, i, gamma)
-    f_after = (1.0 - gamma) ** 2 * f + 2.0 * gamma * (1.0 - gamma) * r_i
-    return (StepKind.FW_GOOD, gamma, f_after, entered, None, r_i, math.nan,
-            ((i, old),))
-
-
-def _pfw(st, E, gap, i, j):
-    if gap / 2.0 <= 0:
-        raise NotAscent("halved gap is nonpositive")
-    if i == j:
-        # s == v makes the direction zero; the caller treats this as
-        # stationary and must not request a step.
-        raise NotAscent("pairwise direction is zero (s == v)")
-    f, xt, mask, cx, cr, s = st.f, st.xt, st.mask, st.cx, st.cr, st.s
-    r_i = cr * st.rt.item(i) + s
-    r_j = cr * st.rt.item(j) + s
-    a_ij = E.item(i, j) + s
-    x_i = xt.item(i)
-    x_j = xt.item(j)
-    gamma_max = cx * x_j
-    if a_ij > 0:
-        gamma = min(gamma_max, (r_i - r_j) / (2.0 * a_ij))
-    else:
-        # Degenerate line-search polynomial: positive slope, maximizer at
-        # the cap.
-        gamma = gamma_max
-    truncated = gamma >= gamma_max
-    entered = not mask[i]
-    xt[i] = x_i + gamma / cx
-    if entered:
-        mask[i] = True
-        st.pen[i] = 0.0
-    if truncated:
-        gamma = gamma_max
-        xt[j] = 0.0
-        mask[j] = False
-        st.pen[j] = np.inf
-        kind = StepKind.SWAP if entered else StepKind.DROP
-    else:
-        xt[j] = x_j - gamma / cx
-        kind = StepKind.PAIRWISE_GOOD
-    st.xsum += (xt.item(i) - x_i) + (xt.item(j) - x_j)
-    buf = st.buf
-    np.subtract(E[i], E[j], out=buf)
-    buf *= gamma / cr
-    np.add(st.rt, buf, out=st.rt)
-    if s:
-        shifted = gamma * s / cr
-        st.rt[i] -= shifted
-        st.rt[j] += shifted
-    f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
-    return (kind, gamma, f_after, entered - truncated, j, r_i, r_j,
-            ((i, x_i), (j, x_j)))
-
-
-def _afw(st, E, gap, i, j):
-    if gap / 2.0 <= 0:
-        raise NotAscent("halved gap is nonpositive")
-    f = st.f
-    r_i = st.cr * st.rt.item(i) + st.s
-    r_j = st.cr * st.rt.item(j) + st.s
-    if (r_i - f) >= (f - r_j):
-        # FW branch: identical to an FW step. At a vertex f = r_j = 0, so
-        # this branch is always taken there and the away branch never
-        # sees a singleton support.
-        return _fw(st, E, gap, i, j)
-    x_j = st.cx * st.xt.item(j)
-    if not x_j < 1.0:
-        raise BrokenInvariant("away branch unreachable from a vertex")
-    gamma_max = x_j / (1.0 - x_j)
-    denom = 2.0 * r_j - f
-    if denom > 0:
-        gamma = min(gamma_max, (f - r_j) / denom)
-    else:
-        gamma = gamma_max
-    truncated = gamma >= gamma_max
-    if truncated:
-        gamma = gamma_max
-        st.mask[j] = False
-        st.pen[j] = np.inf
-        kind = StepKind.DROP
-    else:
-        kind = StepKind.AWAY_GOOD
-    old = _rescale_move(st, E, 1.0 + gamma, j, -gamma, truncated)
-    f_after = (1.0 + gamma) ** 2 * f - 2.0 * gamma * (1.0 + gamma) * r_j
-    return kind, gamma, f_after, -truncated, j, r_i, r_j, ((j, old),)
-
-
-def _rd(st, E, gap, i, j):
+def _rd(st: SolverState, E: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """One replicator step x_i <- x_i r_i / f on the state, recomputing r
+    densely. Returns f after the step, the change in the support size and
+    xt before the step."""
     f, x, mask, s = st.f, st.xt, st.mask, st.s
     if f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
@@ -427,8 +302,8 @@ def _rd(st, E, gap, i, j):
     x /= f / (st.cx * st.cr)
     st.cx = 1.0
     np.greater(x, 0.0, out=mask)
-    # A x is recomputed from the renormalised iterate, so the check in
-    # `_advance` that follows finds the sum within SUM_TOL.
+    # A x is recomputed from the renormalised iterate, so the sum check
+    # after the step finds the sum within SUM_TOL.
     renormalize_if_needed(x)
     st.xsum = float(x.sum())
     st.pen[...] = np.where(mask, 0.0, np.inf)
@@ -438,39 +313,181 @@ def _rd(st, E, gap, i, j):
     st.cr = 1.0
     if s:
         st.rt -= s * x
-    f_after = float(st.rt @ x) + s
-    delta = int(np.count_nonzero(mask)) - before
-    return (StepKind.RD_STEP, math.nan, f_after, delta, None, math.nan,
-            math.nan, ((i, prev.item(i)), (slice(None), prev)))
+    return float(st.rt @ x) + s, int(np.count_nonzero(mask)) - before, prev
 
 
-def _advance(body, st: SolverState, E: np.ndarray, size: int, gap: float,
-             i: int, j: int | None):
-    """One step of `body` from the state, whose support has `size`
-    vertices, plus the bookkeeping every step shares: fold the scales when
-    one is out of range, renormalise, count the support and build the
-    record. Returns the record, the scale c_x the step started from and
-    the body's `moved`."""
-    if not (1.0 / _FOLD <= st.cx <= _FOLD and 1.0 / _FOLD <= st.cr <= _FOLD):
-        _fold(st)
-    cx, f = st.cx, st.f
-    kind, gamma, f_after, delta, v, r_s, r_v, moved = body(st, E, gap, i, j)
-    total = st.cx * st.xsum
-    if abs(total - 1.0) > SUM_TOL:
-        st.cx /= total
-    rec = StepRecord(st.t, kind, gamma, gap, f, f_after, size + delta, i, v,
-                     r_s, r_v)
-    st.f = f_after
-    st.t += 1
-    return rec, cx, moved
+def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
+             eps: float, trace: list[StepRecord]) -> StopReason:
+    """Take up to `max_iters` steps of the `kind` solver from the state,
+    appending one StepRecord a step, and return why the loop stopped.
+    The state's scalars live in locals while the loop runs and are stored
+    back when it returns; its arrays are updated in place. eps = -inf
+    turns every stop test off."""
+    E, s, fw_pen = A.base.entries, st.s, st.fw_pen
+    xt, mask, rt, pen, buf = st.xt, st.mask, st.rt, st.pen, st.buf
+    cx, cr, xsum, f, t = st.cx, st.cr, st.xsum, st.f, st.t
+    lo, hi = 1.0 / _FOLD, _FOLD
+    pairwise, rd = kind is SolverKind.PFW, kind is SolverKind.RD
+    away = pairwise or kind is SolverKind.AFW
+    size = int(np.count_nonzero(mask))
+    add, multiply, sqrt = np.add, np.multiply, math.sqrt
+    inf, nan = math.inf, math.nan
+    # The row axpy's coefficient as a 0-d array: numpy takes it faster than
+    # a Python float, and the products are the same.
+    coef = np.empty(())
+    append = trace.append
+    reason = StopReason.MAX_ITERS
+    for _ in range(max_iters):
+        scan = rt if fw_pen is None else add(rt, fw_pen, buf)
+        i = int(scan.argmax())
+        r_i = cr * rt.item(i) + s
+        half = r_i - f
+        gap = 2.0 * half
+        if half <= eps:
+            reason = StopReason.GAP_REACHED
+            break
+        if away:
+            j = int(add(rt, pen, buf).argmin())
+            if not mask.item(j):  # only an empty support leaves it outside
+                raise EmptySupport("away selection needs a nonempty support")
+            if pairwise and j == i:
+                # Zero pairwise direction: stationary for this solver.
+                reason = StopReason.GAP_REACHED
+                break
+            r_j = cr * rt.item(j) + s
+        if not (lo <= cx <= hi and lo <= cr <= hi):
+            st.cx, st.cr, st.xsum = cx, cr, xsum
+            _fold(st)  # r_i and r_j read the same after a fold
+            cx, cr, xsum = st.cx, st.cr, st.xsum
+        cx0, v, r_s, r_v = cx, None, r_i, nan
+        if rd:
+            st.cx, st.cr, st.xsum, st.f = cx, cr, xsum, f
+            f_after, delta, prev = _rd(st, E)
+            cx, cr, xsum = st.cx, st.cr, st.xsum
+            rec_kind, gamma, r_s = StepKind.RD_STEP, nan, nan
+            c, old, new = i, prev.item(i), xt.item(i)
+        elif pairwise:
+            # Move mass from j to i; the scales stay as they are.
+            a_ij = E.item(i, j) + s
+            old = xt.item(i)
+            x_j = xt.item(j)
+            gamma_max = cx * x_j
+            if a_ij > 0:
+                gamma = min(gamma_max, (r_i - r_j) / (2.0 * a_ij))
+            else:
+                # Degenerate line-search polynomial: positive slope,
+                # maximizer at the cap.
+                gamma = gamma_max
+            truncated = gamma >= gamma_max
+            entered = not mask.item(i)
+            xt[i] = new = old + gamma / cx
+            if entered:
+                mask[i] = True
+                pen[i] = 0.0
+            if truncated:
+                gamma = gamma_max
+                xt[j] = new_j = 0.0
+                mask[j] = False
+                pen[j] = inf
+                rec_kind = StepKind.SWAP if entered else StepKind.DROP
+            else:
+                xt[j] = new_j = x_j - gamma / cx
+                rec_kind = StepKind.PAIRWISE_GOOD
+            xsum += (new - old) + (new_j - x_j)
+            np.subtract(E[i], E[j], buf)
+            coef[()] = gamma / cr
+            multiply(buf, coef, buf)
+            add(rt, buf, rt)
+            if s:
+                shifted = gamma * s / cr
+                rt[i] -= shifted
+                rt[j] += shifted
+            f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
+            delta, v, r_v, c = entered - truncated, j, r_j, i
+        elif not away or half >= f - r_j:
+            # FW move, x+ = (1 - g) x + g e_i. AFW takes it whenever
+            # r_i - f >= f - r_j; at a vertex f = r_j = 0, so the away
+            # move below never sees a singleton support.
+            # d'Ad = f - 2 r_i <= 0: the line-search polynomial is concave.
+            if not f - 2.0 * r_i <= 0:
+                raise BrokenInvariant("FW line search is not concave")
+            gamma = half / (2.0 * r_i - f)
+            entered = not mask.item(i)
+            if entered:
+                mask[i] = True
+                pen[i] = 0.0
+            scale = 1.0 - gamma
+            cx *= scale
+            cr *= scale
+            old = xt.item(i)
+            xt[i] = new = old + gamma / cx
+            xsum += new - old
+            coef[()] = gamma / cr
+            multiply(E[i], coef, buf)
+            add(rt, buf, rt)
+            if s:
+                rt[i] -= gamma * s / cr
+            f_after = (1.0 - gamma) ** 2 * f + 2.0 * gamma * (1.0 - gamma) * r_i
+            rec_kind, delta, c = StepKind.FW_GOOD, entered, i
+        else:
+            # Away move, x+ = (1 + g) x - g e_j, capped where x_j reaches 0.
+            x_j = cx * xt.item(j)
+            if not x_j < 1.0:
+                raise BrokenInvariant("away branch unreachable from a vertex")
+            gamma_max = x_j / (1.0 - x_j)
+            denom = 2.0 * r_j - f
+            if denom > 0:
+                gamma = min(gamma_max, (f - r_j) / denom)
+            else:
+                gamma = gamma_max
+            truncated = gamma >= gamma_max
+            if truncated:
+                gamma = gamma_max
+                mask[j] = False
+                pen[j] = inf
+                rec_kind = StepKind.DROP
+            else:
+                rec_kind = StepKind.AWAY_GOOD
+            scale = 1.0 + gamma
+            cx *= scale
+            cr *= scale
+            old = xt.item(j)
+            xt[j] = new = 0.0 if truncated else old + -gamma / cx
+            xsum += new - old
+            coef[()] = -gamma / cr
+            multiply(E[j], coef, buf)
+            add(rt, buf, rt)
+            if s:
+                rt[j] -= -gamma * s / cr
+            f_after = (1.0 + gamma) ** 2 * f - 2.0 * gamma * (1.0 + gamma) * r_j
+            delta, v, r_v, c = -truncated, j, r_j, j
+        total = cx * xsum
+        if abs(total - 1.0) > SUM_TOL:
+            cx /= total
+        append(StepRecord(t, rec_kind, gamma, gap, f, f_after, size + delta,
+                          i, v, r_s, r_v))
+        size += delta
+        f = f_after
+        t += 1
+        # ||x+ - x|| >= |x+[c] - x[c]| (see the module docstring), so a
+        # large move of coordinate c settles the stop test without the
+        # O(n) norm.
+        d_c = cx * new - cx0 * old
+        if sqrt(d_c * d_c) > eps:
+            continue
+        # xt before the step differs from xt only where the step wrote.
+        if not rd:
+            prev = xt.copy()
+            prev[c] = old
+            if pairwise:
+                prev[j] = x_j
+        d = cx * xt - cx0 * prev
+        if sqrt(d.dot(d)) <= eps:
+            reason = StopReason.ITERATE_CONVERGED
+            break
+    st.cx, st.cr, st.xsum, st.f, st.t = cx, cr, xsum, f, t
+    return reason
 
-
-_BODY = {
-    SolverKind.FW: _fw,
-    SolverKind.PFW: _pfw,
-    SolverKind.AFW: _afw,
-    SolverKind.RD: _rd,
-}
 
 _AWAY_KINDS = frozenset({SolverKind.PFW, SolverKind.AFW})
 
@@ -480,12 +497,18 @@ def step(state: SolverState, A: Operator, kind: SolverKind) -> StepRecord:
     built from the same A; the state is updated in place. FW always makes
     a good step; PFW moves mass from the away vertex j to the FW vertex i;
     AFW makes the FW move or a move away from j; RD is x_i <- x_i r_i / f,
-    recomputing r and f densely (O(n^2)), so the support never regrows."""
+    recomputing r and f densely (O(n^2)), so the support never regrows.
+    NotAscent where the solver has no ascent direction: a nonpositive gap
+    for FW, PFW and AFW, or i = j for PFW."""
     gap, i = fw_gap(state)
     j = select_away(state) if kind in _AWAY_KINDS else None
-    rec, _, _ = _advance(_BODY[kind], state, A.base.entries,
-                         int(np.count_nonzero(state.mask)), gap, i, j)
-    return rec
+    if kind is not SolverKind.RD and gap / 2.0 <= 0:
+        raise NotAscent("halved gap is nonpositive")
+    if kind is SolverKind.PFW and i == j:
+        raise NotAscent("pairwise direction is zero (s == v)")
+    trace: list[StepRecord] = []
+    _iterate(state, A, kind, 1, -math.inf, trace)
+    return trace[0]
 
 
 def initial_point(A: Operator, config: SolverConfig) -> SimplexPoint:
@@ -515,46 +538,10 @@ def run(
             "replicator dynamics cannot start where x'Ax = 0 "
             "(e.g. any vertex: the update denominator vanishes)"
         )
-    body = _BODY[kind]
-    away = kind in _AWAY_KINDS
-    pairwise = kind is SolverKind.PFW
-    eps = config.epsilon
-    xt, mask, E = st.xt, st.mask, A.base.entries
-    size = int(np.count_nonzero(mask))
     trace: list[StepRecord] = []
-    reason = StopReason.MAX_ITERS
-    for _ in range(config.max_iters):
-        gap, i = fw_gap(st)
-        if gap / 2.0 <= eps:
-            reason = StopReason.GAP_REACHED
-            break
-        j = None
-        if away:
-            j = select_away(st)
-            if pairwise and j == i:
-                # Zero pairwise direction: stationary for this solver.
-                reason = StopReason.GAP_REACHED
-                break
-        rec, cx, moved = _advance(body, st, E, size, gap, i, j)
-        trace.append(rec)
-        size = rec.support_size
-        # ||x+ - x|| >= |x+[c] - x[c]| (see the module docstring), so a
-        # large move of coordinate c settles the stop test without the
-        # O(n) norm.
-        c, old = moved[0]
-        d_c = st.cx * xt.item(c) - cx * old
-        if math.sqrt(d_c * d_c) > eps:
-            continue
-        # xt before the step differs from xt only where the step wrote.
-        prev = xt.copy()
-        for k, value in moved:
-            prev[k] = value
-        d = st.cx * xt - cx * prev
-        if math.sqrt(d.dot(d)) <= eps:
-            reason = StopReason.ITERATE_CONVERGED
-            break
+    reason = _iterate(st, A, kind, config.max_iters, config.epsilon, trace)
     _fold(st)
-    return SimplexPoint(xt, mask), trace, reason
+    return SimplexPoint(st.xt, st.mask), trace, reason
 
 
 TRACE_COLUMNS = [

@@ -170,14 +170,22 @@ def test_trace_check(tmp_path, block_csv, capsys):
     assert report["support0"] == 1
 
 
-@pytest.mark.parametrize("solver, beta, bound, support0", [
-    ("afw-b", 5.99993, 0.1220, 200),
-    ("fw", 5.99993, 0.3210, 1),
+@pytest.mark.parametrize("solver, beta, bound, support0, informative", [
+    pytest.param("afw-b", 5.99993, 0.1220, 200, False,
+                 id="afw-b-5.99993-0.122-200"),
+    pytest.param("pfw-b", 9.99993, 4.8465e186, 200, False,
+                 id="pfw-b-9.99993-4.8465e+186-200"),
+    pytest.param("fw", 5.99993, 0.3210, 1, True, id="fw-5.99993-0.321-1"),
 ])
 def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
-                                                 beta, bound, support0):
+                                                 beta, bound, support0,
+                                                 informative):
     # The README data at --peel-shift 4: the check holds the run to the
     # bound of the operator it solved, A + 4(11' - I), from its start.
+    # From the barycenter the first full gap is 0.0756, below the AFW
+    # bound and far below PFW's, whose n! factor puts it beyond any gap:
+    # neither check can fail. From a vertex the first gap is large and
+    # the FW bound lies below it.
     A, _ = block_noise_matrix(200, 5, 0.3, seed=0)
     matrix_csv = str(tmp_path / "data.matrix.csv")
     save_matrix_csv(matrix_csv, A)
@@ -194,8 +202,9 @@ def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
                              initial_point(B, SolverConfig(kind, init)))
     assert report == dataclasses.asdict(expected)
     assert report["beta"] == pytest.approx(beta, abs=1e-5)
-    assert report["bound_value"] == pytest.approx(bound, abs=1e-4)
+    assert report["bound_value"] == pytest.approx(bound, rel=1e-4, abs=1e-4)
     assert report["support0"] == support0
+    assert report["informative"] is informative
 
 
 def _edit_input(matrix_csv):

@@ -2,6 +2,7 @@
 selection, stopping behavior, scale invariance, and trace CSV round-trip."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from dscfw.errors import (
     ZeroDenominator,
 )
 from dscfw.matrix import (
+    ShiftedMatrix,
     SimplexPoint,
     new_similarity_matrix,
     quadratic_form,
@@ -396,42 +398,72 @@ def _record_fields(rec):
                  for v in dataclasses.astuple(rec))
 
 
-@settings(max_examples=150, deadline=None)
+def _seed_start(start, k, active):
+    """Multistart's vertex or biased start at the k-th active object, over
+    the active objects only, in global coordinates."""
+    members = np.flatnonzero(active)
+    vertex, biased = seed_starting_points(k, members.size)
+    local = biased if start == "seed-biased" else vertex
+    coords = np.zeros(active.size)
+    coords[members] = local.coords
+    return SimplexPoint(coords, coords > 0)
+
+
+@settings(max_examples=200, deadline=None)
 @given(n=hst.integers(2, 12), seed=hst.integers(0, 2**32 - 1),
        integer=hst.booleans(),
-       kind=hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW]),
+       kind=hst.sampled_from(list(SolverKind)),
        start=hst.sampled_from(["barycenter", "vertex", "seed-vertex",
                                "seed-biased"]),
        shift=hst.sampled_from([0.0, 0.5, 4.0]),
+       operator=hst.sampled_from(["dense", "shifted", "masked"]),
        epsilon=hst.sampled_from([DEFAULT_EPSILON, 1e-3, 0.05]))
 def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
-                                      epsilon):
+                                      operator, epsilon):
     # run evaluates each iterate once, keeps the support size as a count
     # and tests convergence on one coordinate before the full norm; a loop
     # over the public `step`, which evaluates for itself, with the full
     # norm every step, must give the same trace, iterate and stop
     # reason. Integer weights make ties, zero edges, drops and swaps
-    # common; the seed starts are multistart's, the shift is peel's, and a
-    # loose epsilon makes the iterate-converged stop common.
+    # common; the seed starts are multistart's, and a loose epsilon makes
+    # the iterate-converged stop common. The operator is the dense shifted
+    # matrix, or peel's implicit shift, over all objects or over a random
+    # active mask (so the cache carries the shift and the FW vertex is a
+    # masked argmax). RD starts where its update is defined: the
+    # barycenter or the biased seed start.
     rng = np.random.default_rng(seed)
     if integer:
         upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(float), 1)
         A = new_similarity_matrix(upper + upper.T)
     else:
         A = rand_sim(n, rng)
-    A = shift_offdiag(A, shift)
+    active = rng.random(n) < 0.6
+    active[rng.choice(n, size=2, replace=False)] = True
+    if operator == "dense":
+        A = shift_offdiag(A, shift)
+    elif operator == "shifted":
+        A = ShiftedMatrix(A, shift)
+    else:
+        A = ShiftedMatrix(A, shift, active)
+    if kind is SolverKind.RD:
+        start = {"vertex": "barycenter", "seed-vertex": "seed-biased"}.get(
+            start, start)
     x0 = None
     if start.startswith("seed-"):
-        vertex, biased = seed_starting_points(int(rng.integers(n)), n)
-        x0 = biased if start == "seed-biased" else vertex
+        members = active if operator == "masked" else np.ones(n, dtype=bool)
+        x0 = _seed_start(start, int(rng.integers(members.sum())), members)
         start_coords = x0.coords.copy()
         cfg = SolverConfig(kind, epsilon=epsilon, max_iters=200)
     else:
         cfg = SolverConfig(kind, InitKind(start), epsilon=epsilon,
                            max_iters=200)
+    state = make_state(A, initial_point(A, cfg) if x0 is None else x0)
+    if kind is SolverKind.RD and state.f <= 0:
+        with pytest.raises(BadInit):
+            run(A, cfg, x0=x0)
+        return
     x, trace, reason = run(A, cfg, x0=x0)
 
-    state = make_state(A, initial_point(A, cfg) if x0 is None else x0)
     expected, expected_reason = [], StopReason.MAX_ITERS
     for _ in range(cfg.max_iters):
         gap, i = fw_gap(state)
@@ -451,6 +483,8 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
         _record_fields(r) for r in expected]
     assert np.array_equal(x.coords, state.x.coords)
     assert np.array_equal(x.mask, state.x.mask)
+    if operator == "masked":
+        assert not np.any(x.mask & ~active)
     if x0 is not None:  # run copies the start it is given
         assert np.array_equal(x0.coords, start_coords)
 
@@ -499,6 +533,68 @@ def test_folds_keep_the_cache_exact(monkeypatch):
     assert len(kinds) > 300 and away > len(kinds) / 2
     assert len(folds) > 20 and max(folds) > 1.0
     assert worst <= 1e-8
+
+
+# sha256 (first 16 hex digits) of every trace field, the stop reason and
+# the final iterate's bytes of a 300-step run, keyed by solver, start and
+# operator. They were recorded from the solver loop as it stood before its
+# step bodies were fused, and they pin its arithmetic and its order of
+# operations: any change to either moves some digest. Integer weights and
+# power-of-two supports (32 objects, 16 active) make make_state's products
+# exact, so the digests do not depend on the BLAS.
+GOLDEN_TRACES = {
+    "fw-b-A": "4c4e56c90e1eba60",
+    "fw-v-A": "15fc942d0d4bb003",
+    "pfw-b-A": "f93136887ed3ed8e",
+    "pfw-v-A": "379b0beb615a3568",
+    "afw-b-A": "7b0bc790cc1bb58e",
+    "afw-v-A": "bfd90108e5a91bbf",
+    "fw-b-shift": "16eb30a838957070",
+    "fw-v-shift": "f883f0189c3ba1be",
+    "pfw-b-shift": "c1628e31f6ff7c24",
+    "pfw-v-shift": "e4578e0851bc5f77",
+    "afw-b-shift": "c56d2028666fe889",
+    "afw-v-shift": "7b26ae24b23c1aa7",
+    "fw-b-active": "cb1a0c1c5c57f9e0",
+    "fw-v-active": "35c9ce09ccb3ad7a",
+    "pfw-b-active": "34f800f978216e8c",
+    "pfw-v-active": "baab5b7dd1c46640",
+    "afw-b-active": "0badc4292af8e6f3",
+    "afw-v-active": "5215d3f4aee3768e",
+}
+
+
+def _run_digest(x, trace, reason):
+    h = hashlib.sha256()
+    for rec in trace:
+        for v in dataclasses.astuple(rec):
+            if isinstance(v, float):
+                v = v.hex()
+            elif isinstance(v, StepKind):
+                v = v.value
+            h.update(f"{v},".encode())
+    h.update(reason.value.encode())
+    h.update(x.coords.tobytes())
+    h.update(x.mask.tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_traces_match_their_pinned_digests():
+    rng = np.random.default_rng(2020)
+    upper = np.triu(rng.integers(0, 8, size=(32, 32)).astype(float), 1)
+    A = new_similarity_matrix(upper + upper.T)
+    active = np.zeros(32, dtype=bool)
+    active[rng.permutation(32)[:16]] = True
+    operators = {"A": A, "shift": ShiftedMatrix(A, 4.0),
+                 "active": ShiftedMatrix(A, 4.0, active)}
+    digests = {}
+    for name, op in operators.items():
+        for kind in (SolverKind.FW, SolverKind.PFW, SolverKind.AFW):
+            for init in (InitKind.BARYCENTER, InitKind.VERTEX):
+                cfg = SolverConfig(kind, init, max_iters=300)
+                label = f"{kind.value}-{init.value[0]}-{name}"
+                digests[label] = _run_digest(*run(op, cfg))
+    assert digests == GOLDEN_TRACES
 
 
 class TestTraceCsv:
