@@ -26,6 +26,40 @@ whose tokens differ in width, is formatted line by line instead.
 Matrices from the block generator or the minimax pipeline hold few
 distinct values, so they are written several times faster than by
 np.savetxt.
+
+`load_matrix_csv` reads without np.loadtxt the layout that writer and
+np.savetxt produce for a nonnegative matrix whose exponents have two
+digits: 25 n^2 bytes, n lines of n 24-byte tokens
+d.ddddddddddddddddddde+XX (or e-XX), each followed by ',' or, at a
+line's end, a newline. It reads chunks of about 256 KB into one buffer,
+checks every byte of the layout there with whole-chunk numpy operations
+and gets every float64 bit for bit as np.loadtxt does:
+
+- the zero token 0.000000000000000000e+00 is 0.0, with no arithmetic;
+- the bytes are XORed with the zero token, which turns each digit into its
+  value (XOR, not subtraction: a subtraction would borrow across the '.'),
+  and the 19 digits become one integer m < 10^19 < 2^64, eight digits a
+  word in three multiply-shift-mask rounds (Lemire, SP&E 2021);
+- with q = 18 - exponent, y = m / P_q in long-double arithmetic, where
+  P_q is 10^q within (1 + 2^-42) 2^-64, relatively. For 0 <= q <= 27 it
+  is exact (10^q = 2^q 5^q with 5^27 < 2^63), and y is one correctly
+  rounded division of exact operands (Clinger, PLDI 1990). For every q,
+  y is within about 2^-63 of the decimal value, relatively: at most
+  2^-10 spacing(z), for z = float64(y);
+- z is taken when |y - z| <= spacing(z) / 8. The decimal value then lies
+  within (1/8 + 2^-10) spacing(z) of z, strictly inside z's rounding
+  interval, whose half-widths are at least spacing(z) / 4, so z is its
+  correctly rounded double. Every token np.savetxt writes passes, as its
+  19 digits lie within 0.005 spacing(z) of the double they print;
+- a token that fails the margin goes through float(), which rounds
+  correctly too.
+
+A file that breaks the layout anywhere (a negative value, -0.0, a
+three-digit exponent, CRLF line ends, short or extra rows, NaN) or is
+compressed is read by np.loadtxt, and so is every file on a platform whose
+long double has fewer than 64 significand bits
+(np.finfo(np.longdouble).nmant < 63, as on Windows and macOS on arm64);
+such files keep np.loadtxt's errors.
 """
 
 from __future__ import annotations
@@ -33,7 +67,10 @@ from __future__ import annotations
 import bz2
 import gzip
 import lzma
+import math
+import os
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import ClassVar
 
@@ -303,17 +340,131 @@ def _require_rows(path, what: str) -> None:
 def load_matrix_csv(path) -> SimilarityMatrix:
     """Read a header-free CSV of n rows of n comma-separated values.
 
-    The first row gives n, and the matrix is read with a row limit of
-    n + 1: numpy then allocates its output once instead of growing it, so
-    the load holds one n x n array, not the pieces of a growing one. An
-    (n + 1)-th row means the matrix is not square."""
-    _require_rows(path, "matrix CSV")
-    n = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=1).shape[1]
-    arr = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=n + 1)
-    if arr.shape[0] > n:
-        raise NonSquareMatrix(
-            f"expected a square matrix, got more than {n} rows of {n}")
+    A file in np.savetxt's fixed-width layout is read by _read_fixed_width.
+    Any other is read by np.loadtxt: the first row gives n, and the matrix
+    is read with a row limit of n + 1, so numpy allocates its output once
+    instead of growing it and the load holds one n x n array, not the
+    pieces of a growing one. An (n + 1)-th row means the matrix is not
+    square."""
+    arr = _read_fixed_width(path)
+    if arr is None:
+        _require_rows(path, "matrix CSV")
+        n = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=1).shape[1]
+        arr = np.loadtxt(path, delimiter=",", ndmin=2, max_rows=n + 1)
+        if arr.shape[0] > n:
+            raise NonSquareMatrix(
+                f"expected a square matrix, got more than {n} rows of {n}")
     return _validated(arr)
+
+
+# The "%.18e" token of a nonnegative float64 whose exponent has two digits,
+# with its separator: 25 bytes. XOR with it maps a token's digits to their
+# values and its '.', 'e', '+' and ',' to 0.
+_ZERO = np.frombuffer(b"0.000000000000000000e+00,", dtype=np.uint8)
+_WIDTH = _ZERO.size
+# Tokens a chunk holds: about 256 KB, and a multiple of 8 tokens, so that a
+# chunk is a whole number of 8-byte words.
+_CHUNK = 8 * 1310
+_ZERO_WORDS = np.frombuffer(_ZERO.tobytes() * 8, dtype="<u8")
+# A long double with a 64-bit significand holds m < 2^64 exactly.
+_LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
+# 10^q for q = 18 - exponent, exponent -99 to 99, at _POW10[q + _Q0]: the
+# long double sum of 10^q rounded to a float64 and the rounded remainder.
+# It is exact for 0 <= q <= 27 (10^q = 2^q 5^q with 5^27 < 2^63) and within
+# (1 + 2^-42) 2^-64 of 10^q, relatively, for every q.
+_Q0 = 81
+_POW10 = np.array([np.longdouble(float(p)) + float(p - Fraction(float(p)))
+                   for p in (Fraction(10) ** q for q in range(-_Q0, 118))])
+# (mask, factor, shift): digit values to 2-, 4- and 8-digit integers.
+_SWAR_ROUNDS = [(0x0F0F_0F0F_0F0F_0F0F, 10 * 2**8 + 1, 8),
+                (0x00FF_00FF_00FF_00FF, 100 * 2**16 + 1, 16),
+                (0x0000_FFFF_0000_FFFF, 10000 * 2**32 + 1, 32)]
+
+
+def _read_fixed_width(path) -> np.ndarray | None:
+    """The n x n array of a CSV in the layout np.savetxt(path, A,
+    delimiter=",") writes for a nonnegative A whose exponents have two
+    digits, equal bit for bit to np.loadtxt's; None when the file breaks
+    that layout anywhere, is compressed or cannot be opened, or when the
+    long double of this platform is too short for the arithmetic.
+
+    The file is 25 n^2 bytes: n lines of n 25-byte tokens. It is read in
+    chunks of _CHUNK tokens into one buffer and checked there, a chunk at
+    a time; _token_values converts the tokens that are not zero."""
+    if not _LONG_DOUBLE_EXACT or Path(path).suffix in _COMPRESSED:
+        return None
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        n = math.isqrt(size // _WIDTH)
+        if n == 0 or size != _WIDTH * n * n:
+            return None
+        total = n * n
+        buf = bytearray(_WIDTH * _CHUNK)
+        flat = np.frombuffer(buf, dtype=np.uint8)
+        as_words = flat.view("<u8").reshape(-1, _ZERO_WORDS.size)
+        out = np.zeros(total)
+        for t0 in range(0, total, _CHUNK):
+            k = min(_CHUNK, total - t0)
+            if fh.readinto(memoryview(buf)[: _WIDTH * k]) != _WIDTH * k:
+                return None
+            as_words ^= _ZERO_WORDS
+            tokens = flat[: _WIDTH * k].reshape(k, _WIDTH)
+            # A line ends at every n-th token: there a '\n' reads as ','.
+            tokens[(n - 1 - t0) % n::n, -1] ^= ord(",") ^ ord("\n")
+            # Digits, '.', 'e', '+', '-' and separators in their places:
+            # every byte is at most 9, and the signs are 0 ('+') or 6 ('-').
+            sign = tokens[:, 21]
+            if (tokens.max() > 9 or tokens[:, [1, 20, 24]].any()
+                    or not ((sign == 0) | (sign == 6)).all()):
+                return None
+            # Each token's bytes 0-7, 8-15 and 16-23 as words, in place.
+            parts = [np.ndarray((k,), "<u8", buf, offset, (_WIDTH,))
+                     for offset in (0, 8, 16)]
+            nonzero = np.flatnonzero(parts[0] | parts[1] | parts[2])
+            if nonzero.size:
+                words = np.empty((3, nonzero.size), "<u8")
+                for part, row in zip(parts, words):
+                    np.take(part, nonzero, out=row)
+                out[t0 + nonzero] = _token_values(tokens, nonzero, words)
+    return out.reshape(n, n)
+
+
+def _token_values(tokens: np.ndarray, rows: np.ndarray,
+                  words: np.ndarray) -> np.ndarray:
+    """The float64 values of the nonzero tokens tokens[rows], given XOR the
+    zero token. Row c of `words` holds their bytes 8c to 8c + 7 as words
+    and is overwritten.
+
+    Bytes, lowest first: words[0] = d0 0 f1..f6, words[1] = f7..f14 and
+    words[2] = f15..f18 0 sign e1 e2, for the token d0.f1..f18e(sign)e1e2,
+    with the sign 0 for '+' and 6 for '-'."""
+    w0, _, w2 = words
+    exponent = (((w2 >> 48) & 0xFF) * 10 + (w2 >> 56)).astype(np.int64)
+    q = np.where(w2 & 0xFF00_0000_0000, 18 + exponent, 18 - exponent)
+    # Runs of 8 digit values, the first the most significant, each made one
+    # integer in three multiply-shift-mask rounds (Lemire, SP&E 2021):
+    # 0 d0 f1..f6, f7..f14 and 0 0 0 0 f15..f18.
+    w0[:] = (w0 & 0xFFFF_FFFF_FFFF_0000) | ((w0 & 0xFF) << 8)
+    w2 <<= 32
+    for mask, factor, shift in _SWAR_ROUNDS:
+        words &= mask
+        words *= factor
+        words >>= shift
+    m = words[0] * 10**12  # d0 f1..f18 < 10^19 < 2^64
+    m += words[1] * 10**4
+    m += words[2]
+    y = m.astype(np.longdouble)
+    y /= _POW10[q + _Q0]
+    z = y.astype(np.float64)
+    y -= z
+    done = np.abs(y, out=y) <= np.spacing(z) / 8
+    for i in np.flatnonzero(~done):
+        z[i] = float((tokens[rows[i], :-1] ^ _ZERO[:-1]).tobytes())
+    return z
 
 
 _FMT = "%.18e"

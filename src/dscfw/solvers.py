@@ -243,8 +243,15 @@ def make_state(A: Operator, x0: SimplexPoint) -> SolverState:
     matrix B that A stands for; x0 must lie on A's active objects."""
     if A.active is not None and np.any(x0.mask & ~A.active):
         raise BadInit("start has mass outside the active objects")
-    s = A.shift
-    st = SolverState(x0.copy(), A.base.entries @ x0.coords, 0.0)
+    s, E, v = A.shift, A.base.entries, x0.coords
+    i = int(v.argmax())
+    if v[i] == 1.0 and np.count_nonzero(v) == 1:
+        # E @ e_i is column i (not row i: E is symmetric only within
+        # SYM_TOL), with a -0.0 entry read as the +0.0 the product gives.
+        r = E[:, i] + 0.0
+    else:
+        r = E @ v
+    st = SolverState(x0.copy(), r, 0.0)
     if s:
         st.s = s
         st.rt -= s * st.xt  # cr * rt = Ax - s x

@@ -1,14 +1,22 @@
 """Matrix-core unit tests: validation contracts, dense oracles, CSV I/O."""
 
 import bz2
+import contextlib
 import gzip
+import io
 import lzma
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dscfw import matrix
+from dscfw.cli import main
+from dscfw.data import block_noise_matrix
 from dscfw.errors import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -19,9 +27,14 @@ from dscfw.errors import (
     TooSmall,
 )
 from dscfw.matrix import (
+    _CHUNK,
+    _LONG_DOUBLE_EXACT,
+    _POW10,
+    _Q0,
     ShiftedMatrix,
     SimilarityMatrix,
     _asymmetry,
+    _read_fixed_width,
     _row_chunks,
     load_features_csv,
     load_matrix_csv,
@@ -237,6 +250,153 @@ def _bits(arr: np.ndarray) -> np.ndarray:
 SPECIAL = [0.0, -0.0, 5e-324, 1e-300, 1e300, -1e-300, 0.5, 1.0]
 
 
+def _fixed_width(v: float) -> bool:
+    """The "%.18e" token of v takes 24 bytes: v is nonnegative and its
+    exponent has two digits."""
+    return len("%.18e" % v) == 24
+
+
+def _scaled(digits: float, exponent: int) -> float:
+    return digits * 10.0**exponent
+
+
+# Values whose tokens the fixed-width reader takes: zero, powers of two
+# and their neighbours, magnitudes from 1e-99 to 1e99, and both ends of
+# the exact range q = 18 - exponent in [0, 27] with one step past each.
+FIXED_VALUES = st.one_of(
+    st.just(0.0),
+    st.integers(-328, 332).flatmap(lambda k: st.sampled_from(
+        [np.nextafter(2.0**k, 0.0), 2.0**k, np.nextafter(2.0**k, np.inf)])),
+    st.builds(_scaled, st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-99, 99)),
+    st.builds(_scaled, st.floats(1.0, 10.0, exclude_max=True),
+              st.sampled_from([-10, -9, 18, 19])),
+    st.floats(1e-99, 1e99),
+).filter(_fixed_width)
+
+
+def _symmetric(n: int, values: list[float], rng) -> np.ndarray:
+    """n x n, symmetric, zero diagonal, off-diagonal entries drawn from
+    values: a matrix load_matrix_csv accepts."""
+    E = np.zeros((n, n))
+    iu = np.triu_indices(n, 1)
+    E[iu] = np.array(values)[rng.integers(len(values), size=iu[0].size)]
+    E.T[iu] = E[iu]
+    return E
+
+
+def _token(d: Decimal, rounding: str) -> str:
+    """d > 0 in np.savetxt's "%.18e" form, rounded to 19 digits."""
+    e = d.adjusted()
+    digits = d.scaleb(-e).quantize(Decimal("1." + "0" * 18), rounding)
+    return f"{digits}e{e:+03d}"
+
+
+def _midpoint_tokens(z: float) -> list[str]:
+    """The 19-digit tokens just below and just above the midpoint of z and
+    its successor."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        mid = (Decimal(z) + Decimal(float(np.nextafter(z, np.inf)))) / 2
+        return [_token(mid, ROUND_FLOOR), _token(mid, ROUND_CEILING)]
+
+
+# 2^53 + 1 and 2^53 + 3 are midpoints written exactly in 19 digits; they
+# round to even. The next two lie within half a long-double ulp of a
+# midpoint, on the side away from its even neighbour: their long-double
+# quotient is the midpoint itself, so rounding it to float64 picks the
+# wrong neighbour. The rest lie next to midpoints, at magnitudes inside
+# the exact range (q = 0 and q = 27 among them) and outside it.
+MIDPOINT_TOKENS = [
+    "9.007199254740993000e+15", "9.007199254740992999e+15",
+    "9.007199254740993001e+15", "9.007199254740995000e+15",
+    "9.554173266933418199e+04", "9.271797576704404646e-09",
+] + [t for z in [1.0, 0.1, 3.0, 2.0**-30, 5e-9, 3e18, 1e-10, 7e19, 1e-99,
+                 9e99]
+     for t in _midpoint_tokens(z)]
+
+
+def _write_symmetric_tokens(path, tokens: list[str]) -> None:
+    """A symmetric matrix CSV holding the tokens above its diagonal, zero
+    tokens elsewhere."""
+    n = 2
+    while n * (n - 1) // 2 < len(tokens):
+        n += 1
+    T = np.full((n, n), "0.000000000000000000e+00", dtype=object)
+    for i, j, tok in zip(*np.triu_indices(n, 1), tokens):
+        T[i, j] = T[j, i] = tok
+    path.write_text("".join(",".join(row) + "\n" for row in T))
+
+
+def _token_floats(fallback: mock.Mock) -> int:
+    """How many tokens went to float(): the calls on a token's bytes."""
+    return sum(isinstance(c.args[0], bytes) for c in fallback.call_args_list)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+
+
+def _cluster_exit_code(path, out) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(["cluster", "--input", str(path), "--max-clusters", "1",
+                     "--max-iters", "5", "--out", str(out)])
+
+
+def _last_line(edit):
+    """A defect that rewrites the last line of a CSV, given as its lines."""
+    def defect(lines: list[str]) -> None:
+        lines[-1] = edit(lines[-1])
+    return defect
+
+
+def _byte(at: int, byte: str):
+    return _last_line(lambda line: line[:at] + byte + line[at + 1:])
+
+
+def _shift_token(lines: list[str]) -> None:
+    # The next-to-last line gives its last token to the last line: the file
+    # keeps its size.
+    head, tail = lines[-2].rsplit(",", 1)
+    lines[-2] = head + "\n"
+    lines[-1] = lines[-1][:-1] + "," + tail
+
+
+def _crlf(lines: list[str]) -> None:
+    lines[:] = [line[:-1] + "\r\n" for line in lines]
+
+
+# Defects in the last lines of a 120 x 120 fixed-width CSV, past its first
+# chunk, with the outcome of np.loadtxt's reader: the exception (None when
+# the file loads) and the exit code of `dscfw cluster --input`. The last
+# four put a byte one bit away from the '.', 'e', '+' or ',' in its place.
+MALFORMED = {
+    "non-digit byte": (_byte(30, "x"), ValueError, 2),
+    "line of n - 1 tokens": (
+        _last_line(lambda line: line.rsplit(",", 1)[0] + "\n"),
+        ValueError, 2),
+    "line of n + 1 tokens": (_last_line(lambda line: line[:25] + line),
+                             ValueError, 2),
+    "lines of n - 1 and n + 1 tokens": (_shift_token, ValueError, 2),
+    "extra last row": (lambda lines: lines.append(lines[-1]),
+                       NonSquareMatrix, 2),
+    "truncated last row": (_last_line(lambda line: line[: len(line) // 2]),
+                           ValueError, 2),
+    "CRLF line ends": (_crlf, None, 0),
+    "nan token": (_last_line(lambda line: "nan" + line[24:]),
+                  NonFiniteEntry, 2),
+    "'/' for '.'": (_byte(1, "/"), ValueError, 2),
+    "'d' for 'e'": (_byte(20, "d"), ValueError, 2),
+    "'/' for '+'": (_byte(21, "/"), ValueError, 2),
+    "'-' for ','": (_byte(24, "-"), ValueError, 2),
+}
+
+
 class TestCsvIO:
     def test_matrix_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -315,3 +475,93 @@ class TestCsvIO:
         F = load_features_csv(path)
         assert F.shape == (2, 2)
         assert F[1, 0] == 3.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([1, 2, 3, 240]),
+           palette=st.lists(FIXED_VALUES, min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=240, palette=[1.0, 2.0**-328, 1e-99, 9.5e99, 3e18, 5e-9],
+             seed=0)
+    def test_load_reads_the_bits_of_loadtxt(self, tmp_path_factory, n,
+                                            palette, seed):
+        # n = 240 spans several chunks of the fixed-width reader.
+        assert 240 * 240 > 4 * _CHUNK
+        E = _symmetric(n, palette, np.random.default_rng(seed))
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        np.savetxt(path, E, delimiter=",")
+        ref = _bits(np.loadtxt(path, delimiter=",", ndmin=2))
+        assert _read_fixed_width(path) is not None
+        # Every token np.savetxt writes passes the margin test.
+        with mock.patch.object(matrix, "float", create=True,
+                               side_effect=float) as fallback:
+            A = load_matrix_csv(path)
+        assert _token_floats(fallback) == 0
+        assert np.array_equal(_bits(A.entries), ref)
+        # The same draws on a platform whose long double is too short.
+        with mock.patch.object(matrix, "_LONG_DOUBLE_EXACT", False):
+            assert _read_fixed_width(path) is None
+            assert np.array_equal(_bits(load_matrix_csv(path).entries), ref)
+
+    def test_load_rounds_tokens_next_to_midpoints(self, tmp_path):
+        path = tmp_path / "m.csv"
+        _write_symmetric_tokens(path, MIDPOINT_TOKENS)
+        ref = _bits(np.loadtxt(path, delimiter=",", ndmin=2))
+        assert _read_fixed_width(path) is not None
+        # Tokens the long-double arithmetic cannot settle go to float().
+        with mock.patch.object(matrix, "float", create=True,
+                               side_effect=float) as fallback:
+            A = load_matrix_csv(path)
+        assert _token_floats(fallback) > 0
+        assert np.array_equal(_bits(A.entries), ref)
+        values = A.entries[np.triu_indices(A.n, 1)][: len(MIDPOINT_TOKENS)]
+        assert values.tolist() == [float(t) for t in MIDPOINT_TOKENS]
+        assert A.entries[0, 1] == 2.0**53  # a tie, rounded to even
+
+    @pytest.mark.skipif(not _LONG_DOUBLE_EXACT,
+                        reason="the fixed-width reader is off here")
+    def test_the_powers_of_ten(self):
+        # Exact for 0 <= q <= 27, within (1 + 2^-42) 2^-64 elsewhere.
+        for q, p in zip(range(-_Q0, 118), _POW10, strict=True):
+            exact = Fraction(10) ** q
+            error = abs(Fraction(*p.as_integer_ratio()) - exact) / exact
+            if 0 <= q <= 27:
+                assert error == 0
+            else:
+                assert error <= Fraction(2**42 + 1, 2**106)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_fixed_width_keeps_the_loadtxt_outcome(self, tmp_path,
+                                                            case):
+        defect, error, code = MALFORMED[case]
+        A, _ = block_noise_matrix(120, 3, 0.3, seed=1)
+        # The defects lie in the last two lines, in the reader's second
+        # chunk.
+        assert 120 * 118 > _CHUNK
+        path = tmp_path / "m.csv"
+        np.savetxt(path, A.entries, delimiter=",")
+        lines = path.read_text().splitlines(keepends=True)
+        defect(lines)
+        path.write_text("".join(lines))
+        outcome = _outcome(load_matrix_csv, path)
+        with mock.patch.object(matrix, "_LONG_DOUBLE_EXACT", False):
+            reference = _outcome(load_matrix_csv, path)
+            assert _cluster_exit_code(path, tmp_path / "ref") == code
+        assert _cluster_exit_code(path, tmp_path / "run") == code
+        if error is None:
+            assert np.array_equal(outcome.entries, reference.entries)
+        else:
+            assert outcome == reference
+            assert outcome[0] is error
+
+    def test_savetxt_layout_never_reaches_loadtxt(self, tmp_path,
+                                                  monkeypatch):
+        A = rand_sim(50, np.random.default_rng(7))
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, A)
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("a fixed-width CSV went to np.loadtxt")
+
+        monkeypatch.setattr(matrix.np, "loadtxt", loadtxt)
+        B = load_matrix_csv(path)
+        assert np.array_equal(_bits(A.entries), _bits(B.entries))

@@ -64,9 +64,15 @@ def test_minimax_distances_holds_its_output(features):
     assert peak <= 1.3 * UNIT
 
 
-def test_load_matrix_csv(tmp_path, block):
+@pytest.mark.parametrize("layout", ["fixed-width", "variable-width"])
+def test_load_matrix_csv(tmp_path, block, layout):
+    # np.savetxt writes 25-byte tokens, read a chunk at a time; a -0.0
+    # entry widens one token, and the file is read by np.loadtxt.
+    E = np.array(block.entries)
+    if layout == "variable-width":
+        E[0, 1] = E[1, 0] = -0.0
     path = tmp_path / "m.csv"
-    np.savetxt(path, block.entries, delimiter=",")
+    np.savetxt(path, E, delimiter=",")
     peak, _ = traced_peak(load_matrix_csv, path)
     assert peak <= 1.5 * UNIT
 

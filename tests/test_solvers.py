@@ -71,6 +71,20 @@ class TestInits:
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
         assert init_vertex(A).support == {0}
 
+    def test_vertex_state_holds_the_product_bit_for_bit(self):
+        # A vertex start reads column i for E @ e_i. The matrix is symmetric
+        # only within SYM_TOL, so row i would differ, and a -0.0 entry must
+        # read as the +0.0 the product gives.
+        rng = np.random.default_rng(3)
+        raw = np.array(rand_sim(6, rng).entries)
+        raw[0, 2] = raw[2, 0] = -0.0
+        raw[4, 3], raw[3, 4] = -0.0, 5e-13
+        A = new_similarity_matrix(raw)
+        for x0 in np.eye(6):
+            st = make_state(A, simplex_point(x0))
+            assert st.cr == 1.0
+            assert st.rt.tobytes() == (A.entries @ x0).tobytes()
+
 
 class TestGapAndAway:
     def test_fw_gap_frozen(self, state3):
