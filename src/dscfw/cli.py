@@ -268,7 +268,9 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="-b/-v: barycenter/vertex start; multistart ignores "
                    "the suffix and starts from each sampled seed")
     p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
+                   help="stop a solve when its halved gap max(r) - f is at "
+                   "most epsilon * max(r); in (0, 1) (default %(default)g)")
     p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
 
 

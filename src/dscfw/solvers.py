@@ -56,18 +56,13 @@ dense `_rd`); renormalises; counts the support (+1 when a vertex enters,
 NotAscent where the solver has no ascent direction, then takes one
 iteration of the same loop with every stop test off.
 
-Stop test. The loop stops when ||x+ - x|| <= epsilon for the folded
-iterates x = fl(c_x * xt) and x+ = fl(c_x+ * xt+). The norm is sqrt(d.d)
-with d = x+ - x, exactly what np.linalg.norm computes for a 1-D array.
-Every term of the computed d.d is >= 0 and IEEE rounding is monotone, so
-the computed d.d is at least fl(d_c^2) for any coordinate c. If
-sqrt(d_c^2) > epsilon, the iterate has not converged and the O(n) norm
-is skipped; the loop takes c to be the coordinate the step moves (i for
-FW and pairwise steps, j for an away step), and this decides almost
-every step. Otherwise it rebuilds the old xt from the new one and the old
-values of the coordinates the step wrote (no other coordinate of xt
-changes) and computes the full norm from the two scales, so every stop
-decision is the one ||fl(c_x+ * xt+) - fl(c_x * xt)|| gives.
+Stop test. The loop stops when the halved gap max(r) - f is at most
+epsilon * max(r), with r and f of the matrix solved (shift included):
+f >= (1 - epsilon) max(r). The test is relative because the rounding floor
+of the cached gap grows with max(r); an absolute threshold below that floor
+is never met. Replicator dynamics can come to rest at a fixed point with a
+positive gap, so it also stops when ||x+ - x|| <= epsilon for the folded
+iterates (IterateConverged).
 
 Gap convention: the solvers compare the HALVED quantity max(r) - f against
 the stopping threshold, exactly as the update rules are stated.
@@ -80,7 +75,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +94,7 @@ from .matrix import (
     renormalize_if_needed,
 )
 
-DEFAULT_EPSILON = sys.float_info.epsilon  # ~2.2e-16
+DEFAULT_EPSILON = 1e-12  # relative: the halved gap against max(r)
 # Fold bound: far inside the float64 range, so neither xt (whose entries
 # grow like 1/c_x) nor a product of two scales can overflow.
 _FOLD = 1e150
@@ -134,7 +128,7 @@ class InitKind(enum.Enum):
 
 class StopReason(enum.Enum):
     GAP_REACHED = "GapReached"
-    ITERATE_CONVERGED = "IterateConverged"
+    ITERATE_CONVERGED = "IterateConverged"  # replicator dynamics only
     MAX_ITERS = "MaxIters"
 
 
@@ -165,8 +159,10 @@ class SolverConfig:
     max_iters: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < math.inf:  # NaN fails too
-            raise ValueError("epsilon must be positive and finite")
+        # epsilon >= 1 would stop every solve before its first step, as
+        # f >= 0; NaN fails too.
+        if not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must be finite and lie in (0, 1)")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -294,11 +290,11 @@ def select_away(state: SolverState) -> int:
 def _rd(st: SolverState, E: np.ndarray) -> tuple[float, int, np.ndarray]:
     """One replicator step x_i <- x_i r_i / f on the state, recomputing r
     densely. Returns f after the step, the change in the support size and
-    xt before the step."""
+    the folded iterate before the step."""
     f, x, mask, s = st.f, st.xt, st.mask, st.s
     if f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
-    prev = x.copy()
+    prev = st.cx * x
     before = int(np.count_nonzero(mask))
     if s:  # rt <- r = cr * rt + s, with scale 1
         st.rt *= st.cr
@@ -328,8 +324,8 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
     """Take up to `max_iters` steps of the `kind` solver from the state,
     appending one StepRecord a step, and return why the loop stopped.
     The state's scalars live in locals while the loop runs and are stored
-    back when it returns; its arrays are updated in place. eps = -inf
-    turns every stop test off."""
+    back when it returns; its arrays are updated in place. eps = NaN
+    turns every stop test off, as every comparison with NaN is false."""
     E, s, fw_pen = A.base.entries, st.s, st.fw_pen
     xt, mask, rt, pen, buf = st.xt, st.mask, st.rt, st.pen, st.buf
     cx, cr, xsum, f, t = st.cx, st.cr, st.xsum, st.f, st.t
@@ -350,7 +346,7 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
         r_i = cr * rt.item(i) + s
         half = r_i - f
         gap = 2.0 * half
-        if half <= eps:
+        if half <= eps * r_i:
             reason = StopReason.GAP_REACHED
             break
         if away:
@@ -366,13 +362,12 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
             st.cx, st.cr, st.xsum = cx, cr, xsum
             _fold(st)  # r_i and r_j read the same after a fold
             cx, cr, xsum = st.cx, st.cr, st.xsum
-        cx0, v, r_s, r_v = cx, None, r_i, nan
+        v, r_s, r_v = None, r_i, nan
         if rd:
             st.cx, st.cr, st.xsum, st.f = cx, cr, xsum, f
             f_after, delta, prev = _rd(st, E)
             cx, cr, xsum = st.cx, st.cr, st.xsum
             rec_kind, gamma, r_s = StepKind.RD_STEP, nan, nan
-            c, old, new = i, prev.item(i), xt.item(i)
         elif pairwise:
             # Move mass from j to i; the scales stay as they are.
             a_ij = E.item(i, j) + s
@@ -410,7 +405,7 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
                 rt[i] -= shifted
                 rt[j] += shifted
             f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
-            delta, v, r_v, c = entered - truncated, j, r_j, i
+            delta, v, r_v = entered - truncated, j, r_j
         elif not away or half >= f - r_j:
             # FW move, x+ = (1 - g) x + g e_i. AFW takes it whenever
             # r_i - f >= f - r_j; at a vertex f = r_j = 0, so the away
@@ -435,7 +430,7 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
             if s:
                 rt[i] -= gamma * s / cr
             f_after = (1.0 - gamma) ** 2 * f + 2.0 * gamma * (1.0 - gamma) * r_i
-            rec_kind, delta, c = StepKind.FW_GOOD, entered, i
+            rec_kind, delta = StepKind.FW_GOOD, entered
         else:
             # Away move, x+ = (1 + g) x - g e_j, capped where x_j reaches 0.
             x_j = cx * xt.item(j)
@@ -467,7 +462,7 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
             if s:
                 rt[j] -= -gamma * s / cr
             f_after = (1.0 + gamma) ** 2 * f - 2.0 * gamma * (1.0 + gamma) * r_j
-            delta, v, r_v, c = -truncated, j, r_j, j
+            delta, v, r_v = -truncated, j, r_j
         total = cx * xsum
         if abs(total - 1.0) > SUM_TOL:
             cx /= total
@@ -476,22 +471,11 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
         size += delta
         f = f_after
         t += 1
-        # ||x+ - x|| >= |x+[c] - x[c]| (see the module docstring), so a
-        # large move of coordinate c settles the stop test without the
-        # O(n) norm.
-        d_c = cx * new - cx0 * old
-        if sqrt(d_c * d_c) > eps:
-            continue
-        # xt before the step differs from xt only where the step wrote.
-        if not rd:
-            prev = xt.copy()
-            prev[c] = old
-            if pairwise:
-                prev[j] = x_j
-        d = cx * xt - cx0 * prev
-        if sqrt(d.dot(d)) <= eps:
-            reason = StopReason.ITERATE_CONVERGED
-            break
+        if rd:
+            d = cx * xt - prev
+            if sqrt(d.dot(d)) <= eps:
+                reason = StopReason.ITERATE_CONVERGED
+                break
     st.cx, st.cr, st.xsum, st.f, st.t = cx, cr, xsum, f, t
     return reason
 
@@ -514,7 +498,7 @@ def step(state: SolverState, A: Operator, kind: SolverKind) -> StepRecord:
     if kind is SolverKind.PFW and i == j:
         raise NotAscent("pairwise direction is zero (s == v)")
     trace: list[StepRecord] = []
-    _iterate(state, A, kind, 1, -math.inf, trace)
+    _iterate(state, A, kind, 1, math.nan, trace)
     return trace[0]
 
 
@@ -531,13 +515,14 @@ def run(
     config: SolverConfig,
     x0: SimplexPoint | None = None,
 ) -> tuple[SimplexPoint, list[StepRecord], StopReason]:
-    """Iterate the configured solver until the halved gap drops to the
-    threshold, consecutive iterates coincide (||x+ - x|| <= epsilon), or
-    the budget is spent. Each iteration evaluates the gap, and for PFW/AFW
-    the away vertex, once. A caller-chosen start is given as x0, which is
-    copied once; without it the run starts at the configured start.
-    On a `ShiftedMatrix` the returned point covers all n objects and is
-    zero off the active ones, and trace indices are global."""
+    """Iterate the configured solver until the halved gap drops to
+    epsilon * max(r), replicator iterates coincide (||x+ - x|| <=
+    epsilon), or the budget is spent. Each iteration evaluates the gap,
+    and for PFW/AFW the away vertex, once. A caller-chosen start is given
+    as x0, which is copied once; without it the run starts at the
+    configured start. On a `ShiftedMatrix` the returned point covers all
+    n objects and is zero off the active ones, and trace indices are
+    global."""
     st = make_state(A, x0 if x0 is not None else initial_point(A, config))
     kind = config.solver_kind
     if kind is SolverKind.RD and st.f <= 0:

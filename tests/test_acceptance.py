@@ -74,17 +74,14 @@ def _checked_run(A, kind, max_iters=1000):
     max_r_dev = max_f_dev = 0.0
     for _ in range(max_iters):
         gap, i = fw_gap(state)
-        if gap / 2.0 <= DEFAULT_EPSILON:
+        if gap / 2.0 <= DEFAULT_EPSILON * state.r[i]:
             break
         if kind is SolverKind.PFW and select_away(state) == i:
             break
-        prev = state.x.coords.copy()
         trace.append(step(state, A, kind))
         consistency = check_state(state, A)
         max_r_dev = max(max_r_dev, consistency.max_r_deviation)
         max_f_dev = max(max_f_dev, consistency.max_f_deviation)
-        if float(np.linalg.norm(state.x.coords - prev)) <= DEFAULT_EPSILON:
-            break
     return {"A": A, "kind": kind, "trace": trace, "x0": x0,
             "support0": support0,
             "max_r_dev": max_r_dev, "max_f_dev": max_f_dev}

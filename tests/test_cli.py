@@ -173,8 +173,8 @@ def test_trace_check(tmp_path, block_csv, capsys):
 @pytest.mark.parametrize("solver, beta, bound, support0, informative", [
     pytest.param("afw-b", 5.99993, 0.1220, 200, False,
                  id="afw-b-5.99993-0.122-200"),
-    pytest.param("pfw-b", 9.99993, 4.8465e186, 200, False,
-                 id="pfw-b-9.99993-4.8465e+186-200"),
+    pytest.param("pfw-b", 9.99993, 5.0694e186, 200, False,
+                 id="pfw-b-9.99993-5.0694e+186-200"),
     pytest.param("fw", 5.99993, 0.3210, 1, True, id="fw-5.99993-0.321-1"),
 ])
 def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
@@ -414,6 +414,17 @@ def test_non_finite_threshold_returns_2(tmp_path, block_csv, capsys, flags):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cluster", "multistart"])
+def test_epsilon_of_one_returns_2(tmp_path, block_csv, capsys, command):
+    # The stop test is f >= (1 - epsilon) max(r), and f >= 0: epsilon = 1
+    # would stop every solve before its first step.
+    matrix_csv, _ = block_csv
+    code = main([command, "--epsilon", "1", "--input", matrix_csv,
+                 "--max-clusters", "2", "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "(0, 1)" in capsys.readouterr().err
+
+
 def test_manifest_input_digest(tmp_path, block_csv, capsys):
     matrix_csv, _ = block_csv
     out = str(tmp_path / "run")
@@ -520,15 +531,12 @@ def test_max_iters_stop_is_reported(tmp_path, block_csv):
 ])
 def test_budget_warnings_in_manifest(tmp_path, block_csv, capsys, caplog,
                                      command):
-    # The ample budget comes with a loose epsilon: at the default (machine
-    # epsilon) an away-step solve can stall on rounding just above it.
     matrix_csv, _ = block_csv
     manifests = {}
     for budget in ("1", "5000"):
         out = str(tmp_path / f"run{budget}")
         assert main([*command, "--input", matrix_csv, "--max-clusters", "2",
-                     "--max-iters", budget, "--epsilon", "1e-9",
-                     "--out", out]) == 0
+                     "--max-iters", budget, "--out", out]) == 0
         manifests[budget] = json.loads(
             (tmp_path / f"run{budget}.manifest.json").read_text())
     assert manifests["1"]["warnings"]

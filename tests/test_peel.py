@@ -2,10 +2,11 @@
 
 import importlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from dscfw.diagnostics import check_progress, check_state
@@ -190,23 +191,39 @@ def _compacted(A, active, shift):
 
 def _dense_peel(A, shift, config):
     """Peel with every round on its compacted dense matrix, shifted by
-    `shift`: labels and stop reasons."""
+    `shift`: labels, stop reasons and traces in global indices."""
     labels = np.zeros(A.n, dtype=int)
     left = np.arange(A.n)
-    reasons = []
+    reasons, traces = [], []
     for label in range(1, config.max_clusters + 1):
         if left.size <= 1:
             labels[left] = label
             break
         _, B = _compacted(A, np.isin(np.arange(A.n), left), shift)
-        x, _, reason = run(B, config.solver)
+        x, trace, reason = run(B, config.solver)
         reasons.append(reason)
+        traces.append([replace(
+            rec, s_index=int(left[rec.s_index]),
+            v_index=None if rec.v_index is None else int(left[rec.v_index]))
+            for rec in trace])
         local = extract_support(x, config.cutoff)
         if not local:
             break
         labels[left[local]] = label
         left = np.delete(left, local)
-    return labels, reasons
+    return labels, reasons, traces
+
+
+def _step_key(rec):
+    return rec.kind, rec.s_index, rec.v_index
+
+
+def _assert_tie(rec, want):
+    """Two solves took different vertices at this step: assert that the
+    vertices they took tie within rounding."""
+    assert rec.r_s == pytest.approx(want.r_s, rel=1e-12)
+    if not (math.isnan(rec.r_v) or math.isnan(want.r_v)):
+        assert rec.r_v == pytest.approx(want.r_v, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,11 +269,8 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
         rec = step(state, op, kind)
         want = step(dense, B, kind)
         v = None if want.v_index is None else idx[want.v_index]
-        if (rec.kind, rec.s_index, rec.v_index) != (want.kind,
-                                                    idx[want.s_index], v):
-            assert rec.r_s == pytest.approx(want.r_s, rel=1e-12)
-            if not (math.isnan(rec.r_v) or math.isnan(want.r_v)):
-                assert rec.r_v == pytest.approx(want.r_v, rel=1e-12)
+        if _step_key(rec) != (want.kind, idx[want.s_index], v):
+            _assert_tie(rec, want)
             break
         assert np.max(np.abs(state.r[idx] - dense.r)) <= 1e-8
         assert abs(state.f - dense.f) <= 1e-12 * abs(dense.f)
@@ -273,15 +287,29 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
        init=hst.sampled_from([InitKind.BARYCENTER, InitKind.VERTEX]),
        shift=hst.sampled_from([0.0, 0.5, 4.0]),
        max_clusters=hst.integers(1, 5))
+# The solves part at step 18 on a near-tie for the away vertex, r_v
+# 0.9695255641089942 against ...939, and converge to different maxima.
+@example(n=13, seed=615, kind=SolverKind.PFW, init=InitKind.BARYCENTER,
+         shift=0.5, max_clusters=1)
 def test_operator_peel_labels_match_the_dense_oracle(n, seed, kind, init,
                                                      shift, max_clusters):
-    # Where every solve converges on both paths, peel over one matrix
-    # labels the objects exactly as rounds on compacted copies do.
+    # Where every round's two solves take the same steps and converge,
+    # peel over one matrix labels the objects exactly as rounds on
+    # compacted copies do. Rounding may break a tie between two vertices
+    # either way (see test_operator_rounds_match_the_dense_oracle), and
+    # the solves may then converge to different maxima: where a round's
+    # solves part, the step where they part must be such a tie, and the
+    # labels are not compared.
     A = rand_sim(n, np.random.default_rng(seed))
     config = PeelConfig(max_clusters=max_clusters,
                         solver=SolverConfig(kind, init, max_iters=5000))
     result = peel(ShiftedMatrix(A, shift), config)
-    labels, reasons = _dense_peel(A, shift, config)
+    labels, reasons, traces = _dense_peel(A, shift, config)
+    for got, want in zip(result.traces, traces):
+        for rec, ref in zip(got, want):
+            if _step_key(rec) != _step_key(ref):
+                _assert_tie(rec, ref)
+                return
     if StopReason.MAX_ITERS in result.stop_reasons + reasons:
         return
     assert np.array_equal(result.labels, labels)

@@ -289,7 +289,7 @@ class TestRdStep:
 
 class TestConfig:
     def test_rejects_bad_epsilon(self):
-        for bad in (0.0, math.inf, math.nan):
+        for bad in (0.0, 1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 SolverConfig(epsilon=bad)
 
@@ -333,32 +333,24 @@ class TestRun:
         assert trace[0].gap == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", [SolverKind.PFW, SolverKind.AFW])
-    def test_iterate_converged_after_a_vanishing_drop(self, kind):
+    def test_gap_reached_after_a_vanishing_drop(self, kind):
         # Vertex 2 carries 1e-300 and r_2 = 0, so both solvers drop it.
-        # The step moves x by 1e-300, whose square underflows: the test on
-        # the moved coordinate cannot decide, and the full norm (0) stops
-        # the run.
+        # The drop leaves x where it was, but the halved gap is still
+        # 0.56: the run steps on to the maximizer (0.5, 0.5, 0) and stops
+        # on the gap.
         A = new_similarity_matrix([[0.0, 2.0, 0.0],
                                    [2.0, 0.0, 0.0],
                                    [0.0, 0.0, 0.0]])
         x, trace, reason = run(A, SolverConfig(kind),
                                x0=simplex_point([0.3, 0.7, 1e-300]))
-        assert reason is StopReason.ITERATE_CONVERGED
-        assert [rec.kind for rec in trace] == [StepKind.DROP]
+        assert reason is StopReason.GAP_REACHED
+        assert [rec.kind for rec in trace] == [
+            StepKind.DROP,
+            StepKind.PAIRWISE_GOOD if kind is SolverKind.PFW
+            else StepKind.FW_GOOD]
         assert trace[0].v_index == 2
         assert x.support == {0, 1}
-        assert np.array_equal(x.coords, [0.3, 0.7, 0.0])
-
-    def test_one_small_coordinate_move_is_not_convergence(self, A3):
-        # The pairwise step of gamma = 0.3 from (0.5, 0.2, 0.3) moves x_1
-        # by +0.3 and x_0 by -0.3: |d_1| = 0.3 <= epsilon = 0.35 < ||d|| =
-        # 0.42, so only the full norm shows that the iterate moved. The
-        # run goes on and stops on the gap (halved gap 0.28).
-        cfg = SolverConfig(SolverKind.PFW, epsilon=0.35)
-        x, trace, reason = run(A3, cfg, x0=simplex_point([0.5, 0.2, 0.3]))
-        assert reason is StopReason.GAP_REACHED
-        assert [rec.kind for rec in trace] == [StepKind.PAIRWISE_GOOD]
-        assert np.allclose(x.coords, [0.2, 0.5, 0.3], atol=1e-15)
+        assert np.allclose(x.coords, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_pfw_stationary_when_best_equals_away(self):
         # Zero pairwise direction stops the run without a step.
@@ -372,8 +364,7 @@ class TestRun:
                                       SolverKind.AFW])
     def test_scale_invariance(self, kind):
         # Scaling A by c scales r, f, and every line-search ratio alike:
-        # the iterate sequence and step kinds are unchanged (only the
-        # absolute stopping threshold sees the scale, so step directly).
+        # the iterate sequence and step kinds are unchanged.
         rng = np.random.default_rng(21)
         A = rand_sim(12, rng)
         B = new_similarity_matrix(4.0 * A.entries)
@@ -434,13 +425,13 @@ def _seed_start(start, k, active):
        epsilon=hst.sampled_from([DEFAULT_EPSILON, 1e-3, 0.05]))
 def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
                                       operator, epsilon):
-    # run evaluates each iterate once, keeps the support size as a count
-    # and tests convergence on one coordinate before the full norm; a loop
-    # over the public `step`, which evaluates for itself, with the full
-    # norm every step, must give the same trace, iterate and stop
-    # reason. Integer weights make ties, zero edges, drops and swaps
-    # common; the seed starts are multistart's, and a loose epsilon makes
-    # the iterate-converged stop common. The operator is the dense shifted
+    # run evaluates each iterate once and keeps the support size as a
+    # count; a loop over the public `step`, which evaluates for itself,
+    # with the relative gap test and RD's iterate test written out, must
+    # give the same trace, iterate and stop reason. Integer weights make
+    # ties, zero edges, drops and swaps common; the seed starts are
+    # multistart's, and a loose epsilon makes RD's iterate-converged stop
+    # common. The operator is the dense shifted
     # matrix, or peel's implicit shift, over all objects or over a random
     # active mask (so the cache carries the shift and the FW vertex is a
     # masked argmax). RD starts where its update is defined: the
@@ -481,7 +472,7 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
     expected, expected_reason = [], StopReason.MAX_ITERS
     for _ in range(cfg.max_iters):
         gap, i = fw_gap(state)
-        if gap / 2.0 <= cfg.epsilon:
+        if gap / 2.0 <= cfg.epsilon * state.r[i]:
             expected_reason = StopReason.GAP_REACHED
             break
         if kind is SolverKind.PFW and select_away(state) == i:
@@ -489,7 +480,8 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
             break
         prev = state.x.coords.copy()
         expected.append(step(state, A, kind))
-        if float(np.linalg.norm(state.x.coords - prev)) <= cfg.epsilon:
+        if kind is SolverKind.RD and float(
+                np.linalg.norm(state.x.coords - prev)) <= cfg.epsilon:
             expected_reason = StopReason.ITERATE_CONVERGED
             break
     assert reason is expected_reason
@@ -501,6 +493,35 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
         assert not np.any(x.mask & ~active)
     if x0 is not None:  # run copies the start it is given
         assert np.array_equal(x0.coords, start_coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=hst.integers(2, 14), seed=hst.integers(0, 2**32 - 1),
+       kind=hst.sampled_from(list(SolverKind)),
+       init=hst.sampled_from(list(InitKind)),
+       k=hst.sampled_from([-20, 20]), shift=hst.sampled_from([0.0, 4.0]))
+def test_run_is_invariant_to_a_power_of_two_scale(n, seed, kind, init, k,
+                                                  shift):
+    # Scaling A and the shift by c = 2^k scales r, f and the gap exactly
+    # and leaves every line-search ratio as it was, and the stop test,
+    # relative to max(r), scales on both sides: the FW solvers take the
+    # same steps to the same stop and the same bits. RD stops at the same
+    # step; its iterate may differ in the last bits.
+    A = rand_sim(n, np.random.default_rng(seed))
+    c = 2.0 ** k
+    if kind is SolverKind.RD:
+        init = InitKind.BARYCENTER  # RD cannot start at a vertex
+    cfg = SolverConfig(kind, init)
+    x, trace, reason = run(ShiftedMatrix(A, shift), cfg)
+    scaled = ShiftedMatrix(new_similarity_matrix(c * A.entries), c * shift)
+    y, scaled_trace, scaled_reason = run(scaled, cfg)
+    assert scaled_reason is reason
+    assert len(scaled_trace) == len(trace)
+    if kind is SolverKind.RD:
+        return
+    assert [(r.kind, r.t, r.s_index, r.v_index) for r in scaled_trace] == [
+        (r.kind, r.t, r.s_index, r.v_index) for r in trace]
+    assert np.array_equal(y.coords, x.coords)
 
 
 def test_run_matches_public_step_loop_with_frequent_folds(monkeypatch):
@@ -537,8 +558,8 @@ def test_folds_keep_the_cache_exact(monkeypatch):
     state = make_state(A, init_barycenter(n))
     kinds, worst = [], 0.0
     for _ in range(2000):
-        gap, _ = fw_gap(state)
-        if gap / 2.0 <= DEFAULT_EPSILON:
+        gap, i = fw_gap(state)
+        if gap / 2.0 <= DEFAULT_EPSILON * state.r[i]:
             break
         rec = step(state, A, SolverKind.AFW)
         kinds.append(rec.kind)
@@ -552,29 +573,31 @@ def test_folds_keep_the_cache_exact(monkeypatch):
 # sha256 (first 16 hex digits) of every trace field, the stop reason and
 # the final iterate's bytes of a 300-step run, keyed by solver, start and
 # operator. They were recorded from the solver loop as it stood before its
-# step bodies were fused, and they pin its arithmetic and its order of
-# operations: any change to either moves some digest. Integer weights and
+# step bodies were fused, and re-pinned when the stop test became relative
+# to max(r) (each re-pinned trace a prefix of the one it replaced). They
+# pin the loop's arithmetic and its order of operations: any change to
+# either moves some digest. Integer weights and
 # power-of-two supports (32 objects, 16 active) make make_state's products
 # exact, so the digests do not depend on the BLAS.
 GOLDEN_TRACES = {
     "fw-b-A": "4c4e56c90e1eba60",
     "fw-v-A": "15fc942d0d4bb003",
-    "pfw-b-A": "f93136887ed3ed8e",
-    "pfw-v-A": "379b0beb615a3568",
-    "afw-b-A": "7b0bc790cc1bb58e",
-    "afw-v-A": "bfd90108e5a91bbf",
+    "pfw-b-A": "dd615a16394d4932",
+    "pfw-v-A": "cfcc7509f2537825",
+    "afw-b-A": "fe328952613ac950",
+    "afw-v-A": "e71b2ab0a5b0bebb",
     "fw-b-shift": "16eb30a838957070",
     "fw-v-shift": "f883f0189c3ba1be",
-    "pfw-b-shift": "c1628e31f6ff7c24",
-    "pfw-v-shift": "e4578e0851bc5f77",
+    "pfw-b-shift": "7d08c273b0cfc3da",
+    "pfw-v-shift": "e485f52b98b9eb2a",
     "afw-b-shift": "c56d2028666fe889",
-    "afw-v-shift": "7b26ae24b23c1aa7",
+    "afw-v-shift": "debc834bd2e8f66a",
     "fw-b-active": "cb1a0c1c5c57f9e0",
     "fw-v-active": "35c9ce09ccb3ad7a",
-    "pfw-b-active": "34f800f978216e8c",
-    "pfw-v-active": "baab5b7dd1c46640",
-    "afw-b-active": "0badc4292af8e6f3",
-    "afw-v-active": "5215d3f4aee3768e",
+    "pfw-b-active": "86bfa869a9d2f652",
+    "pfw-v-active": "51acbe5603a57d83",
+    "afw-b-active": "258482d897db5520",
+    "afw-v-active": "5e99e03a896c4ad4",
 }
 
 
