@@ -19,13 +19,33 @@ they serve as oracles against the solvers' O(n) incremental updates.
 
 `save_matrix_csv` writes the bytes np.savetxt(path, A.entries,
 delimiter=",") writes, one run of rows (a tile's worth of entries) at a
-time, so its scratch is O(block * n), never n x n. Within a run it
-formats each distinct float64 bit pattern once and gathers the run's
-lines from those tokens; a run whose values are mostly distinct, or
-whose tokens differ in width, is formatted line by line instead.
-Matrices from the block generator or the minimax pipeline hold few
-distinct values, so they are written several times faster than by
-np.savetxt.
+time, so its scratch is O(block * n), never n x n. Within a run it sorts
+the values, formats each distinct float64 bit pattern once and gathers
+the run's lines from those tokens, a few rows at a time. Every
+run whose tokens all have np.savetxt's 24 characters (+0.0 and positive
+values with two-digit exponents) is written that way; a run holding a
+negative value, -0.0, NaN, inf or a three-digit exponent is formatted
+line by line by %. The tokens are those "%.18e" gives, digit for digit:
+
+- the token of v > 0 is d0.f1..f18e+XX (or e-XX) with the 19 digits of
+  N = round(v 10^k), k = 18 - E, at the exponent E for which
+  10^18 <= N < 10^19; % rounds correctly, ties to even. E starts at
+  floor(log10 v), which may be one off next to a power of ten, and moves
+  by one while N is out of range;
+- y = v 10^k is taken as a double-double, from H_k + L_k, the float64
+  pair that is 10^k within 2^-106, relatively: p = fl(v H_k), its
+  rounding error, exact from Dekker's split and TwoProduct (Numer. Math.
+  1971, no FMA needed), plus fl(v L_k). With v >= 1e-100 and
+  -81 <= k <= 117, no partial product overflows or underflows, and the
+  sum p + lo is within about 2^-103 y of y, under 2^-36 for y < 10^20;
+- p >= 10^17 > 2^53 is an integer, so N = p + floor(lo), plus one when
+  the fraction lo - floor(lo) exceeds 1/2. That is round(y) whenever the
+  fraction is more than 2^-30 from 1/2. A value nearer than that is
+  formatted by %: exact ties occur, such as 2^-28 =
+  3.7252902984619140625e-09, whose 20th and last digit is 5;
+- N's digits are laid out eight to a word, in the reverse of the reader's
+  multiply-shift-mask rounds below, and XOR with the zero token makes
+  them text.
 
 `load_matrix_csv` reads without np.loadtxt the layout that writer and
 np.savetxt produce for a nonnegative matrix whose exponents have two
@@ -368,13 +388,19 @@ _CHUNK = 8 * 1310
 _ZERO_WORDS = np.frombuffer(_ZERO.tobytes() * 8, dtype="<u8")
 # A long double with a 64-bit significand holds m < 2^64 exactly.
 _LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
-# 10^q for q = 18 - exponent, exponent -99 to 99, at _POW10[q + _Q0]: the
-# long double sum of 10^q rounded to a float64 and the rounded remainder.
-# It is exact for 0 <= q <= 27 (10^q = 2^q 5^q with 5^27 < 2^63) and within
-# (1 + 2^-42) 2^-64 of 10^q, relatively, for every q.
+# 10^q for q = 18 - exponent, exponent -99 to 99, at index q + _Q0:
+# _POW10_HI is 10^q rounded to a float64 and _POW10_LO the rest rounded,
+# so that their sum is 10^q within 2^-106, relatively. Their long double
+# sum _POW10 is exact for 0 <= q <= 27 (10^q = 2^q 5^q with 5^27 < 2^63)
+# and within (1 + 2^-42) 2^-64 of 10^q, relatively, for every q.
 _Q0 = 81
-_POW10 = np.array([np.longdouble(float(p)) + float(p - Fraction(float(p)))
-                   for p in (Fraction(10) ** q for q in range(-_Q0, 118))])
+_POW10_HI, _POW10_LO = np.array(
+    [(float(p), float(p - Fraction(float(p))))
+     for p in (Fraction(10) ** q for q in range(-_Q0, 118))]).T
+_POW10 = _POW10_HI.astype(np.longdouble) + _POW10_LO
+# Nonzero tokens converted at a time, by the reader and by the writer:
+# their temporaries stay far below a chunk's 256 KB.
+_PIECE = 4096
 # (mask, factor, shift): digit values to 2-, 4- and 8-digit integers.
 _SWAR_ROUNDS = [(0x0F0F_0F0F_0F0F_0F0F, 10 * 2**8 + 1, 8),
                 (0x00FF_00FF_00FF_00FF, 100 * 2**16 + 1, 16),
@@ -425,11 +451,12 @@ def _read_fixed_width(path) -> np.ndarray | None:
             parts = [np.ndarray((k,), "<u8", buf, offset, (_WIDTH,))
                      for offset in (0, 8, 16)]
             nonzero = np.flatnonzero(parts[0] | parts[1] | parts[2])
-            if nonzero.size:
-                words = np.empty((3, nonzero.size), "<u8")
+            for s in range(0, nonzero.size, _PIECE):
+                rows = nonzero[s: s + _PIECE]
+                words = np.empty((3, rows.size), "<u8")
                 for part, row in zip(parts, words):
-                    np.take(part, nonzero, out=row)
-                out[t0 + nonzero] = _token_values(tokens, nonzero, words)
+                    np.take(part, rows, out=row)
+                out[t0 + rows] = _token_values(tokens, rows, words)
     return out.reshape(n, n)
 
 
@@ -470,6 +497,29 @@ def _token_values(tokens: np.ndarray, rows: np.ndarray,
 _FMT = "%.18e"
 
 
+# A run of rows is written from 24-byte tokens when every nonzero value has
+# bits in [_TWO_DIGITS[0], _TWO_DIGITS[1]): positive, with a token exponent
+# from -99 to 99. The doubles just below 1e-99 and 1e100 print as
+# 9.99...e-100 and 9.99...e+99. Negative values, -0.0, NaN and inf have
+# larger bits, as unsigned integers, than every positive finite value.
+_TWO_DIGITS = np.array([1e-99, 1e100]).view(np.uint64)
+# The bytes 'e', sign, e1 and e2 of the tokens with exponents -99 to 99,
+# at index exponent + 99, as bytes 4 to 7 of the reader's last word: 0, the
+# sign's value (0 for '+', 6 for '-') and the two digits' values.
+_EXPONENT_BYTES = np.array([6 * (e < 0) << 40 | abs(e) // 10 << 48
+                            | abs(e) % 10 << 56 for e in range(-99, 100)],
+                           dtype=np.uint64)
+# Dekker's splitting factor: x = hi + lo with 26-bit halves.
+_SPLITTER = 2.0**27 + 1
+# (factor, shift, mask, divisor, lane bits): an integer below 10^8 to
+# 4-digit lanes to 2-digit lanes to digits, each lane's quotient by the
+# divisor, (lane * factor) >> shift, in its low half and the remainder in
+# its high half (the reverse of _SWAR_ROUNDS).
+_ITOA_ROUNDS = [(109951163, 40, 0x0000_0000_0000_3FFF, 10000, 32),
+                (5243, 19, 0x0000_007F_0000_007F, 100, 16),
+                (103, 10, 0x000F_000F_000F_000F, 10, 8)]
+
+
 def save_matrix_csv(path, A: SimilarityMatrix) -> None:
     """Write the bytes of np.savetxt(path, A.entries, delimiter=","): n
     lines of n comma-separated "%.18e" tokens, compressed when the suffix
@@ -478,23 +528,21 @@ def save_matrix_csv(path, A: SimilarityMatrix) -> None:
     Each run of rows from _row_chunks is formatted and written on its own,
     so the scratch is a few runs' worth, never an n x n temporary."""
     E = A.entries
-    row_fmt = ",".join([_FMT] * E.shape[1]) + "\n"
     with _COMPRESSED.get(Path(path).suffix, open)(path, "wb") as fh:
         for r in _row_chunks(E.shape[0]):
-            _write_rows(fh, np.ascontiguousarray(E[r]), row_fmt)
+            _write_rows(fh, np.ascontiguousarray(E[r]))
 
 
-def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
+def _write_rows(fh, rows: np.ndarray) -> None:
     """Write the CSV lines of `rows`, formatting each distinct float64 bit
-    pattern once (so -0.0 and +0.0 stay apart) and gathering the lines
-    from a table of fixed-width tokens.
+    pattern once with _tokens and gathering the lines from that table of
+    tokens, a few rows at a time.
 
-    Rows are formatted line by line, as np.savetxt does, when their values
-    are mostly distinct (deduplicating them would cost more than it saves)
-    or when the tokens differ in width, which only a negative value, -0.0
-    or a three-digit exponent brings about. The distinct values come from
-    a plain sort, which is an order of magnitude faster here than
-    np.unique."""
+    Rows are formatted line by line, as np.savetxt does, only when their
+    tokens differ in width, which only a negative value, -0.0, NaN, inf or
+    a three-digit exponent brings about: bits outside _TWO_DIGITS. The
+    distinct values come from a plain sort, which is an order of magnitude
+    faster here than np.unique."""
     bits = rows.view(np.uint64)
     u = np.sort(bits, axis=None)
     first = np.empty(u.size, dtype=bool)
@@ -502,24 +550,116 @@ def _write_rows(fh, rows: np.ndarray, row_fmt: str) -> None:
     np.not_equal(u[1:], u[:-1], out=first[1:])
     uniq = u[first]
     del u, first
-    if 2 * uniq.size <= bits.size:
-        # One "token," per distinct value; they share one width when
-        # every width-th byte is a comma.
-        values = tuple(uniq.view(np.float64).tolist())
-        flat = np.frombuffer(
-            (((_FMT + ",") * uniq.size) % values).encode(), dtype=np.uint8)
-        del values
-        width = flat.size // uniq.size
-        if (flat.size == width * uniq.size
-                and (flat[width - 1::width] == ord(",")).all()):
-            table = flat.reshape(-1, width)
-            cells = table.view(f"V{width}")[:, 0][np.searchsorted(uniq, bits)]
-            lines = cells.view(np.uint8)
-            lines[:, -1] = ord("\n")
-            fh.write(lines)
-            return
-    for row in rows:
-        fh.write((row_fmt % tuple(row)).encode())
+    zeros = int(uniq[0] == 0)
+    nonzero = uniq[zeros:]
+    low, high = _TWO_DIGITS
+    if nonzero.size and (nonzero[0] < low or nonzero[-1] >= high):
+        for row in rows:
+            fh.write(_percent_line(row))
+        return
+    table = np.empty((uniq.size, _WIDTH), dtype=np.uint8)
+    table[:zeros] = _ZERO
+    table[:, -1] = ord(",")
+    for s in range(0, nonzero.size, _PIECE):
+        piece = nonzero[s: s + _PIECE].view(np.float64)
+        table[zeros + s: zeros + s + piece.size, :-1] = _tokens(piece)
+    cells = table.view(f"V{_WIDTH}")[:, 0]
+    step = max(1, _PIECE // rows.shape[1])
+    for k in range(0, rows.shape[0], step):
+        lines = cells[np.searchsorted(uniq, bits[k: k + step])].view(np.uint8)
+        lines[:, -1] = ord("\n")
+        fh.write(lines)
+
+
+def _percent_line(values: np.ndarray) -> bytes:
+    """One CSV line of values formatted by %, as np.savetxt does."""
+    return ((",".join([_FMT] * values.size) + "\n")
+            % tuple(values.tolist())).encode()
+
+
+def _tokens(v: np.ndarray) -> np.ndarray:
+    """The "%.18e" tokens of positive float64 values whose exponents have
+    two digits, as an (m, 24) array of bytes; the module docstring gives
+    the argument that they are exact."""
+    E = np.floor(np.log10(v)).astype(np.int64)
+    np.clip(E, -99, 99, out=E)
+    N, frac, over = _scaled(v, E)
+    redo = np.flatnonzero(over | (N < 10**18) | (N >= 10**19))
+    while redo.size:
+        E[redo] += np.where(over[redo] | (N[redo] >= 10**19), 1, -1)
+        N[redo], frac[redo], over[redo] = _scaled(v[redo], E[redo])
+        redo = redo[over[redo] | (N[redo] < 10**18) | (N[redo] >= 10**19)]
+    tie = np.abs(frac - 0.5) <= 2.0**-30
+    del frac, over
+    # The digit words of the reader's layout (see _token_values):
+    # 0 d0 f1..f6, f7..f14 and f15..f18 0 0 0 0, eight digits a word in
+    # the reverse of its multiply-shift-mask rounds.
+    words = np.empty((v.size, 3), dtype=np.uint64)
+    words[:, 2] = N % 10**4 * 10**4
+    N //= 10**4
+    words[:, 1] = N % 10**8
+    N //= 10**8
+    words[:, 0] = N
+    del N
+    q = np.empty_like(words)
+    for factor, shift, mask, divisor, bits in _ITOA_ROUNDS:
+        np.multiply(words, factor, out=q)
+        q >>= shift
+        q &= mask
+        words -= q * divisor
+        words <<= bits
+        words |= q
+    w0 = words[:, 0]
+    w0[:] = (w0 & ~np.uint64(0xFFFF)) | (w0 >> 8 & 0xFF)  # d0 0 f1..f6
+    words[:, 2] |= _EXPONENT_BYTES[E + 99]
+    words ^= _ZERO_WORDS[:3]
+    out = words.view(np.uint8)
+    if tie.any():
+        out[tie] = np.frombuffer(_percent_line(v[tie]), dtype=np.uint8
+                                 ).reshape(-1, _WIDTH)[:, :-1]
+    return out
+
+
+def _scaled(v: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
+    """N = v 10^k rounded to an integer (uint64), for k = 18 - E, the
+    fraction of v 10^k within 2^-36, and a mask of the values with
+    v 10^k >= 2^64, whose N is meaningless. -81 <= k <= 117 and
+    v 10^k < 10^20.
+
+    v 10^k = p + lo as a double-double: p = fl(v H_k), plus its rounding
+    error from Dekker's TwoProduct, plus fl(v L_k). The arrays are
+    updated in place, so that few are alive at once."""
+    i = (_Q0 + 18) - E
+    H = _POW10_HI[i]
+    small = v * _POW10_LO[i]
+    del i
+    p = v * H
+    # v = a + b and H = c + d, each half of 26 bits: a c - p + a d + b c
+    # + b d, summed in that order, is the exact error of p = fl(v H).
+    a = v * _SPLITTER
+    a -= a - v
+    b = v - a
+    c = H * _SPLITTER
+    c -= c - H
+    d = H
+    d -= c
+    lo = a * c
+    lo -= p
+    lo += a * d
+    lo += b * c
+    b *= d
+    lo += b
+    del a, b, c, d
+    lo += small
+    over = p >= 2.0**64
+    p[over] = 0.0
+    whole = np.floor(lo)
+    frac = lo
+    frac -= whole
+    N = p.astype(np.uint64)
+    N += whole.astype(np.int64).view(np.uint64)
+    N += frac > 0.5
+    return N, frac, over
 
 
 def load_features_csv(path) -> np.ndarray:

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from dscfw import matrix
 from dscfw.cli import main
-from dscfw.data import block_noise_matrix
+from dscfw.data import (
+    block_noise_matrix,
+    gauss_dataset,
+    max_transform,
+    minimax_distances,
+    pairwise_euclidean,
+)
 from dscfw.errors import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -316,6 +322,26 @@ MIDPOINT_TOKENS = [
      for t in _midpoint_tokens(z)]
 
 
+_POWERS_OF_TEN = [float(f"1e{e}") for e in range(-99, 100)]
+# Values for the writer, with the number of their tokens it sends to %:
+# the exact ties, or None when tokens of other widths send every line.
+# 2^-28 = 3.7252902984619140625e-09, 3.8964386146156421875e+13 and the
+# double below 1e14, 9.9999999999999984375e+13, are exact ties at the 19th
+# digit. 1e-99 and the largest double below 1e100 are the ends of the
+# two-digit exponents, their neighbours outside them the first three-digit
+# ones.
+WRITER_EDGES = {
+    "exact ties": ([2.0**-28, 3.8964386146156421875e+13,
+                    np.nextafter(1e14, 0.0)], 3),
+    "powers of ten and their neighbours": (sorted(
+        {np.nextafter(p, d) for p in _POWERS_OF_TEN for d in (0.0, np.inf)}
+        - {np.nextafter(1e-99, 0.0)} | set(_POWERS_OF_TEN)), 1),
+    "two-digit ends": ([1e-99, np.nextafter(1e100, 0.0)], 0),
+    "three-digit ends": ([np.nextafter(1e-99, 0.0), 1e100], None),
+    "subnormal and zeros": ([5e-324, -0.0, 0.0], None),
+}
+
+
 def _write_symmetric_tokens(path, tokens: list[str]) -> None:
     """A symmetric matrix CSV holding the tokens above its diagonal, zero
     tokens elsewhere."""
@@ -442,6 +468,45 @@ class TestCsvIO:
         save_matrix_csv(out / "new.csv", SimilarityMatrix(E))
         np.savetxt(out / "ref.csv", E, delimiter=",")
         assert (out / "new.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(WRITER_EDGES))
+    def test_save_writes_the_edges_as_savetxt_does(self, tmp_path, case):
+        values, ties = WRITER_EDGES[case]
+        k = 1
+        while k * k < len(values):
+            k += 1
+        E = np.zeros(k * k)
+        E[: len(values)] = values
+        E = E.reshape(k, k)
+        with mock.patch.object(matrix, "_percent_line",
+                               wraps=matrix._percent_line) as fallback:
+            save_matrix_csv(tmp_path / "new.csv", SimilarityMatrix(E))
+        np.savetxt(tmp_path / "ref.csv", E, delimiter=",")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+        sent = [c.args[0].size for c in fallback.call_args_list]
+        if ties is None:  # every row of the matrix's one run, line by line
+            assert sent == [k] * k
+        else:  # one call on the run's ties, if it has any
+            assert sent == ([ties] if ties else [])
+
+    @pytest.mark.parametrize("kind", ["block", "minimax", "euclidean-max"])
+    def test_save_sends_no_token_of_generated_data_to_percent(self, tmp_path,
+                                                              kind):
+        if kind == "block":
+            A, _ = block_noise_matrix(300, 5, 0.3, seed=0)
+        else:
+            F, _ = gauss_dataset(300, 0.3, seed=0)
+            D = pairwise_euclidean(F)
+            A = max_transform(minimax_distances(D) if kind == "minimax"
+                              else D)
+        with mock.patch.object(matrix, "_percent_line",
+                               wraps=matrix._percent_line) as fallback:
+            save_matrix_csv(tmp_path / "new.csv", A)
+        assert fallback.call_count == 0
+        np.savetxt(tmp_path / "ref.csv", A.entries, delimiter=",")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
     @pytest.mark.parametrize("suffix, opener", [
         (".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)])

@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 from dscfw.cli import _digest
-from dscfw.data import block_noise_matrix, minimax_distances, pairwise_euclidean
+from dscfw.data import (
+    block_noise_matrix,
+    max_transform,
+    minimax_distances,
+    pairwise_euclidean,
+)
 from dscfw.matrix import (
     ShiftedMatrix,
     _validated,
@@ -64,11 +69,17 @@ def test_minimax_distances_holds_its_output(features):
     assert peak <= 1.3 * UNIT
 
 
-@pytest.mark.parametrize("layout", ["fixed-width", "variable-width"])
-def test_load_matrix_csv(tmp_path, block, layout):
+@pytest.mark.parametrize("layout", ["fixed-width", "variable-width",
+                                    "dense fixed-width"])
+def test_load_matrix_csv(tmp_path, block, features, layout):
     # np.savetxt writes 25-byte tokens, read a chunk at a time; a -0.0
-    # entry widens one token, and the file is read by np.loadtxt.
-    E = np.array(block.entries)
+    # entry widens one token, and the file is read by np.loadtxt. Every
+    # token of the dense matrix but the diagonal's is nonzero, so each
+    # chunk converts all of its tokens, a piece at a time.
+    if layout == "dense fixed-width":
+        E = max_transform(pairwise_euclidean(features)).entries
+    else:
+        E = np.array(block.entries)
     if layout == "variable-width":
         E[0, 1] = E[1, 0] = -0.0
     path = tmp_path / "m.csv"
@@ -80,9 +91,11 @@ def test_load_matrix_csv(tmp_path, block, layout):
 @pytest.mark.parametrize("kind", ["block", "dense"])
 def test_save_matrix_csv_needs_only_row_runs(tmp_path, block, kind):
     # The writer holds one run of about 128 x 128 entries: their sorted
-    # bits, gather indices and formatted bytes, well under one n x n
-    # array. The block matrix takes the deduplicating path, the dense
-    # one the line-by-line path.
+    # bits, distinct values and table of tokens, the temporaries of one
+    # piece of values being formatted, and the gather indices and lines
+    # of a few rows, well under one n x n array. Both matrices take the
+    # one fixed-width path; the dense one's run has a token for almost
+    # every entry.
     A = block if kind == "block" else rand_sim(N, np.random.default_rng(2))
     peak, _ = traced_peak(save_matrix_csv, tmp_path / "m.csv", A)
     assert peak <= 0.5 * UNIT

@@ -59,4 +59,7 @@ def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):
     for argv in commands:
         capsys.readouterr()
         assert main(argv[1:]) == 0, argv
-    assert json.loads(capsys.readouterr().out)["satisfied"] is True
+    # The example's check could fail: its bound lies below the first gap.
+    report = json.loads(capsys.readouterr().out)
+    assert report["satisfied"] is True
+    assert report["informative"] is True
