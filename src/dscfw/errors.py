@@ -45,7 +45,7 @@ class EmptySupport(DscfwError):
 
 
 class NotAscent(DscfwError):
-    """Step requested although the halved gap is nonpositive."""
+    """Step requested where the solver has no ascent direction."""
 
 
 class BrokenInvariant(DscfwError):

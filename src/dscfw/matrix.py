@@ -17,6 +17,14 @@ is the same operator with s = 0 and S = all, so both expose `base`,
 The dense primitives here (matvec, quadratic_form) are deliberately O(n^2):
 they serve as oracles against the solvers' O(n) incremental updates.
 
+Both directions of a matrix CSV scale by a power of ten with one
+arithmetic, `_scale`: y = v 10^k as the double-double p + lo, where the
+float64 pair H_k + L_k is 10^k within 2^-106, relatively
+(-117 <= k <= 117), p = fl(v H_k) and lo is its rounding error, exact from
+Dekker's split and TwoProduct (Numer. Math. 1971, no FMA needed), plus
+fl(v L_k). No partial product below leaves the normal range (they lie
+in about 1e-134 to 1e126), and p + lo is within about 2^-103 y of y.
+
 `save_matrix_csv` writes the bytes np.savetxt(path, A.entries,
 delimiter=",") writes, one run of rows (a tile's worth of entries) at a
 time, so its scratch is O(block * n), never n x n. Within a run it sorts
@@ -32,12 +40,7 @@ line by line by %. The tokens are those "%.18e" gives, digit for digit:
   10^18 <= N < 10^19; % rounds correctly, ties to even. E starts at
   floor(log10 v), which may be one off next to a power of ten, and moves
   by one while N is out of range;
-- y = v 10^k is taken as a double-double, from H_k + L_k, the float64
-  pair that is 10^k within 2^-106, relatively: p = fl(v H_k), its
-  rounding error, exact from Dekker's split and TwoProduct (Numer. Math.
-  1971, no FMA needed), plus fl(v L_k). With v >= 1e-100 and
-  -81 <= k <= 117, no partial product overflows or underflows, and the
-  sum p + lo is within about 2^-103 y of y, under 2^-36 for y < 10^20;
+- y = v 10^k < 10^20, with -81 <= k <= 117, is p + lo within 2^-36;
 - p >= 10^17 > 2^53 is an integer, so N = p + floor(lo), plus one when
   the fraction lo - floor(lo) exceeds 1/2. That is round(y) whenever the
   fraction is more than 2^-30 from 1/2. A value nearer than that is
@@ -60,26 +63,21 @@ and gets every float64 bit for bit as np.loadtxt does:
   value (XOR, not subtraction: a subtraction would borrow across the '.'),
   and the 19 digits become one integer m < 10^19 < 2^64, eight digits a
   word in three multiply-shift-mask rounds (Lemire, SP&E 2021);
-- with q = 18 - exponent, y = m / P_q in long-double arithmetic, where
-  P_q is 10^q within (1 + 2^-42) 2^-64, relatively. For 0 <= q <= 27 it
-  is exact (10^q = 2^q 5^q with 5^27 < 2^63), and y is one correctly
-  rounded division of exact operands (Clinger, PLDI 1990). For every q,
-  y is within about 2^-63 of the decimal value, relatively: at most
-  2^-10 spacing(z), for z = float64(y);
-- z is taken when |y - z| <= spacing(z) / 8. The decimal value then lies
-  within (1/8 + 2^-10) spacing(z) of z, strictly inside z's rounding
-  interval, whose half-widths are at least spacing(z) / 4, so z is its
-  correctly rounded double. Every token np.savetxt writes passes, as its
-  19 digits lie within 0.005 spacing(z) of the double they print;
-- a token that fails the margin goes through float(), which rounds
-  correctly too.
+- m = a + b, with a = float64(m), exact, and |b| <= 2^-53 a. With
+  q = 18 - exponent in [-81, 117], y = m 10^-q is p + lo for a and
+  k = -q, plus fl(b H_k), within about 2^-103 y;
+- z = fl(p + lo) is taken when |fl(fl(p - z) + lo)| <= spacing(z) / 8.
+  The decimal value y then lies within (1/8 + 2^-49) spacing(z) of z,
+  strictly inside z's rounding interval, whose half-widths are at least
+  spacing(z) / 4, so z is its correctly rounded double. Every token
+  np.savetxt writes passes, as its 19 digits lie within 0.005 spacing(z)
+  of the double they print;
+- a token that fails the margin, next to a rounding midpoint, goes
+  through float(), which rounds correctly too.
 
 A file that breaks the layout anywhere (a negative value, -0.0, a
 three-digit exponent, CRLF line ends, short or extra rows, NaN) or is
-compressed is read by np.loadtxt, and so is every file on a platform whose
-long double has fewer than 64 significand bits
-(np.finfo(np.longdouble).nmant < 63, as on Windows and macOS on arm64);
-such files keep np.loadtxt's errors.
+compressed is read by np.loadtxt and keeps np.loadtxt's errors.
 """
 
 from __future__ import annotations
@@ -386,18 +384,14 @@ _WIDTH = _ZERO.size
 # chunk is a whole number of 8-byte words.
 _CHUNK = 8 * 1310
 _ZERO_WORDS = np.frombuffer(_ZERO.tobytes() * 8, dtype="<u8")
-# A long double with a 64-bit significand holds m < 2^64 exactly.
-_LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant >= 63
-# 10^q for q = 18 - exponent, exponent -99 to 99, at index q + _Q0:
-# _POW10_HI is 10^q rounded to a float64 and _POW10_LO the rest rounded,
-# so that their sum is 10^q within 2^-106, relatively. Their long double
-# sum _POW10 is exact for 0 <= q <= 27 (10^q = 2^q 5^q with 5^27 < 2^63)
-# and within (1 + 2^-42) 2^-64 of 10^q, relatively, for every q.
-_Q0 = 81
+# 10^k for k = -117 to 117 at index k + _Q0: _POW10_HI is 10^k rounded to
+# a float64 and _POW10_LO the rest rounded, so that their sum is 10^k
+# within 2^-106, relatively. The reader scales by 10^-q, q = 18 - exponent
+# in [-81, 117], the writer by 10^k, k = 18 - E in [-81, 117].
+_Q0 = 117
 _POW10_HI, _POW10_LO = np.array(
     [(float(p), float(p - Fraction(float(p))))
-     for p in (Fraction(10) ** q for q in range(-_Q0, 118))]).T
-_POW10 = _POW10_HI.astype(np.longdouble) + _POW10_LO
+     for p in (Fraction(10) ** k for k in range(-_Q0, _Q0 + 1))]).T
 # Nonzero tokens converted at a time, by the reader and by the writer:
 # their temporaries stay far below a chunk's 256 KB.
 _PIECE = 4096
@@ -411,13 +405,12 @@ def _read_fixed_width(path) -> np.ndarray | None:
     """The n x n array of a CSV in the layout np.savetxt(path, A,
     delimiter=",") writes for a nonnegative A whose exponents have two
     digits, equal bit for bit to np.loadtxt's; None when the file breaks
-    that layout anywhere, is compressed or cannot be opened, or when the
-    long double of this platform is too short for the arithmetic.
+    that layout anywhere, is compressed or cannot be opened.
 
     The file is 25 n^2 bytes: n lines of n 25-byte tokens. It is read in
     chunks of _CHUNK tokens into one buffer and checked there, a chunk at
     a time; _token_values converts the tokens that are not zero."""
-    if not _LONG_DOUBLE_EXACT or Path(path).suffix in _COMPRESSED:
+    if Path(path).suffix in _COMPRESSED:
         return None
     try:
         fh = open(path, "rb")
@@ -471,7 +464,8 @@ def _token_values(tokens: np.ndarray, rows: np.ndarray,
     with the sign 0 for '+' and 6 for '-'."""
     w0, _, w2 = words
     exponent = (((w2 >> 48) & 0xFF) * 10 + (w2 >> 56)).astype(np.int64)
-    q = np.where(w2 & 0xFF00_0000_0000, 18 + exponent, 18 - exponent)
+    # The table index of 10^-q, q = 18 - exponent: _Q0 - q.
+    i = np.where(w2 & 0xFF00_0000_0000, -exponent, exponent) + (_Q0 - 18)
     # Runs of 8 digit values, the first the most significant, each made one
     # integer in three multiply-shift-mask rounds (Lemire, SP&E 2021):
     # 0 d0 f1..f6, f7..f14 and 0 0 0 0 f15..f18.
@@ -484,13 +478,16 @@ def _token_values(tokens: np.ndarray, rows: np.ndarray,
     m = words[0] * 10**12  # d0 f1..f18 < 10^19 < 2^64
     m += words[1] * 10**4
     m += words[2]
-    y = m.astype(np.longdouble)
-    y /= _POW10[q + _Q0]
-    z = y.astype(np.float64)
-    y -= z
-    done = np.abs(y, out=y) <= np.spacing(z) / 8
-    for i in np.flatnonzero(~done):
-        z[i] = float((tokens[rows[i], :-1] ^ _ZERO[:-1]).tobytes())
+    # m = a + b, a = float64(m) and |b| <= 2^-53 a, an integer below 2^11:
+    # m 10^-q is p + lo, a double-double, plus fl(b H).
+    a = m.astype(np.float64)
+    m -= a.astype(np.uint64)  # b, modulo 2^64
+    p, lo = _scale(a, i)
+    lo += m.view(np.int64) * _POW10_HI[i]  # _scale's H is overwritten
+    z = p + lo
+    done = np.abs((p - z) + lo) <= np.spacing(z) / 8  # p - z is exact
+    for j in np.flatnonzero(~done):
+        z[j] = float((tokens[rows[j], :-1] ^ _ZERO[:-1]).tobytes())
     return z
 
 
@@ -626,13 +623,25 @@ def _scaled(v: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
     v 10^k >= 2^64, whose N is meaningless. -81 <= k <= 117 and
     v 10^k < 10^20.
 
-    v 10^k = p + lo as a double-double: p = fl(v H_k), plus its rounding
-    error from Dekker's TwoProduct, plus fl(v L_k). The arrays are
+    v 10^k = p + lo as a double-double, from _scale. The arrays are
     updated in place, so that few are alive at once."""
-    i = (_Q0 + 18) - E
-    H = _POW10_HI[i]
+    p, lo = _scale(v, (_Q0 + 18) - E)
+    over = p >= 2.0**64
+    p[over] = 0.0
+    whole = np.floor(lo)
+    frac = lo
+    frac -= whole
+    N = p.astype(np.uint64)
+    N += whole.astype(np.int64).view(np.uint64)
+    N += frac > 0.5
+    return N, frac, over
+
+
+def _scale(v: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
+    """v 10^k, k = i - _Q0, as the double-double p + lo of the module
+    docstring: p = fl(v H_k), lo its exact rounding error plus fl(v L_k)."""
+    H = _POW10_HI[i]  # a fresh array: d takes it over below
     small = v * _POW10_LO[i]
-    del i
     p = v * H
     # v = a + b and H = c + d, each half of 26 bits: a c - p + a d + b c
     # + b d, summed in that order, is the exact error of p = fl(v H).
@@ -651,15 +660,7 @@ def _scaled(v: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
     lo += b
     del a, b, c, d
     lo += small
-    over = p >= 2.0**64
-    p[over] = 0.0
-    whole = np.floor(lo)
-    frac = lo
-    frac -= whole
-    N = p.astype(np.uint64)
-    N += whole.astype(np.int64).view(np.uint64)
-    N += frac > 0.5
-    return N, frac, over
+    return p, lo
 
 
 def load_features_csv(path) -> np.ndarray:

@@ -8,8 +8,6 @@ include_unassigned=True to treat label 0 as a regular cluster instead.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import EmptyOverlap, LengthMismatch

@@ -15,7 +15,8 @@ import numpy as np
 from .errors import AsymmetricMatrix, PoolTooSmall, TooManySeeds
 from .matrix import (Operator, ShiftedMatrix, SimilarityMatrix, SimplexPoint,
                      _asymmetry, quadratic_form)
-from .peel import Candidate, ClusteringResult, PeelConfig, _drive
+from .peel import (DEFAULT_CUTOFF, Candidate, ClusteringResult, PeelConfig,
+                   _drive)
 from .solvers import SolverConfig, SolverKind, run
 
 
@@ -204,7 +205,7 @@ def multistart_cluster(
     plan: SamplePlan,
     solver: SolverConfig,
     max_clusters: int,
-    cutoff: float = 2e-12,
+    cutoff: float = DEFAULT_CUTOFF,
 ) -> tuple[ClusteringResult, int]:
     """Run the peel driver with several sampled starts per pass on A, as
     `peel` does; returns the clustering and the number of passes over the

@@ -52,9 +52,9 @@ the arithmetic of `fw_gap` and `select_away`; folds the scales when one is
 out of range; takes the FW, pairwise or away update inline (RD calls its
 dense `_rd`); renormalises; counts the support (+1 when a vertex enters,
 -1 on a drop) and appends the StepRecord. `run` is `make_state`, then
-`_iterate`, then `_fold`. The public ``step(state, A, kind)`` raises
-NotAscent where the solver has no ascent direction, then takes one
-iteration of the same loop with every stop test off.
+`_iterate`, then `_fold`. The public ``step(state, A, kind)`` is one
+iteration of the same loop with epsilon 0, and raises NotAscent when that
+iteration stops without a step.
 
 Stop test. The loop stops when the halved gap max(r) - f is at most
 epsilon * max(r), with r and f of the matrix solved (shift included):
@@ -324,8 +324,7 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
     """Take up to `max_iters` steps of the `kind` solver from the state,
     appending one StepRecord a step, and return why the loop stopped.
     The state's scalars live in locals while the loop runs and are stored
-    back when it returns; its arrays are updated in place. eps = NaN
-    turns every stop test off, as every comparison with NaN is false."""
+    back when it returns; its arrays are updated in place."""
     E, s, fw_pen = A.base.entries, st.s, st.fw_pen
     xt, mask, rt, pen, buf = st.xt, st.mask, st.rt, st.pen, st.buf
     cx, cr, xsum, f, t = st.cx, st.cr, st.xsum, st.f, st.t
@@ -480,25 +479,24 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
     return reason
 
 
-_AWAY_KINDS = frozenset({SolverKind.PFW, SolverKind.AFW})
-
-
 def step(state: SolverState, A: Operator, kind: SolverKind) -> StepRecord:
     """One step of the `kind` solver from the state, which `make_state`
     built from the same A; the state is updated in place. FW always makes
     a good step; PFW moves mass from the away vertex j to the FW vertex i;
     AFW makes the FW move or a move away from j; RD is x_i <- x_i r_i / f,
     recomputing r and f densely (O(n^2)), so the support never regrows.
-    NotAscent where the solver has no ascent direction: a nonpositive gap
-    for FW, PFW and AFW, or i = j for PFW."""
-    gap, i = fw_gap(state)
-    j = select_away(state) if kind in _AWAY_KINDS else None
-    if kind is not SolverKind.RD and gap / 2.0 <= 0:
-        raise NotAscent("halved gap is nonpositive")
-    if kind is SolverKind.PFW and i == j:
-        raise NotAscent("pairwise direction is zero (s == v)")
+
+    It is one iteration of the solver loop with epsilon 0, and raises
+    NotAscent where that iteration stops without a step: at a nonpositive
+    halved gap, for RD too (there r_i = f on the support, so the update
+    would leave x as it is), or at i = j for PFW. The gap is tested before
+    the away vertex is chosen, so an empty support with r = 0 and f = 0
+    raises NotAscent, not EmptySupport."""
     trace: list[StepRecord] = []
-    _iterate(state, A, kind, 1, math.nan, trace)
+    _iterate(state, A, kind, 1, 0.0, trace)
+    if not trace:
+        raise NotAscent("no ascent direction: the halved gap is "
+                        "nonpositive, or the pairwise direction is zero")
     return trace[0]
 
 

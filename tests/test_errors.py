@@ -1,5 +1,7 @@
-"""Every typed error in `dscfw.errors` is raised by the package or is the
-base class of one that is: a class nothing raises is dead code."""
+"""Dead code the AST shows: every typed error in `dscfw.errors` is raised
+by the package or is the base class of one that is, and no module under
+`src/dscfw` (its `__init__.py`, which re-exports, aside) imports a name it
+never reads."""
 
 import ast
 import inspect
@@ -31,3 +33,26 @@ def test_every_error_class_is_raised_or_a_base():
     dead = sorted(cls.__name__ for cls in classes
                   if cls.__name__ not in raised and cls not in bases)
     assert dead == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads (`from __future__` aside)."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    modules = sorted(Path(dscfw.__file__).parent.glob("*.py"))
+    unused = [entry for path in modules if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []

@@ -34,8 +34,8 @@ from dscfw.errors import (
 )
 from dscfw.matrix import (
     _CHUNK,
-    _LONG_DOUBLE_EXACT,
-    _POW10,
+    _POW10_HI,
+    _POW10_LO,
     _Q0,
     ShiftedMatrix,
     SimilarityMatrix,
@@ -308,11 +308,12 @@ def _midpoint_tokens(z: float) -> list[str]:
 
 
 # 2^53 + 1 and 2^53 + 3 are midpoints written exactly in 19 digits; they
-# round to even. The next two lie within half a long-double ulp of a
-# midpoint, on the side away from its even neighbour: their long-double
-# quotient is the midpoint itself, so rounding it to float64 picks the
-# wrong neighbour. The rest lie next to midpoints, at magnitudes inside
-# the exact range (q = 0 and q = 27 among them) and outside it.
+# round to even. The next two lie within 2^-64 of a midpoint, relatively,
+# on the side away from its even neighbour, where a scaling good to 64
+# bits would land on the midpoint itself and round to the wrong
+# neighbour. The rest lie next to midpoints at magnitudes from 1e-99 to
+# 9e99. Each lies about spacing(z) / 2 from the nearest double z, so the
+# reader's margin test fails on it and it goes to float().
 MIDPOINT_TOKENS = [
     "9.007199254740993000e+15", "9.007199254740992999e+15",
     "9.007199254740993001e+15", "9.007199254740995000e+15",
@@ -320,6 +321,29 @@ MIDPOINT_TOKENS = [
 ] + [t for z in [1.0, 0.1, 3.0, 2.0**-30, 5e-9, 3e18, 1e-10, 7e19, 1e-99,
                  9e99]
      for t in _midpoint_tokens(z)]
+
+
+# Hand-written tokens at the ends of the reader's range, with whether they
+# go to float(), as the ones too near a rounding midpoint do: the ends of
+# the two-digit exponents; the largest 19-digit integers, above 2^63,
+# where m = a + b leaves b the most bits; 2^64 / 10^18; the digits of the
+# smallest subnormal, 4.94...e-324, at the exponent -99. The last four
+# start with zeros, so m is small and a must carry all of it: on the
+# first two, splitting a = m & ~2047 would leave m to b, whose rounded
+# product passes the margin test with a wrong value.
+RANGE_END_TOKENS = [
+    ("1.000000000000000000e-99", False),
+    ("9.999999999999999999e-99", True),
+    ("1.000000000000000000e+99", True),
+    ("9.999999999999999999e+99", False),
+    ("9.999999999999999999e+18", False),
+    ("1.844674407370955161e+01", True),
+    ("4.940656458412465442e-99", True),
+    ("0.000000000000004012e-04", True),
+    ("0.000000000000000101e+81", True),
+    ("0.000000000000000001e-99", True),
+    ("0.000000000000000001e+99", True),
+]
 
 
 _POWERS_OF_TEN = [float(f"1e{e}") for e in range(-99, 100)]
@@ -547,6 +571,10 @@ class TestCsvIO:
            seed=st.integers(0, 2**32 - 1))
     @example(n=240, palette=[1.0, 2.0**-328, 1e-99, 9.5e99, 3e18, 5e-9],
              seed=0)
+    # The ends of the reader's scaling: q = 18 - exponent is 117 at the
+    # exponent -99 and -81 at 99.
+    @example(n=3, palette=[1e-99, 2.5e-99], seed=0)
+    @example(n=3, palette=[np.nextafter(1e100, 0.0), 1.5e99], seed=0)
     def test_load_reads_the_bits_of_loadtxt(self, tmp_path_factory, n,
                                             palette, seed):
         # n = 240 spans several chunks of the fixed-width reader.
@@ -562,17 +590,13 @@ class TestCsvIO:
             A = load_matrix_csv(path)
         assert _token_floats(fallback) == 0
         assert np.array_equal(_bits(A.entries), ref)
-        # The same draws on a platform whose long double is too short.
-        with mock.patch.object(matrix, "_LONG_DOUBLE_EXACT", False):
-            assert _read_fixed_width(path) is None
-            assert np.array_equal(_bits(load_matrix_csv(path).entries), ref)
 
     def test_load_rounds_tokens_next_to_midpoints(self, tmp_path):
         path = tmp_path / "m.csv"
         _write_symmetric_tokens(path, MIDPOINT_TOKENS)
         ref = _bits(np.loadtxt(path, delimiter=",", ndmin=2))
         assert _read_fixed_width(path) is not None
-        # Tokens the long-double arithmetic cannot settle go to float().
+        # Tokens the double-double arithmetic cannot settle go to float().
         with mock.patch.object(matrix, "float", create=True,
                                side_effect=float) as fallback:
             A = load_matrix_csv(path)
@@ -582,17 +606,27 @@ class TestCsvIO:
         assert values.tolist() == [float(t) for t in MIDPOINT_TOKENS]
         assert A.entries[0, 1] == 2.0**53  # a tie, rounded to even
 
-    @pytest.mark.skipif(not _LONG_DOUBLE_EXACT,
-                        reason="the fixed-width reader is off here")
+    @pytest.mark.parametrize("token, to_float", RANGE_END_TOKENS)
+    def test_load_reads_hand_written_range_ends(self, tmp_path, token,
+                                                to_float):
+        path = tmp_path / "m.csv"
+        _write_symmetric_tokens(path, [token])
+        with mock.patch.object(matrix, "float", create=True,
+                               side_effect=float) as fallback:
+            E = _read_fixed_width(path)
+        assert E[0, 1] == E[1, 0] == float(token)
+        # Both copies of the token go to float(), or neither does.
+        assert _token_floats(fallback) == 2 * to_float
+
     def test_the_powers_of_ten(self):
-        # Exact for 0 <= q <= 27, within (1 + 2^-42) 2^-64 elsewhere.
-        for q, p in zip(range(-_Q0, 118), _POW10, strict=True):
-            exact = Fraction(10) ** q
-            error = abs(Fraction(*p.as_integer_ratio()) - exact) / exact
-            if 0 <= q <= 27:
-                assert error == 0
-            else:
-                assert error <= Fraction(2**42 + 1, 2**106)
+        # One table for the reader's 10^-117..10^81 and the writer's
+        # 10^-81..10^117: every H + L is 10^k within 2^-106, relatively.
+        assert _POW10_HI.size == _POW10_LO.size == 2 * _Q0 + 1 == 235
+        for k, hi, lo in zip(range(-_Q0, _Q0 + 1), _POW10_HI, _POW10_LO,
+                             strict=True):
+            exact = Fraction(10) ** k
+            error = abs(Fraction(hi) + Fraction(lo) - exact) / exact
+            assert error <= Fraction(1, 2**106)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_fixed_width_keeps_the_loadtxt_outcome(self, tmp_path,
@@ -608,7 +642,8 @@ class TestCsvIO:
         defect(lines)
         path.write_text("".join(lines))
         outcome = _outcome(load_matrix_csv, path)
-        with mock.patch.object(matrix, "_LONG_DOUBLE_EXACT", False):
+        with mock.patch.object(matrix, "_read_fixed_width",
+                               return_value=None):
             reference = _outcome(load_matrix_csv, path)
             assert _cluster_exit_code(path, tmp_path / "ref") == code
         assert _cluster_exit_code(path, tmp_path / "run") == code

@@ -1,7 +1,8 @@
 """The README's code runs as printed: the quick start, then the
 multi-start example in the same namespace. Each `print(...)  # value`
 line prints that value ("0.760..." means a value starting with 0.760).
-The trace-check example's commands run in a fresh directory."""
+The CLI quick start's synth, cluster and eval lines and the trace-check
+example's commands run in fresh directories."""
 
 import contextlib
 import io
@@ -48,11 +49,44 @@ def test_multistart_example_prints_its_figures():
                   ["2", "5", "0.845", "1.0"])
 
 
+def _commands(heading: str) -> list[list[str]]:
+    """The dscfw command lines of a README sh block, continuations joined;
+    other shell lines are left out."""
+    script = _snippet(heading, "sh").replace("\\\n", " ")
+    return [shlex.split(line) for line in script.splitlines()
+            if line.startswith("dscfw ")]
+
+
+def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
+                                                          monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _commands("## CLI")
+    assert [argv[:2] for argv in commands[:3]] == [
+        ["dscfw", "synth"], ["dscfw", "cluster"], ["dscfw", "eval"]]
+    # The block points to the trace-check section instead of tracing a
+    # pfw run, whose bound holds trivially.
+    assert all("--trace" not in argv and argv[1] != "trace-check"
+               for argv in commands)
+    for argv in commands[:2]:
+        assert main(argv[1:]) == 0, argv
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["warnings"] == []
+    # What the `tail | cut` line leaves for eval: one label per line.
+    labels = (tmp_path / "run.labels.csv").read_text().splitlines()
+    assert labels[0] == "object_id,label" and len(labels) == 201
+    (tmp_path / "pred.csv").write_text(
+        "".join(line.split(",")[1] + "\n" for line in labels[1:]))
+    capsys.readouterr()
+    assert main(commands[2][1:]) == 0
+    # The quick start's figures: 84.5 % assigned, ARI 1.0 on those.
+    report = json.loads(capsys.readouterr().out)
+    assert (report["ar"], report["ari"]) == (0.845, 1.0)
+
+
 def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    script = _snippet("### Checking a run against its gap bound", "sh")
-    commands = [shlex.split(line)
-                for line in script.replace("\\\n", " ").splitlines()]
+    commands = _commands("### Checking a run against its gap bound")
     assert [argv[:2] for argv in commands] == [
         ["dscfw", "synth"], ["dscfw", "cluster"], ["dscfw", "trace-check"]]
     assert "--trace" in commands[1]

@@ -286,6 +286,27 @@ class TestRdStep:
         step(st, A3, SolverKind.RD)
         assert 2 not in st.x.support
 
+    def test_not_ascent_at_a_fixed_point(self):
+        # r = (0.5, 0.5) = f on the support: the update would leave x as
+        # it is, and step stops there as the FW solvers do.
+        A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
+        st = make_state(A, simplex_point([0.5, 0.5]))
+        with pytest.raises(NotAscent):
+            step(st, A, SolverKind.RD)
+        assert st.t == 0
+        assert st.x.coords.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("kind", list(SolverKind))
+def test_empty_support_is_not_ascent(kind):
+    # x = 0 gives r = 0 and f = 0: the gap test stops the step before the
+    # away vertex is chosen.
+    A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
+    st = SolverState(SimplexPoint(np.zeros(2), np.zeros(2, bool)),
+                     np.zeros(2), 0.0)
+    with pytest.raises(NotAscent):
+        step(st, A, kind)
+
 
 class TestConfig:
     def test_rejects_bad_epsilon(self):
