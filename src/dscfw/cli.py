@@ -24,6 +24,7 @@ from . import data, diagnostics, metrics
 from .errors import DscfwError, UncheckableRun
 from .matrix import (
     ShiftedMatrix,
+    _require_rows,
     load_features_csv,
     load_matrix_csv,
     save_matrix_csv,
@@ -194,6 +195,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_rows(args.pred, "predicted-label CSV")
+    _require_rows(args.truth, "true-label CSV")
     pred = np.loadtxt(args.pred, delimiter=",", dtype=int, ndmin=1)
     truth = np.loadtxt(args.truth, delimiter=",", dtype=int, ndmin=1)
     out = {

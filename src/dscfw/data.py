@@ -9,9 +9,11 @@ edges in increasing weight, the edge that merges two clusters is the
 distance between every pair across them. Prim's algorithm and one block
 write per merge give an exact O(n^2) method on dense inputs.
 
-Every builder works in the n x n array it returns, with O(n) or
-tile-sized scratch, and hands that array to the matrix validator without
-a copy.
+Every similarity builder works in the n x n array it returns, with O(n)
+or tile-sized scratch, and hands that array to the matrix validator
+without a copy. The generator `block_noise_matrix` draws and combines
+whole n x n arrays instead: it peaks at about 4.3 of them (tracemalloc,
+n = 512).
 """
 
 from __future__ import annotations

@@ -75,15 +75,16 @@ def check_state(state: SolverState, A: Operator) -> ConsistencyReport:
 
 def _expected_gain(rec: StepRecord, A: Operator) -> float:
     f = rec.f_before
-    if rec.kind is StepKind.FW_GOOD:
-        return (rec.r_s - f) ** 2 / (2.0 * rec.r_s - f)
     if rec.kind is StepKind.PAIRWISE_GOOD:
         # b_ij off the diagonal (a pairwise step has s != v)
         a_ij = A.base.entries.item(rec.s_index, rec.v_index) + A.shift
         return (rec.r_s - rec.r_v) ** 2 / (2.0 * a_ij)
-    if rec.kind is StepKind.AWAY_GOOD:
-        return (f - rec.r_v) ** 2 / (2.0 * rec.r_v - f)
-    raise ValueError(f"no progress identity for {rec.kind}")
+    if rec.kind not in GOOD_KINDS:
+        raise ValueError(f"no progress identity for {rec.kind}")
+    # A vertex move toward s (FW) or away from v (AFW): r is the moved
+    # vertex's r.
+    r = rec.r_s if rec.kind is StepKind.FW_GOOD else rec.r_v
+    return (r - f) ** 2 / (2.0 * r - f)
 
 
 def check_progress(

@@ -36,8 +36,8 @@ class NonSquareMatrix(DimensionMismatch, ValueError):
 
 
 class TooSmall(DscfwError, ValueError):
-    """A matrix input with too few objects: none, or fewer than two where
-    off-diagonal entries are needed."""
+    """An input with too few objects: a file with no rows, or a matrix
+    with fewer than two objects where off-diagonal entries are needed."""
 
 
 class EmptySupport(DscfwError):

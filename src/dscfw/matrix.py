@@ -177,10 +177,11 @@ class ShiftedMatrix:
 class SimplexPoint:
     """Point on the standard simplex with exact support bookkeeping.
 
-    ``mask`` is a boolean array marking the support. The step logic
-    maintains it: a component is set when it enters and cleared on a drop
-    step, never re-derived by thresholding. ``support`` is a read-only
-    view of the same bookkeeping as a frozenset of indices.
+    ``mask`` is a boolean array marking the support. The Frank-Wolfe
+    steps keep the support as bookkeeping, set when a component enters
+    and cleared on a drop step, never re-derived by thresholding; a
+    solver's points read it from that record (`solvers.SolverState.pen`).
+    ``support`` is a read-only view of the mask as a frozenset of indices.
     """
 
     coords: np.ndarray

@@ -9,16 +9,20 @@ Representation. The iterate and the cache are held lazily scaled, as
 x = c_x * xt and r = c_r * rt with positive scalars c_x and c_r (the
 scaled-iterate bookkeeping of sparse Frank-Wolfe codes; Jaggi, ICML 2013):
 
-- an FW step, x+ = (1 - g) x + g e_i and r+ = (1 - g) r + g A[i],
-  multiplies both scalars by 1 - g, writes xt[i] once and adds
-  (g / c_r+) A[i] to rt through one preallocated row buffer; an AFW away
-  step does the same with 1 + g, -g and row j;
+- the FW step and the AFW away step are one vertex move,
+  x+ = (1 - g) x + g e_u and r+ = (1 - g) r + g A[u], with g > 0 toward
+  the FW vertex u = i and g < 0 away from u = j (the away direction
+  x - e_j is the FW direction with its sign flipped; Lacoste-Julien and
+  Jaggi, NeurIPS 2015). It multiplies both scalars by 1 - g, writes xt[u]
+  once and adds (g / c_r+) A[u] to rt through one preallocated row buffer;
 - a PFW step moves mass between two coordinates and leaves the scales
   alone, so from a start (scales 1) its arithmetic is the unscaled one;
 - c_r > 0, so the FW vertex argmax(r) and the away vertex read rt
   directly. The away vertex is argmin(rt + pen), where pen is 0 on the
-  support and +inf off it; the steps update pen with the boolean support
-  mask (set when a vertex enters, cleared on a drop);
+  support and +inf off it. pen is the state's one record of the support:
+  a step zeroes pen[i] when i enters and sets pen[j] = +inf on a drop,
+  replicator dynamics sets it from x > 0, and the support mask of the
+  points that `SolverState.x` and `run` return is pen == 0;
 - the coordinate sum of xt is kept as a scalar, and renormalisation
   divides c_x when c_x * sum drifts from 1 by more than SUM_TOL;
 - the scales are folded back into the arrays (xt *= c_x, rt *= c_r) when
@@ -30,29 +34,28 @@ scaled-iterate bookkeeping of sparse Frank-Wolfe codes; Jaggi, ICML 2013):
 Shifted operators. A peel round solves B = A_SS + s(11' - I) over its
 active objects S without building B (`matrix.ShiftedMatrix`). On the
 simplex Bx = Ax + s(1 - x), so the cache keeps the constant part of the
-shift out of the scaling: c_r * rt = Ax - s x and r = c_r * rt + s. An FW
-step still multiplies c_r by 1 - g; it adds (g / c_r+) A[i] to rt and
-then subtracts g s / c_r+ from rt[i]. An away step does the same with
-1 + g, -g and row j, and a PFW step adds (g / c_r)(A[i] - A[j]) and
-corrects rt[i] and rt[j] by -/+ g s / c_r; its line search uses
-b_ij = a_ij + s. Only the reads of r_i and r_j add s: the offset is the
-same on every coordinate, so the argmax and the away vertex read rt as
-before. The identity needs sum(x) = 1, which renormalisation keeps within
-SUM_TOL. The FW vertex is the argmax over S: when S is not every object,
-the state holds fw_pen, 0 on S and -inf off it, and the argmax reads
-rt + fw_pen. The away vertex needs no such array, as the support lies in
-S. Coordinates are global throughout; with s = 0 and S = all the
-arithmetic is the unshifted one.
+shift out of the scaling: c_r * rt = Ax - s x and r = c_r * rt + s. A
+vertex move still multiplies c_r by 1 - g; it adds (g / c_r+) A[u] to rt
+and then subtracts g s / c_r+ from rt[u]. A PFW step adds
+(g / c_r)(A[i] - A[j]) and corrects rt[i] and rt[j] by -/+ g s / c_r; its
+line search uses b_ij = a_ij + s. Only the reads of r_i and r_j add s:
+the offset is the same on every coordinate, so the argmax and the away
+vertex read rt as before. The identity needs sum(x) = 1, which
+renormalisation keeps within SUM_TOL. The FW vertex is the argmax over S:
+when S is not every object, the state holds fw_pen, 0 on S and -inf off
+it, and the argmax reads rt + fw_pen. The away vertex needs no such
+array, as the support lies in S. Coordinates are global throughout; with
+s = 0 and S = all the arithmetic is the unshifted one.
 
 One loop, `_iterate`, drives every solver. It holds the state's scalars
 (c_x, c_r, f, the coordinate sum, the step count and the support size) in
 locals and stores them back when it returns. Per iteration it evaluates
 the FW vertex and gap once and, for PFW/AFW, the away vertex once, with
 the arithmetic of `fw_gap` and `select_away`; folds the scales when one is
-out of range; takes the FW, pairwise or away update inline (RD calls its
-dense `_rd`); renormalises; counts the support (+1 when a vertex enters,
--1 on a drop) and appends the StepRecord. `run` is `make_state`, then
-`_iterate`, then `_fold`. The public ``step(state, A, kind)`` is one
+out of range; takes the vertex move or the pairwise update inline (RD
+calls its dense `_rd`); renormalises; counts the support (+1 when a vertex
+enters, -1 on a drop) and appends the StepRecord. `run` is `make_state`,
+then `_iterate`, then `_fold`. The public ``step(state, A, kind)`` is one
 iteration of the same loop with epsilon 0, and raises NotAscent when that
 iteration stops without a step.
 
@@ -174,19 +177,20 @@ class SolverState:
     Held as x = cx * xt and r = cr * rt + s (see the module docstring);
     the constructor builds the unshifted state over all objects, and
     `make_state` sets the shift `s` and `fw_pen` (None, or 0 on the active
-    objects and -inf off them) for a `ShiftedMatrix`. `x` reads the folded
-    iterate as a new SimplexPoint over the live support mask; `r` reads
+    objects and -inf off them) for a `ShiftedMatrix`. `pen`, 0 on the
+    support and +inf off it, is the one record of the support. `x` reads
+    the folded iterate as a new SimplexPoint with mask pen == 0; `r` reads
     the folded cache, and setting it stores the new cache with scale 1.
-    `pen` is 0 on the support and +inf off it, `xsum` is the coordinate
-    sum of xt, and `buf` is the steps' scratch row.
+    `xsum` is the coordinate sum of xt, and `buf` is the steps' scratch
+    row.
     """
 
-    __slots__ = ("xt", "mask", "cx", "xsum", "rt", "cr", "f", "t", "pen",
-                 "buf", "s", "fw_pen")
+    __slots__ = ("xt", "cx", "xsum", "rt", "cr", "f", "t", "pen", "buf",
+                 "s", "fw_pen")
 
     def __init__(self, x: SimplexPoint, r: np.ndarray, f: float,
                  t: int = 0) -> None:
-        self.xt, self.mask, self.cx = x.coords, x.mask, 1.0
+        self.xt, self.cx = x.coords, 1.0
         self.xsum = float(x.coords.sum())
         self.s, self.fw_pen = 0.0, None
         self.r = r
@@ -197,7 +201,7 @@ class SolverState:
 
     @property
     def x(self) -> SimplexPoint:
-        return SimplexPoint(self.cx * self.xt, self.mask)
+        return SimplexPoint(self.cx * self.xt, self.pen == 0.0)
 
     @property
     def r(self) -> np.ndarray:
@@ -282,20 +286,19 @@ def select_away(state: SolverState) -> int:
     """Index in the support minimizing r; lowest index on ties."""
     buf = np.add(state.rt, state.pen, out=state.buf)
     j = int(buf.argmin())
-    if not state.mask[j]:  # only an empty support leaves the argmin outside
+    if state.pen.item(j) != 0.0:  # only an empty support leaves it outside
         raise EmptySupport("away selection needs a nonempty support")
     return j
 
 
 def _rd(st: SolverState, E: np.ndarray) -> tuple[float, int, np.ndarray]:
     """One replicator step x_i <- x_i r_i / f on the state, recomputing r
-    densely. Returns f after the step, the change in the support size and
-    the folded iterate before the step."""
-    f, x, mask, s = st.f, st.xt, st.mask, st.s
+    densely. Returns f after the step, the support size after it and the
+    folded iterate before it."""
+    f, x, s = st.f, st.xt, st.s
     if f <= 0:
         raise ZeroDenominator("x'Ax is zero; replicator update undefined")
     prev = st.cx * x
-    before = int(np.count_nonzero(mask))
     if s:  # rt <- r = cr * rt + s, with scale 1
         st.rt *= st.cr
         st.rt += s
@@ -304,19 +307,19 @@ def _rd(st: SolverState, E: np.ndarray) -> tuple[float, int, np.ndarray]:
     x *= st.rt
     x /= f / (st.cx * st.cr)
     st.cx = 1.0
-    np.greater(x, 0.0, out=mask)
+    support = x > 0.0
+    st.pen[...] = np.where(support, 0.0, np.inf)
     # A x is recomputed from the renormalised iterate, so the sum check
     # after the step finds the sum within SUM_TOL.
     renormalize_if_needed(x)
     st.xsum = float(x.sum())
-    st.pen[...] = np.where(mask, 0.0, np.inf)
     # numpy's own loop, not a threaded BLAS gemv: on a 2-CPU host that gemv
     # sometimes costs ~8 ms at n=1000 for a whole process, ~40x its usual.
     np.einsum("ij,j->i", E, x, out=st.rt)
     st.cr = 1.0
     if s:
         st.rt -= s * x
-    return float(st.rt @ x) + s, int(np.count_nonzero(mask)) - before, prev
+    return float(st.rt @ x) + s, int(np.count_nonzero(support)), prev
 
 
 def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
@@ -326,12 +329,12 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
     The state's scalars live in locals while the loop runs and are stored
     back when it returns; its arrays are updated in place."""
     E, s, fw_pen = A.base.entries, st.s, st.fw_pen
-    xt, mask, rt, pen, buf = st.xt, st.mask, st.rt, st.pen, st.buf
+    xt, rt, pen, buf = st.xt, st.rt, st.pen, st.buf
     cx, cr, xsum, f, t = st.cx, st.cr, st.xsum, st.f, st.t
     lo, hi = 1.0 / _FOLD, _FOLD
     pairwise, rd = kind is SolverKind.PFW, kind is SolverKind.RD
     away = pairwise or kind is SolverKind.AFW
-    size = int(np.count_nonzero(mask))
+    size = int(np.count_nonzero(pen == 0.0))
     add, multiply, sqrt = np.add, np.multiply, math.sqrt
     inf, nan = math.inf, math.nan
     # The row axpy's coefficient as a 0-d array: numpy takes it faster than
@@ -350,7 +353,7 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
             break
         if away:
             j = int(add(rt, pen, buf).argmin())
-            if not mask.item(j):  # only an empty support leaves it outside
+            if pen.item(j) != 0.0:  # only an empty support leaves it outside
                 raise EmptySupport("away selection needs a nonempty support")
             if pairwise and j == i:
                 # Zero pairwise direction: stationary for this solver.
@@ -364,9 +367,10 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
         v, r_s, r_v = None, r_i, nan
         if rd:
             st.cx, st.cr, st.xsum, st.f = cx, cr, xsum, f
-            f_after, delta, prev = _rd(st, E)
+            f_after, after, prev = _rd(st, E)
             cx, cr, xsum = st.cx, st.cr, st.xsum
             rec_kind, gamma, r_s = StepKind.RD_STEP, nan, nan
+            delta = after - size
         elif pairwise:
             # Move mass from j to i; the scales stay as they are.
             a_ij = E.item(i, j) + s
@@ -380,15 +384,11 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
                 # maximizer at the cap.
                 gamma = gamma_max
             truncated = gamma >= gamma_max
-            entered = not mask.item(i)
+            entered = pen.item(i) != 0.0
             xt[i] = new = old + gamma / cx
-            if entered:
-                mask[i] = True
-                pen[i] = 0.0
+            pen[i] = 0.0
             if truncated:
-                gamma = gamma_max
                 xt[j] = new_j = 0.0
-                mask[j] = False
                 pen[j] = inf
                 rec_kind = StepKind.SWAP if entered else StepKind.DROP
             else:
@@ -405,63 +405,50 @@ def _iterate(st: SolverState, A: Operator, kind: SolverKind, max_iters: int,
                 rt[j] += shifted
             f_after = f + 2.0 * gamma * (r_i - r_j) - 2.0 * gamma**2 * a_ij
             delta, v, r_v = entered - truncated, j, r_j
-        elif not away or half >= f - r_j:
-            # FW move, x+ = (1 - g) x + g e_i. AFW takes it whenever
-            # r_i - f >= f - r_j; at a vertex f = r_j = 0, so the away
-            # move below never sees a singleton support.
-            # d'Ad = f - 2 r_i <= 0: the line-search polynomial is concave.
-            if not f - 2.0 * r_i <= 0:
-                raise BrokenInvariant("FW line search is not concave")
-            gamma = half / (2.0 * r_i - f)
-            entered = not mask.item(i)
-            if entered:
-                mask[i] = True
-                pen[i] = 0.0
-            scale = 1.0 - gamma
-            cx *= scale
-            cr *= scale
-            old = xt.item(i)
-            xt[i] = new = old + gamma / cx
-            xsum += new - old
-            coef[()] = gamma / cr
-            multiply(E[i], coef, buf)
-            add(rt, buf, rt)
-            if s:
-                rt[i] -= gamma * s / cr
-            f_after = (1.0 - gamma) ** 2 * f + 2.0 * gamma * (1.0 - gamma) * r_i
-            rec_kind, delta = StepKind.FW_GOOD, entered
         else:
-            # Away move, x+ = (1 + g) x - g e_j, capped where x_j reaches 0.
-            x_j = cx * xt.item(j)
-            if not x_j < 1.0:
-                raise BrokenInvariant("away branch unreachable from a vertex")
-            gamma_max = x_j / (1.0 - x_j)
-            denom = 2.0 * r_j - f
-            if denom > 0:
-                gamma = min(gamma_max, (f - r_j) / denom)
+            # One vertex move, x+ = (1 - g) x + g e_u and r+ = (1 - g) r +
+            # g A[u]: toward the FW vertex u = i with g > 0, or away from
+            # u = j with g < 0, capped where x_j reaches 0. AFW moves away
+            # when r_i - f < f - r_j; at a vertex f = r_j = 0, so it never
+            # moves away from a singleton support.
+            if not away or half >= f - r_j:
+                # d'Ad = f - 2 r_i <= 0: the line search is concave.
+                if not f - 2.0 * r_i <= 0:
+                    raise BrokenInvariant("FW line search is not concave")
+                gamma = half / (2.0 * r_i - f)
+                u, r_u, g, drop = i, r_i, gamma, False
+                delta = pen.item(i) != 0.0  # i enters the support
+                pen[i] = 0.0
+                rec_kind = StepKind.FW_GOOD
             else:
-                gamma = gamma_max
-            truncated = gamma >= gamma_max
-            if truncated:
-                gamma = gamma_max
-                mask[j] = False
-                pen[j] = inf
-                rec_kind = StepKind.DROP
-            else:
-                rec_kind = StepKind.AWAY_GOOD
-            scale = 1.0 + gamma
+                x_j = cx * xt.item(j)
+                if not x_j < 1.0:
+                    raise BrokenInvariant(
+                        "away branch unreachable from a vertex")
+                gamma_max = x_j / (1.0 - x_j)
+                denom = 2.0 * r_j - f
+                if denom > 0:
+                    gamma = min(gamma_max, (f - r_j) / denom)
+                else:
+                    gamma = gamma_max
+                drop = gamma >= gamma_max
+                if drop:
+                    pen[j] = inf
+                rec_kind = StepKind.DROP if drop else StepKind.AWAY_GOOD
+                u, r_u, g = j, r_j, -gamma
+                delta, v, r_v = -drop, j, r_j
+            scale = 1.0 - g
             cx *= scale
             cr *= scale
-            old = xt.item(j)
-            xt[j] = new = 0.0 if truncated else old + -gamma / cx
+            old = xt.item(u)
+            xt[u] = new = 0.0 if drop else old + g / cx
             xsum += new - old
-            coef[()] = -gamma / cr
-            multiply(E[j], coef, buf)
+            coef[()] = g / cr
+            multiply(E[u], coef, buf)
             add(rt, buf, rt)
             if s:
-                rt[j] -= -gamma * s / cr
-            f_after = (1.0 + gamma) ** 2 * f - 2.0 * gamma * (1.0 + gamma) * r_j
-            delta, v, r_v = -truncated, j, r_j
+                rt[u] -= g * s / cr
+            f_after = scale ** 2 * f + 2.0 * g * scale * r_u
         total = cx * xsum
         if abs(total - 1.0) > SUM_TOL:
             cx /= total
@@ -531,7 +518,7 @@ def run(
     trace: list[StepRecord] = []
     reason = _iterate(st, A, kind, config.max_iters, config.epsilon, trace)
     _fold(st)
-    return SimplexPoint(st.xt, st.mask), trace, reason
+    return SimplexPoint(st.xt, st.pen == 0.0), trace, reason
 
 
 TRACE_COLUMNS = [

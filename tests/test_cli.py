@@ -350,6 +350,21 @@ def test_empty_csv_returns_2_without_a_warning(tmp_path, command, what,
     assert proc.stderr.splitlines() == [f"data error: {what} CSV has no rows"]
 
 
+@pytest.mark.parametrize("empty,what", [("pred", "predicted-label"),
+                                        ("truth", "true-label")])
+def test_eval_empty_label_file_returns_2(tmp_path, capsys, empty, what):
+    # An empty label file is a data error found before numpy reads it, so
+    # no loadtxt "input contained no data" warning escapes first.
+    paths = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
+    for name, path in paths.items():
+        path.write_text("" if name == empty else "1\n2\n")
+    code = main(["eval", "--pred", str(paths["pred"]),
+                 "--truth", str(paths["truth"])])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {what} CSV has no rows"]
+
+
 def test_zero_norm_feature_row_returns_2(tmp_path, capsys):
     feats = tmp_path / "f.csv"
     rows = np.random.default_rng(0).normal(size=(6, 2))

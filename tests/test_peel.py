@@ -298,17 +298,21 @@ def test_operator_peel_labels_match_the_dense_oracle(n, seed, kind, init,
     # compacted copies do. Rounding may break a tie between two vertices
     # either way (see test_operator_rounds_match_the_dense_oracle), and
     # the solves may then converge to different maxima: where a round's
-    # solves part, the step where they part must be such a tie, and the
-    # labels are not compared.
+    # solves part, the step where they part must be such a tie, and only
+    # the clusters of the rounds before it are compared.
     A = rand_sim(n, np.random.default_rng(seed))
     config = PeelConfig(max_clusters=max_clusters,
                         solver=SolverConfig(kind, init, max_iters=5000))
     result = peel(ShiftedMatrix(A, shift), config)
     labels, reasons, traces = _dense_peel(A, shift, config)
-    for got, want in zip(result.traces, traces):
+    for k, (got, want) in enumerate(zip(result.traces, traces)):
         for rec, ref in zip(got, want):
             if _step_key(rec) != _step_key(ref):
                 _assert_tie(rec, ref)
+                # Round r labels its cluster r + 1 in both peels.
+                for label in range(1, k + 1):
+                    assert np.array_equal(result.labels == label,
+                                          labels == label)
                 return
     if StopReason.MAX_ITERS in result.stop_reasons + reasons:
         return

@@ -1,8 +1,8 @@
 """The README's code runs as printed: the quick start, then the
 multi-start example in the same namespace. Each `print(...)  # value`
 line prints that value ("0.760..." means a value starting with 0.760).
-The CLI quick start's synth, cluster and eval lines and the trace-check
-example's commands run in fresh directories."""
+Every dscfw line of the CLI block and of the trace-check example runs in
+a fresh directory and exits 0."""
 
 import contextlib
 import io
@@ -62,8 +62,8 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
                                                           capsys):
     monkeypatch.chdir(tmp_path)
     commands = _commands("## CLI")
-    assert [argv[:2] for argv in commands[:3]] == [
-        ["dscfw", "synth"], ["dscfw", "cluster"], ["dscfw", "eval"]]
+    assert [argv[1] for argv in commands] == [
+        "synth", "cluster", "eval", "synth", "similarity", "multistart"]
     # The block points to the trace-check section instead of tracing a
     # pfw run, whose bound holds trivially.
     assert all("--trace" not in argv and argv[1] != "trace-check"
@@ -82,6 +82,9 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     # The quick start's figures: 84.5 % assigned, ARI 1.0 on those.
     report = json.loads(capsys.readouterr().out)
     assert (report["ar"], report["ari"]) == (0.845, 1.0)
+    # The similarity line reads the features the second synth line writes.
+    for argv in commands[3:]:
+        assert main(argv[1:]) == 0, argv
 
 
 def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):

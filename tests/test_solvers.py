@@ -108,7 +108,7 @@ class TestGapAndAway:
 
     def test_select_away_empty_support(self, A3):
         st = make_state(A3, simplex_point([0.0, 1.0, 0.0]))
-        st.x.mask[:] = False
+        st.pen[:] = np.inf
         with pytest.raises(EmptySupport):
             select_away(st)
 
@@ -510,6 +510,7 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
         _record_fields(r) for r in expected]
     assert np.array_equal(x.coords, state.x.coords)
     assert np.array_equal(x.mask, state.x.mask)
+    assert np.array_equal(x.mask, x.coords > 0)
     if operator == "masked":
         assert not np.any(x.mask & ~active)
     if x0 is not None:  # run copies the start it is given
