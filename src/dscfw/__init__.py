@@ -3,7 +3,6 @@
 from .matrix import (
     ShiftedMatrix,
     SimilarityMatrix,
-    SimplexPoint,
     matvec,
     new_similarity_matrix,
     offdiag_extremes,
@@ -25,7 +24,7 @@ from .solvers import (
 )
 
 __all__ = [
-    "ShiftedMatrix", "SimilarityMatrix", "SimplexPoint", "matvec",
+    "ShiftedMatrix", "SimilarityMatrix", "matvec",
     "new_similarity_matrix", "offdiag_extremes", "quadratic_form",
     "simplex_point",
     "ari", "assignment_rate", "v_measure",

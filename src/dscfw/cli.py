@@ -234,6 +234,11 @@ def cmd_multistart(args) -> int:
     return 0
 
 
+# The `cluster` flags that trace-check reads back from a manifest.
+_CHECKED_FLAGS = ("input", "features", "similarity", "shift", "solver",
+                  "epsilon", "max_iters", "peel_shift", "trace")
+
+
 def cmd_trace_check(args) -> int:
     """Hold a traced `cluster` run to its gap bound on the operator and the
     start its manifest records, reading relative paths from the cwd."""
@@ -242,17 +247,29 @@ def cmd_trace_check(args) -> int:
     if sub != "cluster":
         raise UncheckableRun(
             f"{args.manifest} records a {sub} run, not a cluster run")
-    run = argparse.Namespace(**manifest["flags"])
+    flags, digests = manifest.get("flags"), manifest.get("input_digests")
+    if not (isinstance(flags, dict) and isinstance(digests, dict)):
+        raise UncheckableRun(
+            f"{args.manifest} lacks the flags or input digests of its run")
+    missing = [k for k in _CHECKED_FLAGS if k not in flags]
+    if missing:
+        raise UncheckableRun(
+            f"{args.manifest} records no {', '.join(missing)} flag")
+    run = argparse.Namespace(**flags)
     if run.trace is None:
         raise UncheckableRun(f"{args.manifest} records a run without --trace")
-    for path, digest in manifest["input_digests"].items():
+    for path, digest in digests.items():
         if _digest(path) != digest:
             raise UncheckableRun(f"{path} changed since the run (sha256)")
+    trace = load_trace_csv(run.trace)
+    if not trace:
+        raise UncheckableRun(
+            f"{run.trace} records no steps: the traced round stopped "
+            "before its first step")
     config = _solver_config(run)
     A = ShiftedMatrix(_load_similarity(run)[0], run.peel_shift)
-    report = diagnostics.theorem_bound(
-        load_trace_csv(run.trace), config.solver_kind, A,
-        initial_point(A, config))
+    report = diagnostics.theorem_bound(trace, config.solver_kind, A,
+                                       initial_point(A, config))
     print(json.dumps(dataclasses.asdict(report)))
     return 0
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyTrace, IdentityViolated, TooFewPoints, UncheckableRun
-from .matrix import (Operator, SimplexPoint, matvec, offdiag_extremes,
-                     quadratic_form)
+from .matrix import Operator, matvec, offdiag_extremes, quadratic_form
 from .solvers import GOOD_KINDS, SolverKind, SolverState, StepKind, StepRecord
 
 IDENTITY_RTOL = 1e-9
@@ -64,7 +63,7 @@ class BoundReport:
 
 def check_state(state: SolverState, A: Operator) -> ConsistencyReport:
     """Dense recomputation of r = B x and f = x'Bx versus the caches."""
-    x = state.x.coords
+    x = state.x
     r_true = matvec(A, x)
     f_true = float(r_true @ x)
     return ConsistencyReport(
@@ -146,7 +145,7 @@ def theorem_bound(
     trace: list[StepRecord],
     solver_kind: SolverKind,
     A: Operator,
-    x0: SimplexPoint,
+    x0: np.ndarray,
 ) -> BoundReport:
     """Evaluate the worst-case minimum-gap bound of the given solver for
     the solve that `trace` records: on the matrix A stands for, from x0.
@@ -157,7 +156,7 @@ def theorem_bound(
     g_min = min_gap(trace)  # raises EmptyTrace on an empty trace
     min_offdiag, max_offdiag = offdiag_extremes(A)
     n = A.n if A.active is None else int(np.count_nonzero(A.active))
-    support0 = int(np.count_nonzero(x0.mask))
+    support0 = int(np.count_nonzero(x0))
     t = len(trace)
     gain = max(trace[-1].f_after - quadratic_form(A, x0), 0.0)
     good, drops, swaps = step_counts(trace)

@@ -27,8 +27,8 @@ class NonzeroDiagonal(DscfwError, ValueError):
 
 
 class DimensionMismatch(DscfwError):
-    """Vector and matrix sizes disagree, or a simplex point's support
-    bookkeeping is out of sync with its coordinates."""
+    """Vector and matrix sizes disagree, or a simplex point's coordinates
+    have drifted from summing to 1."""
 
 
 class NonSquareMatrix(DimensionMismatch, ValueError):
@@ -111,4 +111,5 @@ class TooFewPoints(DscfwError):
 
 class UncheckableRun(DscfwError, ValueError):
     """A run that cannot be held to a gap bound: replicator dynamics, a
-    manifest of no traced `cluster` run, or an input changed since."""
+    manifest of no traced `cluster` run or one that lacks what the run
+    recorded, a traced round with no steps, or an input changed since."""

@@ -173,42 +173,6 @@ class ShiftedMatrix:
         return arr
 
 
-@dataclass
-class SimplexPoint:
-    """Point on the standard simplex with exact support bookkeeping.
-
-    ``mask`` is a boolean array marking the support. The Frank-Wolfe
-    steps keep the support as bookkeeping, set when a component enters
-    and cleared on a drop step, never re-derived by thresholding; a
-    solver's points read it from that record (`solvers.SolverState.pen`).
-    ``support`` is a read-only view of the mask as a frozenset of indices.
-    """
-
-    coords: np.ndarray
-    mask: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.mask).tolist())
-
-    def copy(self) -> "SimplexPoint":
-        return SimplexPoint(self.coords.copy(), self.mask.copy())
-
-    def validate(self) -> None:
-        if np.any(self.coords < 0):
-            raise NegativeEntry("simplex point has a negative coordinate")
-        if abs(self.coords.sum() - 1.0) > SUM_TOL:
-            raise DimensionMismatch(
-                f"simplex sum drifted: {self.coords.sum()!r}"
-            )
-        if not np.array_equal(self.mask, self.coords > 0):
-            raise DimensionMismatch("support bookkeeping out of sync")
-
-
 def renormalize_if_needed(coords: np.ndarray) -> None:
     """Divide simplex coordinates by their sum, in place, when the sum has
     drifted from 1 by more than SUM_TOL."""
@@ -217,12 +181,15 @@ def renormalize_if_needed(coords: np.ndarray) -> None:
         coords /= s
 
 
-def simplex_point(coords) -> SimplexPoint:
-    """Build a SimplexPoint from raw coordinates, deriving the support."""
+def simplex_point(coords) -> np.ndarray:
+    """Check raw coordinates as a point of the standard simplex and return
+    them as a float64 array; its support is where it is positive."""
     arr = np.asarray(coords, dtype=float)
-    pt = SimplexPoint(arr, arr > 0)
-    pt.validate()
-    return pt
+    if np.any(arr < 0):
+        raise NegativeEntry("simplex point has a negative coordinate")
+    if abs(arr.sum() - 1.0) > SUM_TOL:
+        raise DimensionMismatch(f"simplex sum drifted: {arr.sum()!r}")
+    return arr
 
 
 def _row_chunks(n: int) -> list[slice]:
@@ -294,10 +261,10 @@ def new_similarity_matrix(raw) -> SimilarityMatrix:
 Operator = SimilarityMatrix | ShiftedMatrix
 
 
-def matvec(A: Operator, x: SimplexPoint | np.ndarray) -> np.ndarray:
+def matvec(A: Operator, x: np.ndarray) -> np.ndarray:
     """Dense B @ x for the matrix B that A stands for; O(n^2) reads of A,
     O(n) scratch. This is the oracle, not the hot path."""
-    v = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
+    v = np.asarray(x, dtype=float)
     if v.shape[0] != A.n:
         raise DimensionMismatch(f"dim {v.shape[0]} vs matrix n={A.n}")
     out = A.base.entries @ v
@@ -306,9 +273,9 @@ def matvec(A: Operator, x: SimplexPoint | np.ndarray) -> np.ndarray:
     return out
 
 
-def quadratic_form(A: Operator, x: SimplexPoint | np.ndarray) -> float:
+def quadratic_form(A: Operator, x: np.ndarray) -> float:
     """Dense x' B x."""
-    v = x.coords if isinstance(x, SimplexPoint) else np.asarray(x, dtype=float)
+    v = np.asarray(x, dtype=float)
     return float(v @ matvec(A, v))
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AsymmetricMatrix, PoolTooSmall, TooManySeeds
-from .matrix import (Operator, ShiftedMatrix, SimilarityMatrix, SimplexPoint,
-                     _asymmetry, quadratic_form)
+from .matrix import (Operator, ShiftedMatrix, SimilarityMatrix, _asymmetry,
+                     quadratic_form)
 from .peel import (DEFAULT_CUTOFF, Candidate, ClusteringResult, PeelConfig,
                    _drive)
 from .solvers import SolverConfig, SolverKind, run
@@ -176,7 +176,7 @@ def two_step_dpp_sample(A: Operator, ell: int, rng) -> list[int]:
     return sorted(picked)
 
 
-def seed_starting_points(i: int, n: int) -> tuple[SimplexPoint, SimplexPoint]:
+def seed_starting_points(i: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vertex start e_i and biased start with half the mass at i and the
     rest spread uniformly."""
     if n < 2:
@@ -185,13 +185,10 @@ def seed_starting_points(i: int, n: int) -> tuple[SimplexPoint, SimplexPoint]:
     vertex[i] = 1.0
     biased = np.full(n, 0.5 / (n - 1))
     biased[i] = 0.5
-    return (
-        SimplexPoint(vertex, vertex > 0),
-        SimplexPoint(biased, np.ones(n, dtype=bool)),
-    )
+    return vertex, biased
 
 
-def _starting_points(kind: SolverKind, seed_idx: int, n: int) -> list[SimplexPoint]:
+def _starting_points(kind: SolverKind, seed_idx: int, n: int) -> list[np.ndarray]:
     vertex, biased = seed_starting_points(seed_idx, n)
     if kind is SolverKind.FW:
         return [vertex]
@@ -236,11 +233,11 @@ def multistart_cluster(
         for s in seeds:
             for x0 in _starting_points(solver.solver_kind, s, sub.n):
                 x_star, trace, reason = run(sub, solver, x0=x0)
-                x = x_star.coords
-                f = trace[-1].f_after if trace else quadratic_form(sub, x)
+                f = trace[-1].f_after if trace else quadratic_form(sub, x_star)
+                x = x_star
                 if sub is not B:  # back to global indices
                     x = np.zeros(B.n)
-                    x[surviving] = x_star.coords
+                    x[surviving] = x_star
                 candidates.append((f, x, trace, reason))
         return candidates
 

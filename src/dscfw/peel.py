@@ -148,8 +148,8 @@ def peel(A: Operator, config: PeelConfig) -> ClusteringResult:
     `SimilarityMatrix` or `ShiftedMatrix(A, s)` without an active mask."""
 
     def propose(B: Operator) -> list[Candidate]:
-        x_star, trace, reason = run(B, config.solver)
-        return [(0.0, x_star.coords, trace, reason)]  # one solve: f is moot
+        x, trace, reason = run(B, config.solver)
+        return [(0.0, x, trace, reason)]  # one solve: f is moot
 
     return _drive(A, config, 0.0, propose, keep_traces=True)[0]
 

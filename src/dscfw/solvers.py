@@ -19,10 +19,11 @@ scaled-iterate bookkeeping of sparse Frank-Wolfe codes; Jaggi, ICML 2013):
   alone, so from a start (scales 1) its arithmetic is the unscaled one;
 - c_r > 0, so the FW vertex argmax(r) and the away vertex read rt
   directly. The away vertex is argmin(rt + pen), where pen is 0 on the
-  support and +inf off it. pen is the state's one record of the support:
-  a step zeroes pen[i] when i enters and sets pen[j] = +inf on a drop,
-  replicator dynamics sets it from x > 0, and the support mask of the
-  points that `SolverState.x` and `run` return is pen == 0;
+  support and +inf off it. pen is the solver's one record of the
+  support: `make_state` builds it from x0 > 0, a step zeroes pen[i] when
+  i enters and sets pen[j] = +inf on a drop, and replicator dynamics sets
+  it from x > 0. The points `SolverState.x` and `run` return are plain
+  float64 arrays, positive exactly where pen is 0;
 - the coordinate sum of xt is kept as a scalar, and renormalisation
   divides c_x when c_x * sum drifts from 1 by more than SUM_TOL;
 - the scales are folded back into the arrays (xt *= c_x, rt *= c_r) when
@@ -93,7 +94,6 @@ from .errors import (
 from .matrix import (
     SUM_TOL,
     Operator,
-    SimplexPoint,
     renormalize_if_needed,
 )
 
@@ -178,8 +178,8 @@ class SolverState:
     the constructor builds the unshifted state over all objects, and
     `make_state` sets the shift `s` and `fw_pen` (None, or 0 on the active
     objects and -inf off them) for a `ShiftedMatrix`. `pen`, 0 on the
-    support and +inf off it, is the one record of the support. `x` reads
-    the folded iterate as a new SimplexPoint with mask pen == 0; `r` reads
+    support (x > 0 at construction) and +inf off it, is the one record of
+    the support. `x` reads the folded iterate as a new array; `r` reads
     the folded cache, and setting it stores the new cache with scale 1.
     `xsum` is the coordinate sum of xt, and `buf` is the steps' scratch
     row.
@@ -188,20 +188,20 @@ class SolverState:
     __slots__ = ("xt", "cx", "xsum", "rt", "cr", "f", "t", "pen", "buf",
                  "s", "fw_pen")
 
-    def __init__(self, x: SimplexPoint, r: np.ndarray, f: float,
+    def __init__(self, x: np.ndarray, r: np.ndarray, f: float,
                  t: int = 0) -> None:
-        self.xt, self.cx = x.coords, 1.0
-        self.xsum = float(x.coords.sum())
+        self.xt, self.cx = x, 1.0
+        self.xsum = float(x.sum())
         self.s, self.fw_pen = 0.0, None
         self.r = r
         self.f = f
         self.t = t
-        self.pen = np.where(x.mask, 0.0, np.inf)
-        self.buf = np.empty(x.n)
+        self.pen = np.where(x > 0, 0.0, np.inf)
+        self.buf = np.empty(x.shape[0])
 
     @property
-    def x(self) -> SimplexPoint:
-        return SimplexPoint(self.cx * self.xt, self.pen == 0.0)
+    def x(self) -> np.ndarray:
+        return self.cx * self.xt
 
     @property
     def r(self) -> np.ndarray:
@@ -216,15 +216,14 @@ class SolverState:
         return self.xt.shape[0]
 
 
-def init_barycenter(n: int, active: np.ndarray | None = None) -> SimplexPoint:
+def init_barycenter(n: int, active: np.ndarray | None = None) -> np.ndarray:
     """Uniform point 1/|S| on the active objects S (all n when `active` is
     None), zero elsewhere."""
-    mask = np.ones(n, dtype=bool) if active is None else active.copy()
-    coords = np.where(mask, 1.0 / np.count_nonzero(mask), 0.0)
-    return SimplexPoint(coords, mask)
+    mask = np.ones(n, dtype=bool) if active is None else active
+    return np.where(mask, 1.0 / np.count_nonzero(mask), 0.0)
 
 
-def init_vertex(A: Operator) -> SimplexPoint:
+def init_vertex(A: Operator) -> np.ndarray:
     """Basis vector at the active object with the largest row sum of A
     over the active objects (lowest index on ties)."""
     if A.active is None:
@@ -235,15 +234,17 @@ def init_vertex(A: Operator) -> SimplexPoint:
         i = int(np.argmax(sums))
     coords = np.zeros(A.n)
     coords[i] = 1.0
-    return SimplexPoint(coords, coords > 0)
+    return coords
 
 
-def make_state(A: Operator, x0: SimplexPoint) -> SolverState:
-    """Solver state at a copy of x0, with r = B x0 and f = x0'B x0 for the
-    matrix B that A stands for; x0 must lie on A's active objects."""
-    if A.active is not None and np.any(x0.mask & ~A.active):
+def make_state(A: Operator, x0: np.ndarray) -> SolverState:
+    """Solver state at a float64 copy of x0, with r = B x0 and f = x0'B x0
+    for the matrix B that A stands for. The support of x0, where it is
+    positive, must lie on A's active objects."""
+    v = np.array(x0, dtype=float)
+    if A.active is not None and np.any((v > 0) & ~A.active):
         raise BadInit("start has mass outside the active objects")
-    s, E, v = A.shift, A.base.entries, x0.coords
+    s, E = A.shift, A.base.entries
     i = int(v.argmax())
     if v[i] == 1.0 and np.count_nonzero(v) == 1:
         # E @ e_i is column i (not row i: E is symmetric only within
@@ -251,7 +252,7 @@ def make_state(A: Operator, x0: SimplexPoint) -> SolverState:
         r = E[:, i] + 0.0
     else:
         r = E @ v
-    st = SolverState(x0.copy(), r, 0.0)
+    st = SolverState(v, r, 0.0)
     if s:
         st.s = s
         st.rt -= s * st.xt  # cr * rt = Ax - s x
@@ -487,7 +488,7 @@ def step(state: SolverState, A: Operator, kind: SolverKind) -> StepRecord:
     return trace[0]
 
 
-def initial_point(A: Operator, config: SolverConfig) -> SimplexPoint:
+def initial_point(A: Operator, config: SolverConfig) -> np.ndarray:
     """The configured start: the barycenter of A's active objects, or the
     vertex `init_vertex` picks."""
     if config.init_kind is InitKind.BARYCENTER:
@@ -498,8 +499,8 @@ def initial_point(A: Operator, config: SolverConfig) -> SimplexPoint:
 def run(
     A: Operator,
     config: SolverConfig,
-    x0: SimplexPoint | None = None,
-) -> tuple[SimplexPoint, list[StepRecord], StopReason]:
+    x0: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[StepRecord], StopReason]:
     """Iterate the configured solver until the halved gap drops to
     epsilon * max(r), replicator iterates coincide (||x+ - x|| <=
     epsilon), or the budget is spent. Each iteration evaluates the gap,
@@ -518,7 +519,7 @@ def run(
     trace: list[StepRecord] = []
     reason = _iterate(st, A, kind, config.max_iters, config.epsilon, trace)
     _fold(st)
-    return SimplexPoint(st.xt, st.pen == 0.0), trace, reason
+    return st.xt, trace, reason
 
 
 TRACE_COLUMNS = [

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dscfw.matrix import SimilarityMatrix, SimplexPoint, new_similarity_matrix
+from dscfw.matrix import SimilarityMatrix, new_similarity_matrix
 
 
 def rand_sim(n: int, rng) -> SimilarityMatrix:
@@ -15,10 +15,10 @@ def rand_sim(n: int, rng) -> SimilarityMatrix:
     return new_similarity_matrix(upper + upper.T)
 
 
-def extract_support(x: SimplexPoint, cutoff: float) -> list[int]:
+def extract_support(x: np.ndarray, cutoff: float) -> list[int]:
     """Indices with coordinate above the cutoff, as the reference drivers
     take a cluster from a solution; empty when there are none."""
-    return [int(i) for i in np.nonzero(x.coords > cutoff)[0]]
+    return [int(i) for i in np.nonzero(x > cutoff)[0]]
 
 
 def bruteforce_minimax(D):

@@ -28,7 +28,7 @@ from dscfw.diagnostics import (
     theorem_bound,
 )
 from dscfw.errors import DscfwError
-from dscfw.matrix import ShiftedMatrix, SimplexPoint
+from dscfw.matrix import ShiftedMatrix
 from dscfw.metrics import ari, assignment_rate, v_measure
 from dscfw.multistart import (
     SamplePlan,
@@ -68,7 +68,7 @@ def _checked_run(A, kind, max_iters=1000):
     """Step-by-step run with a dense consistency check after every
     iteration; returns the trace plus the worst observed deviations."""
     x0 = init_vertex(A) if kind is SolverKind.FW else init_barycenter(A.n)
-    support0 = len(x0.support)
+    support0 = int(np.count_nonzero(x0))
     state = make_state(A, x0)
     trace = []
     max_r_dev = max_f_dev = 0.0
@@ -248,7 +248,7 @@ def _median_step_time(A, kind, n_steps=50):
         i = int(rng.integers(n))
         coords = np.full(n, 0.5 / (n - 1))
         coords[i] = 0.5
-        return make_state(A, SimplexPoint(coords, np.ones(n, dtype=bool)))
+        return make_state(A, coords)
 
     state = fresh()
     times = []

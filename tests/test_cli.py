@@ -207,9 +207,24 @@ def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
     assert report["informative"] is informative
 
 
-def _edit_input(matrix_csv):
+def _edit_input(matrix_csv, manifest):
     with open(matrix_csv, "a") as fh:
         fh.write("# edited after the run\n")
+
+
+def _drop(key, flag=None):
+    """Spoil a manifest: delete one of its keys, or one of its flags."""
+    def spoil(matrix_csv, manifest):
+        record = json.loads(Path(manifest).read_text())
+        if flag is None:
+            del record[key]
+        else:
+            del record[key][flag]
+        Path(manifest).write_text(json.dumps(record))
+    return spoil
+
+
+TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
 
 
 @pytest.mark.parametrize("command, spoil, cause", [
@@ -218,9 +233,17 @@ def _edit_input(matrix_csv):
     (["cluster", "--solver", "fw"], None, "records a run without --trace"),
     (["cluster", "--solver", "rd", "--trace", "TRACE"], None,
      "replicator dynamics has no gap bound"),
-    (["cluster", "--solver", "fw", "--trace", "TRACE"], _edit_input,
-     "changed since the run (sha256)"),
-], ids=["multistart-manifest", "no-trace", "rd", "input-changed"])
+    (TRACED_FW, _edit_input, "changed since the run (sha256)"),
+    ([*TRACED_FW, "--max-iters", "0"], None,
+     "records no steps: the traced round stopped before its first step"),
+    (TRACED_FW, _drop("flags"), "lacks the flags or input digests"),
+    (TRACED_FW, _drop("input_digests"), "lacks the flags or input digests"),
+    (TRACED_FW, _drop("flags", "trace"), "records no trace flag"),
+    (TRACED_FW, _drop("flags", "solver"), "records no solver flag"),
+    (TRACED_FW, _drop("flags", "peel_shift"), "records no peel_shift flag"),
+], ids=["multistart-manifest", "no-trace", "rd", "input-changed",
+        "no-steps", "no-flags", "no-digests", "no-trace-flag",
+        "no-solver-flag", "no-peel-shift-flag"])
 def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
                                                 command, spoil, cause):
     matrix_csv, _ = block_csv
@@ -230,7 +253,7 @@ def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
     assert main([*command, "--input", matrix_csv, "--max-clusters", "1",
                  "--out", out]) == 0
     if spoil is not None:
-        spoil(matrix_csv)
+        spoil(matrix_csv, f"{out}.manifest.json")
     capsys.readouterr()
     code = main(["trace-check", "--manifest", f"{out}.manifest.json"])
     assert code == 2

@@ -192,7 +192,7 @@ def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
             reasons.append(reason)
             gaps.append(last_gap(trace))
             f_val = trace[-1].f_after if trace else float(
-                x_star.coords @ (sub.entries @ x_star.coords))
+                x_star @ (sub.entries @ x_star))
             scored.append((f_val, x_star))
         scored.sort(key=lambda item: -item[0])
         accepted_union: set[int] = set()
@@ -212,7 +212,7 @@ def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
             accepted_union |= support
             new_clusters.append(local)
             vec = np.zeros(n)
-            vec[surviving] = x_star.coords
+            vec[surviving] = x_star
             new_vectors.append(vec)
         if not new_clusters:
             break

@@ -24,7 +24,7 @@ from dscfw.multistart import (
 from dscfw.peel import shift_offdiag
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, run
 
-from conftest import rand_sim
+from conftest import extract_support, rand_sim
 
 
 class TestSamplePlan:
@@ -155,10 +155,10 @@ class TestTwoStepDppSample:
 class TestSeedStartingPoints:
     def test_frozen(self):
         vertex, biased = seed_starting_points(1, 4)
-        assert np.array_equal(vertex.coords, [0.0, 1.0, 0.0, 0.0])
-        assert vertex.support == {1}
-        assert np.allclose(biased.coords, [1 / 6, 0.5, 1 / 6, 1 / 6])
-        assert biased.support == {0, 1, 2, 3}
+        assert np.array_equal(vertex, [0.0, 1.0, 0.0, 0.0])
+        assert extract_support(vertex, 0.0) == [1]
+        assert np.allclose(biased, [1 / 6, 0.5, 1 / 6, 1 / 6])
+        assert extract_support(biased, 0.0) == [0, 1, 2, 3]
 
     def test_needs_two_objects(self):
         with pytest.raises(ValueError):

@@ -256,7 +256,7 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
     cfg = SolverConfig(kind, init)
     state = make_state(op, initial_point(op, cfg))
     dense = make_state(B, initial_point(B, cfg))
-    assert np.array_equal(state.x.coords[idx], dense.x.coords)
+    assert np.array_equal(state.x[idx], dense.x)
     assert offdiag_extremes(op) == offdiag_extremes(B)
     trace = []
     for _ in range(60):
@@ -275,7 +275,7 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
         assert np.max(np.abs(state.r[idx] - dense.r)) <= 1e-8
         assert abs(state.f - dense.f) <= 1e-12 * abs(dense.f)
         assert check_state(state, op).ok()
-        assert not state.x.coords[~active].any()
+        assert not state.x[~active].any()
         trace.append(rec)
     if kind is not SolverKind.RD:
         assert check_progress(trace, op) == []

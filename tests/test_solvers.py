@@ -21,7 +21,6 @@ from dscfw.errors import (
 )
 from dscfw.matrix import (
     ShiftedMatrix,
-    SimplexPoint,
     new_similarity_matrix,
     quadratic_form,
     simplex_point,
@@ -48,7 +47,7 @@ from dscfw.solvers import (
     step,
 )
 
-from conftest import rand_sim
+from conftest import extract_support, rand_sim
 
 
 @pytest.fixture
@@ -59,17 +58,17 @@ def state3(A3):
 class TestInits:
     def test_barycenter(self):
         pt = init_barycenter(4)
-        assert np.allclose(pt.coords, 0.25)
-        assert pt.support == {0, 1, 2, 3}
+        assert np.allclose(pt, 0.25)
+        assert extract_support(pt, 0.0) == [0, 1, 2, 3]
 
     def test_vertex_picks_largest_row_sum(self, A3):
         pt = init_vertex(A3)  # row sums (3, 5, 4) -> index 1
-        assert pt.support == {1}
-        assert pt.coords[1] == 1.0
+        assert extract_support(pt, 0.0) == [1]
+        assert pt[1] == 1.0
 
     def test_vertex_tie_goes_to_lowest_index(self):
         A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
-        assert init_vertex(A).support == {0}
+        assert extract_support(init_vertex(A), 0.0) == [0]
 
     def test_vertex_state_holds_the_product_bit_for_bit(self):
         # A vertex start reads column i for E @ e_i. The matrix is symmetric
@@ -121,8 +120,8 @@ class TestGapAndAway:
         r, mask = (np.array(v) for v in case)
         assume(mask.any())
         coords = mask / mask.sum()
-        state = SolverState(SimplexPoint(coords, mask), r.astype(float), 0.0)
-        expected = min(sorted(state.x.support), key=lambda k: r[k])
+        state = SolverState(coords, r.astype(float), 0.0)
+        expected = min(extract_support(state.x, 0.0), key=lambda k: r[k])
         assert select_away(state) == expected
 
 
@@ -171,8 +170,8 @@ class TestPfwStep:
         assert rec.kind is StepKind.DROP
         assert rec.gamma == pytest.approx(0.4, rel=1e-12)
         assert (rec.s_index, rec.v_index) == (0, 2)
-        assert np.allclose(st.x.coords, [0.6, 0.4, 0.0], atol=1e-15)
-        assert st.x.support == {0, 1}
+        assert np.allclose(st.x, [0.6, 0.4, 0.0], atol=1e-15)
+        assert extract_support(st.x, 0.0) == [0, 1]
         assert rec.f_after == pytest.approx(2.4, rel=1e-12)
 
     def test_frozen_swap_zero_edge(self):
@@ -185,9 +184,9 @@ class TestPfwStep:
         rec = step(st, A, SolverKind.PFW)
         assert rec.kind is StepKind.SWAP
         assert rec.gamma == pytest.approx(0.5, rel=1e-12)
-        assert np.allclose(st.x.coords, [0.0, 0.5, 0.5], atol=1e-15)
+        assert np.allclose(st.x, [0.0, 0.5, 0.5], atol=1e-15)
         assert rec.f_after == pytest.approx(1.0, rel=1e-12)
-        assert st.x.support == {1, 2}
+        assert extract_support(st.x, 0.0) == [1, 2]
 
     def test_frozen_good_step(self, A3):
         # r = (0.7, 1.9, 1.1), f = 1.06: i=1, j=0, a_ij=2, and the optimal
@@ -196,8 +195,8 @@ class TestPfwStep:
         rec = step(st, A3, SolverKind.PFW)
         assert rec.kind is StepKind.PAIRWISE_GOOD
         assert rec.gamma == pytest.approx(0.3, rel=1e-12)
-        assert np.allclose(st.x.coords, [0.2, 0.5, 0.3], atol=1e-15)
-        assert st.x.support == {0, 1, 2}
+        assert np.allclose(st.x, [0.2, 0.5, 0.3], atol=1e-15)
+        assert extract_support(st.x, 0.0) == [0, 1, 2]
         # Exact progress identity: delta f = (r_i - r_j)^2 / (2 a_ij).
         assert rec.f_after - rec.f_before == pytest.approx(1.2**2 / 4.0,
                                                            rel=1e-12)
@@ -227,8 +226,8 @@ class TestAfwStep:
         assert rec.kind is StepKind.DROP
         assert rec.gamma == pytest.approx(1.0 / 9.0, rel=1e-12)
         assert rec.v_index == 2
-        assert np.allclose(st.x.coords, [0.5, 0.5, 0.0], atol=1e-15)
-        assert st.x.support == {0, 1}
+        assert np.allclose(st.x, [0.5, 0.5, 0.0], atol=1e-15)
+        assert extract_support(st.x, 0.0) == [0, 1]
         assert rec.f_after == pytest.approx(0.5, rel=1e-12)
 
     def test_frozen_away_good(self):
@@ -253,7 +252,7 @@ class TestAfwStep:
             (f - r[j]) ** 2 / (2.0 * r[j] - f), rel=1e-9)
         expected_x = (1.0 + expected_gamma) * x
         expected_x[j] -= expected_gamma
-        assert np.allclose(st.x.coords, expected_x, atol=1e-14)
+        assert np.allclose(st.x, expected_x, atol=1e-14)
 
     def test_away_step_from_vertex_is_a_typed_error(self):
         # At a vertex f = r_j = 0 makes the FW branch certain; a cache
@@ -271,7 +270,7 @@ class TestRdStep:
         rec = step(st, A, SolverKind.RD)
         assert rec.kind is StepKind.RD_STEP
         assert math.isnan(rec.gamma)
-        assert np.allclose(st.x.coords, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(st.x, [0.5, 0.5], atol=1e-15)
         assert rec.f_before == pytest.approx(0.375, rel=1e-12)
         assert rec.f_after == pytest.approx(0.5, rel=1e-12)
         assert rec.gap == pytest.approx(2 * (0.75 - 0.375), rel=1e-12)
@@ -284,7 +283,7 @@ class TestRdStep:
     def test_support_never_grows(self, A3):
         st = make_state(A3, simplex_point([0.5, 0.5, 0.0]))
         step(st, A3, SolverKind.RD)
-        assert 2 not in st.x.support
+        assert 2 not in extract_support(st.x, 0.0)
 
     def test_not_ascent_at_a_fixed_point(self):
         # r = (0.5, 0.5) = f on the support: the update would leave x as
@@ -294,7 +293,7 @@ class TestRdStep:
         with pytest.raises(NotAscent):
             step(st, A, SolverKind.RD)
         assert st.t == 0
-        assert st.x.coords.tolist() == [0.5, 0.5]
+        assert st.x.tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("kind", list(SolverKind))
@@ -302,8 +301,7 @@ def test_empty_support_is_not_ascent(kind):
     # x = 0 gives r = 0 and f = 0: the gap test stops the step before the
     # away vertex is chosen.
     A = new_similarity_matrix([[0.0, 1.0], [1.0, 0.0]])
-    st = SolverState(SimplexPoint(np.zeros(2), np.zeros(2, bool)),
-                     np.zeros(2), 0.0)
+    st = SolverState(np.zeros(2), np.zeros(2), 0.0)
     with pytest.raises(NotAscent):
         step(st, A, kind)
 
@@ -327,14 +325,14 @@ class TestRun:
         x, trace, reason = run(A, cfg)
         assert reason is StopReason.GAP_REACHED
         assert len(trace) == 1
-        assert np.allclose(x.coords, [0.5, 0.5], atol=1e-15)
+        assert np.allclose(x, [0.5, 0.5], atol=1e-15)
 
     def test_max_iters_zero_returns_start(self, A3):
         cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX, max_iters=0)
         x, trace, reason = run(A3, cfg)
         assert reason is StopReason.MAX_ITERS
         assert trace == []
-        assert x.support == {1}
+        assert extract_support(x, 0.0) == [1]
 
     def test_rd_rejects_vertex_start(self, A3):
         cfg = SolverConfig(SolverKind.RD, InitKind.VERTEX)
@@ -350,7 +348,7 @@ class TestRun:
                                x0=simplex_point([0.5, 0.5, 0.0]))
         assert reason is StopReason.ITERATE_CONVERGED
         assert len(trace) == 1
-        assert np.allclose(x.coords, [0.5, 0.5, 0.0], atol=1e-15)
+        assert np.allclose(x, [0.5, 0.5, 0.0], atol=1e-15)
         assert trace[0].gap == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", [SolverKind.PFW, SolverKind.AFW])
@@ -370,8 +368,8 @@ class TestRun:
             StepKind.PAIRWISE_GOOD if kind is SolverKind.PFW
             else StepKind.FW_GOOD]
         assert trace[0].v_index == 2
-        assert x.support == {0, 1}
-        assert np.allclose(x.coords, [0.5, 0.5, 0.0], atol=1e-15)
+        assert extract_support(x, 0.0) == [0, 1]
+        assert np.allclose(x, [0.5, 0.5, 0.0], atol=1e-15)
 
     def test_pfw_stationary_when_best_equals_away(self):
         # Zero pairwise direction stops the run without a step.
@@ -395,7 +393,7 @@ class TestRun:
             ra = step(sa, A, kind)
             rb = step(sb, B, kind)
             assert ra.kind is rb.kind
-            assert np.allclose(sa.x.coords, sb.x.coords, atol=1e-12)
+            assert np.allclose(sa.x, sb.x, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [SolverKind.FW, SolverKind.PFW,
                                       SolverKind.AFW, SolverKind.RD])
@@ -415,7 +413,7 @@ class TestRun:
                            max_iters=2000)
         x, _, reason = run(A, cfg)
         assert reason is not StopReason.MAX_ITERS
-        x.validate()
+        simplex_point(x)
 
 
 def _record_fields(rec):
@@ -431,8 +429,8 @@ def _seed_start(start, k, active):
     vertex, biased = seed_starting_points(k, members.size)
     local = biased if start == "seed-biased" else vertex
     coords = np.zeros(active.size)
-    coords[members] = local.coords
-    return SimplexPoint(coords, coords > 0)
+    coords[members] = local
+    return coords
 
 
 @settings(max_examples=200, deadline=None)
@@ -478,7 +476,7 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
     if start.startswith("seed-"):
         members = active if operator == "masked" else np.ones(n, dtype=bool)
         x0 = _seed_start(start, int(rng.integers(members.sum())), members)
-        start_coords = x0.coords.copy()
+        start_coords = x0.copy()
         cfg = SolverConfig(kind, epsilon=epsilon, max_iters=200)
     else:
         cfg = SolverConfig(kind, InitKind(start), epsilon=epsilon,
@@ -499,22 +497,23 @@ def test_run_matches_public_step_loop(n, seed, integer, kind, start, shift,
         if kind is SolverKind.PFW and select_away(state) == i:
             expected_reason = StopReason.GAP_REACHED
             break
-        prev = state.x.coords.copy()
+        prev = state.x
         expected.append(step(state, A, kind))
         if kind is SolverKind.RD and float(
-                np.linalg.norm(state.x.coords - prev)) <= cfg.epsilon:
+                np.linalg.norm(state.x - prev)) <= cfg.epsilon:
             expected_reason = StopReason.ITERATE_CONVERGED
             break
     assert reason is expected_reason
     assert [_record_fields(r) for r in trace] == [
         _record_fields(r) for r in expected]
-    assert np.array_equal(x.coords, state.x.coords)
-    assert np.array_equal(x.mask, state.x.mask)
-    assert np.array_equal(x.mask, x.coords > 0)
+    simplex_point(x)
+    assert np.array_equal(x, state.x)
+    # The solver's one support record, pen, is where the point is positive.
+    assert np.array_equal(x > 0, state.pen == 0.0)
     if operator == "masked":
-        assert not np.any(x.mask & ~active)
+        assert not np.any((x > 0) & ~active)
     if x0 is not None:  # run copies the start it is given
-        assert np.array_equal(x0.coords, start_coords)
+        assert np.array_equal(x0, start_coords)
 
 
 @settings(max_examples=150, deadline=None)
@@ -543,7 +542,7 @@ def test_run_is_invariant_to_a_power_of_two_scale(n, seed, kind, init, k,
         return
     assert [(r.kind, r.t, r.s_index, r.v_index) for r in scaled_trace] == [
         (r.kind, r.t, r.s_index, r.v_index) for r in trace]
-    assert np.array_equal(y.coords, x.coords)
+    assert np.array_equal(y, x)
 
 
 def test_run_matches_public_step_loop_with_frequent_folds(monkeypatch):
@@ -633,8 +632,8 @@ def _run_digest(x, trace, reason):
                 v = v.value
             h.update(f"{v},".encode())
     h.update(reason.value.encode())
-    h.update(x.coords.tobytes())
-    h.update(x.mask.tobytes())
+    h.update(x.tobytes())
+    h.update((x > 0).tobytes())
     return h.hexdigest()[:16]
 
 
