@@ -9,8 +9,10 @@ write a JSON manifest next to their outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import math
@@ -239,6 +241,28 @@ _CHECKED_FLAGS = ("input", "features", "similarity", "shift", "solver",
                   "epsilon", "max_iters", "peel_shift", "trace")
 
 
+def _check_flags(manifest: str, flags: dict) -> None:
+    """Raise UncheckableRun unless each recorded flag is a value the
+    `cluster` parser gives it: parsed again from its text with that
+    parser's own types and choices, it must come back unchanged."""
+    argv = ["cluster", "--max-clusters", "1"]
+    argv += [f"--{k.replace('_', '-')}={flags[k]}" for k in _CHECKED_FLAGS
+             if flags[k] is not None]
+    errors = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(errors):
+            parsed = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        raise UncheckableRun(
+            f"{manifest} records a flag that cluster rejects: "
+            f"{errors.getvalue().strip().splitlines()[-1]}") from None
+    bad = [k for k in _CHECKED_FLAGS if parsed[k] != flags[k]]
+    if bad:
+        raise UncheckableRun(
+            f"{manifest} records {', '.join(bad)} as no value that cluster "
+            "gives it")
+
+
 def cmd_trace_check(args) -> int:
     """Hold a traced `cluster` run to its gap bound on the operator and the
     start its manifest records, reading relative paths from the cwd."""
@@ -255,6 +279,7 @@ def cmd_trace_check(args) -> int:
     if missing:
         raise UncheckableRun(
             f"{args.manifest} records no {', '.join(missing)} flag")
+    _check_flags(args.manifest, flags)
     run = argparse.Namespace(**flags)
     if run.trace is None:
         raise UncheckableRun(f"{args.manifest} records a run without --trace")

@@ -19,7 +19,7 @@ class NegativeEntry(DscfwError, ValueError):
 
 
 class NonFiniteEntry(DscfwError, ValueError):
-    """Matrix or feature input holds NaN or an infinity."""
+    """Matrix, feature or simplex-point input holds NaN or an infinity."""
 
 
 class NonzeroDiagonal(DscfwError, ValueError):
@@ -27,8 +27,8 @@ class NonzeroDiagonal(DscfwError, ValueError):
 
 
 class DimensionMismatch(DscfwError):
-    """Vector and matrix sizes disagree, or a simplex point's coordinates
-    have drifted from summing to 1."""
+    """Vector and matrix sizes disagree, a simplex point is not 1-D, or
+    its coordinates have drifted from summing to 1."""
 
 
 class NonSquareMatrix(DimensionMismatch, ValueError):
@@ -111,5 +111,6 @@ class TooFewPoints(DscfwError):
 
 class UncheckableRun(DscfwError, ValueError):
     """A run that cannot be held to a gap bound: replicator dynamics, a
-    manifest of no traced `cluster` run or one that lacks what the run
-    recorded, a traced round with no steps, or an input changed since."""
+    manifest of no traced `cluster` run, one that lacks what the run
+    recorded or records a flag value `cluster` would not give, a traced
+    round with no steps, or an input changed since."""

@@ -86,6 +86,7 @@ import numpy as np
 from .errors import (
     BadInit,
     BrokenInvariant,
+    DimensionMismatch,
     EmptySupport,
     MalformedTrace,
     NotAscent,
@@ -242,6 +243,8 @@ def make_state(A: Operator, x0: np.ndarray) -> SolverState:
     for the matrix B that A stands for. The support of x0, where it is
     positive, must lie on A's active objects."""
     v = np.array(x0, dtype=float)
+    if v.shape != (A.n,):
+        raise DimensionMismatch(f"start of shape {v.shape} vs matrix n={A.n}")
     if A.active is not None and np.any((v > 0) & ~A.active):
         raise BadInit("start has mass outside the active objects")
     s, E = A.shift, A.base.entries

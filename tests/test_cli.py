@@ -224,6 +224,15 @@ def _drop(key, flag=None):
     return spoil
 
 
+def _set(flag, value):
+    """Spoil a manifest: record a value for one of its flags."""
+    def spoil(matrix_csv, manifest):
+        record = json.loads(Path(manifest).read_text())
+        record["flags"][flag] = value
+        Path(manifest).write_text(json.dumps(record))
+    return spoil
+
+
 TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
 
 
@@ -241,9 +250,23 @@ TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
     (TRACED_FW, _drop("flags", "trace"), "records no trace flag"),
     (TRACED_FW, _drop("flags", "solver"), "records no solver flag"),
     (TRACED_FW, _drop("flags", "peel_shift"), "records no peel_shift flag"),
+    (TRACED_FW, _set("solver", "nope"),
+     "cluster rejects: dscfw cluster: error: argument --solver: invalid "
+     "choice: 'nope'"),
+    (TRACED_FW, _set("epsilon", "tiny"),
+     "argument --epsilon: invalid float value: 'tiny'"),
+    (TRACED_FW, _set("epsilon", "1e-12"),
+     "records epsilon as no value that cluster gives it"),
+    (TRACED_FW, _set("max_iters", 1000.0),
+     "argument --max-iters: invalid int value: '1000.0'"),
+    (TRACED_FW, _set("peel_shift", None),
+     "records peel_shift as no value that cluster gives it"),
+    (TRACED_FW, _set("input", 5), "records input as no value"),
 ], ids=["multistart-manifest", "no-trace", "rd", "input-changed",
         "no-steps", "no-flags", "no-digests", "no-trace-flag",
-        "no-solver-flag", "no-peel-shift-flag"])
+        "no-solver-flag", "no-peel-shift-flag", "bad-solver",
+        "bad-epsilon-text", "epsilon-as-text", "float-max-iters",
+        "null-peel-shift", "input-as-number"])
 def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
                                                 command, spoil, cause):
     matrix_csv, _ = block_csv

@@ -170,6 +170,17 @@ class TestSimplexPoint:
         with pytest.raises(DimensionMismatch):
             simplex_point([0.5, 0.4])
 
+    @pytest.mark.parametrize("coords", [[np.nan, 1.0], [np.inf, 0.0],
+                                        [0.5, -np.inf]])
+    def test_non_finite_coordinate(self, coords):
+        with pytest.raises(NonFiniteEntry):
+            simplex_point(coords)
+
+    @pytest.mark.parametrize("coords", [[[0.5], [0.5]], 1.0])
+    def test_not_one_dimensional(self, coords):
+        with pytest.raises(DimensionMismatch):
+            simplex_point(coords)
+
     def test_renormalize_if_needed(self):
         pt = simplex_point([0.5, 0.5])
         pt *= 1.0 + 1e-9
@@ -499,6 +510,20 @@ class TestCsvIO:
             assert sent == [k] * k
         else:  # one call on the run's ties, if it has any
             assert sent == ([ties] if ties else [])
+
+    def test_save_mixes_the_two_paths_run_by_run(self, tmp_path):
+        # One -0.0 sends its run of rows, and no other, line by line to %.
+        E = np.random.default_rng(7).uniform(size=(200, 200))
+        second = _row_chunks(200)[1]
+        E[second.start + 3, 5] = -0.0
+        with mock.patch.object(matrix, "_percent_line",
+                               wraps=matrix._percent_line) as fallback:
+            save_matrix_csv(tmp_path / "new.csv", SimilarityMatrix(E))
+        np.savetxt(tmp_path / "ref.csv", E, delimiter=",")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+        sent = np.array([c.args[0] for c in fallback.call_args_list])
+        assert np.array_equal(_bits(sent), _bits(E[second]))
 
     @pytest.mark.parametrize("kind", ["block", "minimax", "euclidean-max"])
     def test_save_sends_no_token_of_generated_data_to_percent(self, tmp_path,

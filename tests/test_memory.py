@@ -90,12 +90,11 @@ def test_load_matrix_csv(tmp_path, block, features, layout):
 
 @pytest.mark.parametrize("kind", ["block", "dense"])
 def test_save_matrix_csv_needs_only_row_runs(tmp_path, block, kind):
-    # The writer holds one run of about 128 x 128 entries: their sorted
-    # bits, distinct values and table of tokens, the temporaries of one
-    # piece of values being formatted, and the gather indices and lines
-    # of a few rows, well under one n x n array. Both matrices take the
-    # one fixed-width path; the dense one's run has a token for almost
-    # every entry.
+    # The writer holds one run of about 128 x 128 entries: the positions
+    # of its nonzero values, its lines of 25 bytes an entry and the
+    # temporaries of one piece of values being formatted, well under
+    # one n x n array. Both matrices take the one fixed-width path; the
+    # dense one's run has a nonzero value at almost every entry.
     A = block if kind == "block" else rand_sim(N, np.random.default_rng(2))
     peak, _ = traced_peak(save_matrix_csv, tmp_path / "m.csv", A)
     assert peak <= 0.5 * UNIT

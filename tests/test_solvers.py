@@ -15,6 +15,7 @@ from dscfw.diagnostics import check_state
 from dscfw.errors import (
     BadInit,
     BrokenInvariant,
+    DimensionMismatch,
     EmptySupport,
     NotAscent,
     ZeroDenominator,
@@ -338,6 +339,13 @@ class TestRun:
         cfg = SolverConfig(SolverKind.RD, InitKind.VERTEX)
         with pytest.raises(BadInit):
             run(A3, cfg)
+
+    @pytest.mark.parametrize("x0", [[0.5, 0.5], [0.0, 0.0, 0.0, 1.0],
+                                    [[1.0, 0.0, 0.0]]],
+                             ids=["short", "long-vertex", "2-d"])
+    def test_start_of_the_wrong_shape(self, A3, x0):
+        with pytest.raises(DimensionMismatch):
+            run(A3, SolverConfig(SolverKind.FW), x0=np.array(x0))
 
     def test_rd_iterate_converged_at_fixed_point(self):
         # (0.5, 0.5, 0) is a replicator fixed point with positive gap.
