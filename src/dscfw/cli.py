@@ -221,8 +221,10 @@ def cmd_multistart(args) -> int:
         seed=args.seed,
     )
     t0 = time.perf_counter()
+    config = SolverConfig(SolverKind(args.solver), epsilon=args.epsilon,
+                          max_iters=args.max_iters)
     result, passes = multistart_cluster(
-        A, plan, _solver_config(args), args.max_clusters, cutoff=args.cutoff)
+        A, plan, config, args.max_clusters, cutoff=args.cutoff)
     elapsed = time.perf_counter() - t0
     _emit_labels(args.out, result)
     Path(f"{args.out}.passes.json").write_text(
@@ -300,8 +302,9 @@ def cmd_trace_check(args) -> int:
 
 
 def _add_similarity_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="similarity matrix CSV")
-    p.add_argument("--features", help="feature matrix CSV")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="similarity matrix CSV")
+    source.add_argument("--features", help="feature matrix CSV")
     p.add_argument("--similarity", default="cosine",
                    choices=["cosine", "euclidean-max", "minimax"])
     p.add_argument("--shift", type=float, default=0.0,
@@ -309,9 +312,6 @@ def _add_similarity_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", default="fw", choices=sorted(SOLVER_FLAGS),
-                   help="-b/-v: barycenter/vertex start; multistart ignores "
-                   "the suffix and starts from each sampled seed")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="stop a solve when its halved gap max(r) - f is at "
@@ -325,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="peel-off dominant set clustering")
     _add_similarity_flags(p)
+    p.add_argument("--solver", default="fw", choices=sorted(SOLVER_FLAGS),
+                   help="-b/-v: barycenter/vertex start")
     _add_solver_flags(p)
     p.add_argument("--max-clusters", type=int, required=True)
     p.add_argument("--peel-shift", type=float, default=0.0,
@@ -357,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("multistart", help="multi-start clustering")
     _add_similarity_flags(p)
+    p.add_argument("--solver", default="fw", help="each seed gives the starts",
+                   choices=[kind.value for kind in SolverKind])
     _add_solver_flags(p)
     p.add_argument("--samples", type=int, default=4)
     p.add_argument("--sampler", choices=["uni", "dpp"], default="uni")

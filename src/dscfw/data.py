@@ -1,13 +1,10 @@
 """Similarity-matrix construction pipelines and synthetic dataset
 generators.
 
-Minimax distances are computed through the minimum spanning tree: the
-largest edge on the unique MST path between two nodes equals the minimum
-over all paths of the maximum edge weight. These are the merge heights of
-single linkage (Gower & Ross, Applied Statistics 1969): taking the MST
-edges in increasing weight, the edge that merges two clusters is the
-distance between every pair across them. Prim's algorithm and one block
-write per merge give an exact O(n^2) method on dense inputs.
+Minimax distances rest on the minimum spanning tree: the largest edge on
+the tree path between two nodes is the minimum over all paths of the
+maximum edge weight. `minimax_distances` writes each node's row as
+Prim's algorithm adds it, an exact O(n^2) method on dense inputs.
 
 Every similarity builder works in the n x n array it returns, with O(n)
 or tile-sized scratch, and hands that array to the matrix validator
@@ -23,6 +20,7 @@ import numpy as np
 from .errors import (
     AsymmetricMatrix,
     HsvRangeError,
+    NegativeEntry,
     NonFiniteEntry,
     ZeroNormRow,
 )
@@ -30,6 +28,7 @@ from .matrix import (
     _TILE,
     SimilarityMatrix,
     _asymmetry,
+    _require_square,
     _row_chunks,
     _tiles,
     _validated,
@@ -105,20 +104,21 @@ def minimax_distances(D) -> np.ndarray:
     from i to j of the maximum edge weight along the path.
 
     Prim's algorithm builds the minimum spanning tree; `best` holds each
-    outside node's distance to the tree and inf for tree nodes. Then the
-    tree edges are taken in increasing weight, as single linkage merges
-    clusters: the edge (u, p) of weight w joins the clusters C_u and C_p,
-    every tree path between them crosses it and otherwise uses lighter
-    or equal edges, so out[C_u x C_p] = w. Each entry is written once, by
-    O(n) block writes in all.
+    outside node's distance to the tree (inf for tree nodes) and `order`
+    the tree nodes in join order. The tree path from a joining node u to
+    any earlier node t runs through u's parent p, so out[u, t] =
+    max(out[p, t], D[u, p]); at t = p that takes out[p, p] = 0 as the
+    distance from p to itself, which is why distances must be nonnegative.
     """
     D = np.asarray(D, dtype=float)
-    n = D.shape[0]
+    n = _require_square(D)
     # min and max propagate NaN; a NaN distance would compare False
     # everywhere below and vanish from the tree.
-    if not (np.isfinite(D.min(initial=0.0))
-            and np.isfinite(D.max(initial=0.0))):
+    lo, hi = D.min(), D.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NonFiniteEntry("distances must be finite (no NaN or inf)")
+    if lo < 0:
+        raise NegativeEntry("distances must be nonnegative")
     if _asymmetry(D) > 0:
         raise AsymmetricMatrix("distance matrix must be symmetric")
     parent = np.full(n, -1, dtype=int)
@@ -126,36 +126,22 @@ def minimax_distances(D) -> np.ndarray:
     best = np.full(n, np.inf)
     best[0] = 0.0
     closer = np.empty(n, dtype=bool)
-    joined = []
-    for _ in range(n):
+    order = np.empty(n, dtype=int)
+    out = np.zeros((n, n))
+    for k in range(n):
         u = int(best.argmin())
         outside[u] = False
         best[u] = np.inf
-        if parent[u] >= 0:
-            joined.append(u)
+        p = parent[u]
+        if p >= 0:
+            tree = order[:k]
+            out[u, tree] = out[tree, u] = np.maximum(out[p, tree], D[u, p])
+        order[k] = u
         row = D[u]
         np.less(row, best, out=closer)
         closer &= outside
         np.copyto(best, row, where=closer)
         np.copyto(parent, u, where=closer)
-    joined = np.array(joined, dtype=int)
-    weights = D[joined, parent[joined]]
-    order = np.argsort(weights, kind="stable")
-    edges = joined[order]
-    out = np.zeros((n, n))
-    owner = np.arange(n)
-    members = [np.array([i]) for i in range(n)]
-    for u, p, w in zip(edges.tolist(), parent[edges].tolist(),
-                       weights[order].tolist()):
-        a, b = owner[u], owner[p]
-        if members[a].size < members[b].size:
-            a, b = b, a
-        ma, mb = members[a], members[b]
-        out[ma[:, None], mb] = w
-        out[mb[:, None], ma] = w
-        owner[mb] = a
-        members[a] = np.concatenate((ma, mb))
-        members[b] = None
     return out
 
 
@@ -163,6 +149,7 @@ def max_transform(D) -> SimilarityMatrix:
     """Similarity a_ij = max(D) - D_ij off-diagonal; the diagonal is
     forced to zero to keep self-similarities out of the objective."""
     D = np.asarray(D, dtype=float)
+    _require_square(D)
     A = D.max(initial=0.0) - D
     np.fill_diagonal(A, 0.0)
     return _validated(A)

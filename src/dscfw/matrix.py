@@ -225,14 +225,20 @@ def _asymmetry(arr: np.ndarray) -> float:
     return float(worst)
 
 
+def _require_square(arr: np.ndarray) -> int:
+    """n of an n x n array; NonSquareMatrix or TooSmall (n = 0) if not."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NonSquareMatrix(f"expected a square matrix, got {arr.shape}")
+    if arr.shape[0] == 0:
+        raise TooSmall("a matrix needs at least one object")
+    return arr.shape[0]
+
+
 def _validated(arr: np.ndarray) -> SimilarityMatrix:
     """The one similarity-matrix validator. Takes ownership of `arr`, a
     fresh float64 array that nobody else holds: checks it in place, forces
     tiny diagonal entries to zero and freezes it."""
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquareMatrix(f"expected a square matrix, got {arr.shape}")
-    if arr.shape[0] == 0:
-        raise TooSmall("a similarity matrix needs at least one object")
+    _require_square(arr)
     # min and max propagate NaN, so both are finite exactly when every
     # entry is.
     if not (np.isfinite(arr.min(initial=0.0))

@@ -96,6 +96,7 @@ from .matrix import (
     SUM_TOL,
     Operator,
     renormalize_if_needed,
+    simplex_point,
 )
 
 DEFAULT_EPSILON = 1e-12  # relative: the halved gap against max(r)
@@ -240,11 +241,12 @@ def init_vertex(A: Operator) -> np.ndarray:
 
 def make_state(A: Operator, x0: np.ndarray) -> SolverState:
     """Solver state at a float64 copy of x0, with r = B x0 and f = x0'B x0
-    for the matrix B that A stands for. The support of x0, where it is
-    positive, must lie on A's active objects."""
+    for the matrix B that A stands for. x0 must pass `simplex_point`, and
+    its support, where it is positive, must lie on A's active objects."""
     v = np.array(x0, dtype=float)
     if v.shape != (A.n,):
         raise DimensionMismatch(f"start of shape {v.shape} vs matrix n={A.n}")
+    simplex_point(v)
     if A.active is not None and np.any((v > 0) & ~A.active):
         raise BadInit("start has mass outside the active objects")
     s, E = A.shift, A.base.entries

@@ -27,6 +27,7 @@ from dscfw.matrix import (
     save_matrix_csv,
 )
 from dscfw.diagnostics import theorem_bound
+from dscfw.multistart import SamplePlan, SamplerKind, multistart_cluster
 from dscfw.peel import PeelConfig, peel, post_assign, shift_offdiag
 from dscfw.solvers import (
     InitKind,
@@ -130,7 +131,7 @@ def test_cluster_and_eval(tmp_path, block_csv, capsys):
 def test_multistart_subcommand(tmp_path, block_csv, capsys):
     matrix_csv, _ = block_csv
     out = str(tmp_path / "ms")
-    code = main(["multistart", "--input", matrix_csv, "--solver", "afw-v",
+    code = main(["multistart", "--input", matrix_csv, "--solver", "afw",
                  "--samples", "2", "--sampler", "uni", "--seed", "0",
                  "--max-clusters", "2", "--out", out])
     assert code == 0
@@ -140,18 +141,39 @@ def test_multistart_subcommand(tmp_path, block_csv, capsys):
     assert summary["k_found"] >= 1
 
 
-def test_multistart_ignores_the_start_suffix(tmp_path, block_csv, capsys):
-    # A seed's starts depend on the solver kind only, so afw-b and afw-v
-    # are the same multistart run.
+def test_multistart_solver_is_the_kind_alone(tmp_path, block_csv, capsys):
+    # A seed's starts depend on the solver kind only, so multistart takes
+    # no -b/-v start suffix.
     matrix_csv, _ = block_csv
-    labels = []
-    for solver in ("afw-b", "afw-v"):
-        out = tmp_path / solver
-        assert main(["multistart", "--input", matrix_csv, "--solver", solver,
-                     "--sampler", "dpp", "--seed", "0", "--max-clusters", "2",
-                     "--out", str(out)]) == 0
-        labels.append(Path(f"{out}.labels.csv").read_bytes())
-    assert labels[0] == labels[1]
+    flags = ["--input", matrix_csv, "--sampler", "dpp", "--seed", "0",
+             "--max-clusters", "2", "--out", str(tmp_path / "ms")]
+    assert main(["multistart", "--solver", "afw-v", *flags]) == 1
+    assert main(["multistart", "--solver", "afw", *flags]) == 0
+    labels = json.loads((tmp_path / "ms.labels.json").read_text())["labels"]
+    plan = SamplePlan(ell=4, sampler=SamplerKind.DPP, overlap_threshold=0.10,
+                      seed=0)
+    expected, _ = multistart_cluster(load_matrix_csv(matrix_csv), plan,
+                                     SolverConfig(SolverKind.AFW), 2)
+    assert labels == expected.labels.tolist()
+
+
+@pytest.mark.parametrize("command", [
+    ["cluster", "--max-clusters", "1"],
+    ["similarity"],
+    ["multistart", "--max-clusters", "1"],
+], ids=["cluster", "similarity", "multistart"])
+@pytest.mark.parametrize("sources, error", [
+    ([], "one of the arguments --input --features is required"),
+    (["--input", "BLOCK", "--features", "nope.csv"],
+     "argument --features: not allowed with argument --input"),
+], ids=["neither", "both"])
+def test_exactly_one_input_flag(tmp_path, block_csv, capsys, command,
+                                sources, error):
+    sources = [block_csv[0] if a == "BLOCK" else a for a in sources]
+    out = tmp_path / "run"
+    assert main([*command, *sources, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].endswith(error)
+    assert not list(tmp_path.glob("run*"))
 
 
 def test_trace_check(tmp_path, block_csv, capsys):
@@ -237,7 +259,7 @@ TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
 
 
 @pytest.mark.parametrize("command, spoil, cause", [
-    (["multistart", "--solver", "afw-v", "--samples", "2", "--seed", "0"],
+    (["multistart", "--solver", "afw", "--samples", "2", "--seed", "0"],
      None, "records a multistart run, not a cluster run"),
     (["cluster", "--solver", "fw"], None, "records a run without --trace"),
     (["cluster", "--solver", "rd", "--trace", "TRACE"], None,
@@ -588,7 +610,7 @@ def test_max_iters_stop_is_reported(tmp_path, block_csv):
 
 @pytest.mark.parametrize("command", [
     ["cluster", "--solver", "pfw-b", "--peel-shift", "4"],
-    ["multistart", "--solver", "afw-v", "--samples", "2", "--seed", "0"],
+    ["multistart", "--solver", "afw", "--samples", "2", "--seed", "0"],
 ])
 def test_budget_warnings_in_manifest(tmp_path, block_csv, capsys, caplog,
                                      command):

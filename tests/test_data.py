@@ -17,7 +17,10 @@ from dscfw.data import (
 from dscfw.errors import (
     AsymmetricMatrix,
     HsvRangeError,
+    NegativeEntry,
     NonFiniteEntry,
+    NonSquareMatrix,
+    TooSmall,
     ZeroNormRow,
 )
 
@@ -138,13 +141,30 @@ class TestMinimaxDistances:
         D = D + D.T
         assert np.array_equal(minimax_distances(D), bruteforce_minimax(D))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 200), st.integers(0, 2**32 - 1))
-    def test_bit_identical_to_prim_order_fill(self, n, seed):
-        D = np.triu(np.random.default_rng(seed).integers(0, 4, size=(n, n)),
-                    1).astype(float)
-        D = D + D.T
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 200), st.integers(0, 2**32 - 1), st.booleans())
+    def test_bit_identical_to_prim_order_fill(self, n, seed, euclidean):
+        # Integer weights 0-3 tie often; Euclidean distances of float
+        # features are what the minimax similarity pipeline feeds in.
+        rng = np.random.default_rng(seed)
+        if euclidean:
+            D = pairwise_euclidean(rng.normal(size=(n, 2)))
+        else:
+            D = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
+            D = D + D.T
         assert minimax_distances(D).tobytes() == prim_order_minimax(D).tobytes()
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((0, 0)), TooSmall),
+        (np.zeros((2, 3)), NonSquareMatrix),
+        (np.zeros(3), NonSquareMatrix),
+        (np.array([[0.0, -1.0], [-1.0, 0.0]]), NegativeEntry),
+    ], ids=["empty", "2x3", "1-d", "negative"])
+    def test_rejects_malformed_input(self, bad, error):
+        # The fill takes out[p, p] = 0 as the distance from p to itself,
+        # which would raise a negative edge to 0: negative input is refused.
+        with pytest.raises(error):
+            minimax_distances(bad)
 
 
 class TestMaxTransform:
@@ -158,6 +178,16 @@ class TestMaxTransform:
     def test_diagonal_forced_to_zero(self):
         A = max_transform([[0.0, 1.0], [1.0, 0.0]])
         assert np.all(np.diagonal(A.entries) == 0.0)
+
+    @pytest.mark.parametrize("bad, error", [
+        (np.zeros((0, 0)), TooSmall),
+        (np.zeros((2, 3)), NonSquareMatrix),
+        (np.zeros(3), NonSquareMatrix),
+        (np.zeros((2, 2, 3)), NonSquareMatrix),
+    ], ids=["empty", "2x3", "1-d", "3-d"])
+    def test_rejects_malformed_input(self, bad, error):
+        with pytest.raises(error):
+            max_transform(bad)
 
 
 class TestBlockNoiseMatrix:

@@ -11,12 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from dscfw import solvers
+from dscfw.data import block_noise_matrix
 from dscfw.diagnostics import check_state
 from dscfw.errors import (
     BadInit,
     BrokenInvariant,
     DimensionMismatch,
     EmptySupport,
+    NegativeEntry,
+    NonFiniteEntry,
     NotAscent,
     ZeroDenominator,
 )
@@ -346,6 +349,23 @@ class TestRun:
     def test_start_of_the_wrong_shape(self, A3, x0):
         with pytest.raises(DimensionMismatch):
             run(A3, SolverConfig(SolverKind.FW), x0=np.array(x0))
+
+    @pytest.mark.parametrize("kind", list(SolverKind))
+    @pytest.mark.parametrize("head, error", [
+        ([1.1], DimensionMismatch),
+        ([1.5, -0.5], NegativeEntry),
+        ([np.nan, 1.0], NonFiniteEntry),
+        ([0.0], DimensionMismatch),
+    ], ids=["sum-1.1", "negative", "nan", "all-zero"])
+    def test_start_off_the_simplex(self, kind, head, error):
+        # Unchecked, each runs on: a sum of 1.1 to GapReached, the negative
+        # start under AFW to an iterate near -1e15, zeros to x = 0, and NaN
+        # to a solver fault instead of a data error.
+        A, _ = block_noise_matrix(30, 3, 0.1, seed=0)
+        x0 = np.zeros(30)
+        x0[:len(head)] = head
+        with pytest.raises(error):
+            run(A, SolverConfig(kind), x0=x0)
 
     def test_rd_iterate_converged_at_fixed_point(self):
         # (0.5, 0.5, 0) is a replicator fixed point with positive gap.
