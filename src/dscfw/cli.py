@@ -91,16 +91,13 @@ def _load_similarity(args) -> tuple[object, list[str]]:
     if args.input:
         return load_matrix_csv(args.input), [args.input]
     F = load_features_csv(args.features)
-    method = args.similarity
-    if method == "cosine":
+    if args.similarity == "cosine":
         A = data.cosine_similarity(F, shift=args.shift)
-    elif method == "euclidean-max":
+    elif args.similarity == "euclidean-max":
         A = data.max_transform(data.pairwise_euclidean(F))
-    elif method == "minimax":
+    else:  # minimax: the parser allows no other choice
         D = data.minimax_distances(data.pairwise_euclidean(F))
         A = data.max_transform(D)
-    else:
-        raise DscfwError(f"unknown similarity method {method!r}")
     return A, [args.features]
 
 

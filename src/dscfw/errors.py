@@ -27,8 +27,9 @@ class NonzeroDiagonal(DscfwError, ValueError):
 
 
 class DimensionMismatch(DscfwError):
-    """Vector and matrix sizes disagree, a simplex point is not 1-D, or
-    its coordinates have drifted from summing to 1."""
+    """Vector and matrix sizes disagree, a simplex point is not 1-D or
+    features not 2-D, or a point's coordinates have drifted from summing
+    to 1."""
 
 
 class NonSquareMatrix(DimensionMismatch, ValueError):
@@ -36,8 +37,9 @@ class NonSquareMatrix(DimensionMismatch, ValueError):
 
 
 class TooSmall(DscfwError, ValueError):
-    """An input with too few objects: a file with no rows, or a matrix
-    with fewer than two objects where off-diagonal entries are needed."""
+    """An input with too few objects: a file or feature array with no
+    rows, or a matrix with fewer than two objects where off-diagonal
+    entries are needed."""
 
 
 class EmptySupport(DscfwError):
@@ -78,10 +80,6 @@ class EmptyOverlap(DscfwError, ValueError):
 class ZeroNormRow(DscfwError, ValueError):
     """A feature row of norm zero, for which cosine similarity is
     undefined."""
-
-
-class HsvRangeError(DscfwError, ValueError):
-    """Pixels that are not rows of (h, s, v) with s and v in [0, 1]."""
 
 
 class TooManySeeds(DscfwError):

@@ -163,15 +163,6 @@ class ShiftedMatrix:
     def n(self) -> int:
         return self.base.n
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense A + shift * (11' - I) as a fresh array, built on each call
-        in O(n^2): an oracle for tests and diagnostics; the solvers never
-        read it."""
-        arr = self.base.entries + self.shift
-        np.fill_diagonal(arr, 0.0)
-        return arr
-
 
 def renormalize_if_needed(coords: np.ndarray) -> None:
     """Divide simplex coordinates by their sum, in place, when the sum has
@@ -626,11 +617,22 @@ def _scale(v: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
     return p, lo
 
 
+def _features(raw) -> np.ndarray:
+    """Features as a float64 array of one row per object: DimensionMismatch
+    unless 2-D, TooSmall without a row, NonFiniteEntry with a NaN or an
+    infinity."""
+    F = np.asarray(raw, dtype=float)
+    if F.ndim != 2:
+        raise DimensionMismatch(f"features are an n x d array, got {F.shape}")
+    if F.shape[0] == 0:
+        raise TooSmall("features need at least one row")
+    if not np.isfinite(F).all():
+        raise NonFiniteEntry("features must be finite (no NaN or inf)")
+    return F
+
+
 def load_features_csv(path) -> np.ndarray:
     """Feature-matrix CSV: one row per object (at least one), d columns,
     all finite."""
     _require_rows(path, "feature CSV")
-    F = np.loadtxt(path, delimiter=",", ndmin=2)
-    if not np.isfinite(F).all():
-        raise NonFiniteEntry("features must be finite (no NaN or inf)")
-    return F
+    return _features(np.loadtxt(path, delimiter=",", ndmin=2))

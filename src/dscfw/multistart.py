@@ -241,5 +241,4 @@ def multistart_cluster(
                 candidates.append((f, x, trace, reason))
         return candidates
 
-    return _drive(A, config, plan.overlap_threshold, propose,
-                  keep_traces=False)
+    return _drive(A, config, plan.overlap_threshold, propose)

@@ -68,19 +68,22 @@ class PeelConfig:
 
 
 def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
-    """A + shift * (11' - I), dense and validated: the oracle for what a
-    shifted peel round solves."""
+    """A + shift * (11' - I), dense and validated: the oracle for what
+    `ShiftedMatrix(A, shift)`, and so a shifted peel round, solves."""
     if shift == 0.0:
         return A
-    return _validated(ShiftedMatrix(A, shift).entries)
+    ShiftedMatrix(A, shift)  # the one check of a shift
+    arr = A.entries + shift
+    np.fill_diagonal(arr, 0.0)
+    return _validated(arr)
 
 
 Candidate = tuple[float, np.ndarray, list[StepRecord], StopReason]
 
 
 def _drive(A: Operator, config: PeelConfig, overlap: float,
-           propose: Callable[[Operator], list[Candidate]],
-           keep_traces: bool) -> tuple[ClusteringResult, int]:
+           propose: Callable[[Operator], list[Candidate]]
+           ) -> tuple[ClusteringResult, int]:
     """The one clustering loop, shared by `peel` and multistart. Each round,
     `propose(B)` solves B, which is A over the objects not yet clustered (A
     itself in round 1), and returns its solves in solve order as (f, x over all
@@ -96,7 +99,6 @@ def _drive(A: Operator, config: PeelConfig, overlap: float,
     labels = np.zeros(n, dtype=int)
     clusters: list[list[int]] = []
     vectors: list[np.ndarray] = []
-    traces: list[list[StepRecord]] = []
     reasons: list[StopReason] = []
     gaps: list[float] = []
     active = np.ones(n, dtype=bool)
@@ -115,8 +117,6 @@ def _drive(A: Operator, config: PeelConfig, overlap: float,
                              else ShiftedMatrix(A.base, A.shift, active))
         rounds += 1
         for _, _, trace, reason in candidates:
-            if keep_traces:
-                traces.append(trace)
             reasons.append(reason)
             gaps.append(trace[-1].gap if trace else math.nan)
         active = active.copy()  # the round's operator keeps its own mask
@@ -138,7 +138,7 @@ def _drive(A: Operator, config: PeelConfig, overlap: float,
             vectors.append(x)
         if len(clusters) == before:
             break
-    result = ClusteringResult(labels, clusters, vectors, traces=traces,
+    result = ClusteringResult(labels, clusters, vectors,
                               stop_reasons=reasons, last_gaps=gaps)
     return result, rounds
 
@@ -147,11 +147,16 @@ def peel(A: Operator, config: PeelConfig) -> ClusteringResult:
     """Run up to max_clusters rounds of solve / extract / remove on A, a
     `SimilarityMatrix` or `ShiftedMatrix(A, s)` without an active mask."""
 
+    traces: list[list[StepRecord]] = []
+
     def propose(B: Operator) -> list[Candidate]:
         x, trace, reason = run(B, config.solver)
+        traces.append(trace)
         return [(0.0, x, trace, reason)]  # one solve: f is moot
 
-    return _drive(A, config, 0.0, propose, keep_traces=True)[0]
+    result = _drive(A, config, 0.0, propose)[0]
+    result.traces = traces
+    return result
 
 
 def post_assign(result: ClusteringResult, A: SimilarityMatrix) -> ClusteringResult:

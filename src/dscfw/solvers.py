@@ -52,11 +52,11 @@ One loop, `_iterate`, drives every solver. It holds the state's scalars
 (c_x, c_r, f, the coordinate sum, the step count and the support size) in
 locals and stores them back when it returns. Per iteration it evaluates
 the FW vertex and gap once and, for PFW/AFW, the away vertex once, with
-the arithmetic of `fw_gap` and `select_away`; folds the scales when one is
-out of range; takes the vertex move or the pairwise update inline (RD
-calls its dense `_rd`); renormalises; counts the support (+1 when a vertex
-enters, -1 on a drop) and appends the StepRecord. `run` is `make_state`,
-then `_iterate`, then `_fold`. The public ``step(state, A, kind)`` is one
+the arithmetic of `select_away`; folds the scales when one is out of
+range; takes the vertex move or the pairwise update inline (RD calls its
+dense `_rd`); renormalises; counts the support (+1 when a vertex enters,
+-1 on a drop) and appends the StepRecord. `run` is `make_state`, then
+`_iterate`, then `_fold`. The public ``step(state, A, kind)`` is one
 iteration of the same loop with epsilon 0, and raises NotAscent when that
 iteration stops without a step.
 
@@ -213,10 +213,6 @@ class SolverState:
     def r(self, value: np.ndarray) -> None:
         self.rt, self.cr = (value - self.s if self.s else value), 1.0
 
-    @property
-    def n(self) -> int:
-        return self.xt.shape[0]
-
 
 def init_barycenter(n: int, active: np.ndarray | None = None) -> np.ndarray:
     """Uniform point 1/|S| on the active objects S (all n when `active` is
@@ -277,15 +273,6 @@ def _fold(st: SolverState) -> None:
     if st.cr != 1.0:
         st.rt *= st.cr
         st.cr = 1.0
-
-
-def fw_gap(state: SolverState) -> tuple[float, int]:
-    """Full Frank-Wolfe gap 2*(max(r) - f) over the active objects and the
-    maximizing index."""
-    rt, pen = state.rt, state.fw_pen
-    scan = rt if pen is None else np.add(rt, pen, out=state.buf)
-    i = int(scan.argmax())
-    return 2.0 * (state.cr * rt.item(i) + state.s - state.f), i
 
 
 def select_away(state: SolverState) -> int:

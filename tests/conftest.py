@@ -88,6 +88,16 @@ def formula_euclidean(features):
     return D
 
 
+def fw_gap(state) -> tuple[float, int]:
+    """Full Frank-Wolfe gap 2*(max(r) - f) of a solver state over its
+    active objects, and the maximizing index: the arithmetic the solver
+    loop evaluates once per iteration, kept apart as an oracle."""
+    rt, pen = state.rt, state.fw_pen
+    scan = rt if pen is None else np.add(rt, pen, out=state.buf)
+    i = int(scan.argmax())
+    return 2.0 * (state.cr * rt.item(i) + state.s - state.f), i
+
+
 def traced_peak(fn, *args, **kwargs):
     """Run fn(*args, **kwargs) under tracemalloc, which counts numpy
     buffers too. Returns (peak traced bytes above those traced at entry,

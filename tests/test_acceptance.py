@@ -44,7 +44,6 @@ from dscfw.solvers import (
     SolverConfig,
     SolverKind,
     StepKind,
-    fw_gap,
     init_barycenter,
     init_vertex,
     make_state,
@@ -53,7 +52,7 @@ from dscfw.solvers import (
     step,
 )
 
-from conftest import bruteforce_minimax, rand_sim
+from conftest import bruteforce_minimax, fw_gap, rand_sim
 
 FW_KINDS = (SolverKind.FW, SolverKind.PFW, SolverKind.AFW)
 

@@ -368,6 +368,14 @@ def test_data_error_returns_2(tmp_path, capsys):
                  "--noise", "2.0", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_synth_without_a_cluster_returns_2(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["synth", "--kind", "block", "--n", "5", "--k", "0",
+                 "--out", str(out)]) == 2
+    assert "data error: k must lie in [1, n]" in capsys.readouterr().err
+    assert not Path(f"{out}.matrix.csv").exists()
+
+
 def test_non_finite_feature_returns_2(tmp_path, capsys):
     feats = tmp_path / "f.csv"
     rows = np.random.default_rng(0).normal(size=(6, 2))

@@ -9,14 +9,13 @@ from dscfw.data import (
     block_noise_matrix,
     cosine_similarity,
     gauss_dataset,
-    hsv_features,
     max_transform,
     minimax_distances,
     pairwise_euclidean,
 )
 from dscfw.errors import (
     AsymmetricMatrix,
-    HsvRangeError,
+    DimensionMismatch,
     NegativeEntry,
     NonFiniteEntry,
     NonSquareMatrix,
@@ -59,19 +58,17 @@ class TestCosineSimilarity:
         assert np.allclose(A.entries, B.entries, atol=1e-12)
 
 
-class TestHsvFeatures:
-    def test_frozen(self):
-        feats = hsv_features([[0.0, 1.0, 1.0], [np.pi / 2.0, 0.5, 0.8]])
-        assert np.allclose(feats[0], [1.0, 0.0, 1.0], atol=1e-12)
-        assert np.allclose(feats[1], [0.8, 0.4, 0.0], atol=1e-12)
-
-    def test_shape_error(self):
-        with pytest.raises(HsvRangeError):
-            hsv_features([[0.0, 1.0]])
-
-    def test_range_error(self):
-        with pytest.raises(HsvRangeError):
-            hsv_features([[0.0, 1.5, 0.5]])
+@pytest.mark.parametrize("build", [pairwise_euclidean, cosine_similarity])
+@pytest.mark.parametrize("bad, error", [
+    ([1.0, 2.0], DimensionMismatch),
+    (np.ones((2, 2, 1)), DimensionMismatch),
+    (np.zeros((0, 2)), TooSmall),
+    ([[np.nan], [1.0]], NonFiniteEntry),
+    ([[np.inf], [1.0]], NonFiniteEntry),
+], ids=["1-d", "3-d", "no-rows", "nan", "inf"])
+def test_builders_reject_malformed_features(build, bad, error):
+    with pytest.raises(error):
+        build(bad)
 
 
 class TestPairwiseEuclidean:
@@ -218,8 +215,9 @@ class TestBlockNoiseMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
             block_noise_matrix(10, 2, 1.5)
-        with pytest.raises(ValueError):
-            block_noise_matrix(3, 5, 0.0)
+        for k in (5, 0, -1):
+            with pytest.raises(ValueError, match=r"k must lie in \[1, n\]"):
+                block_noise_matrix(3, k, 0.0)
 
 
 class TestGaussDataset:
@@ -262,4 +260,3 @@ class TestGaussDataset:
 def test_feature_errors_are_value_errors():
     # The CLI reports ValueErrors as data errors (exit 2).
     assert issubclass(ZeroNormRow, ValueError)
-    assert issubclass(HsvRangeError, ValueError)

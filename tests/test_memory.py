@@ -58,6 +58,16 @@ def test_validator_on_a_fresh_array_needs_only_tiles(block):
     assert A.entries is fresh and not fresh.flags.writeable
 
 
+def test_block_noise_matrix_masks_its_first_draw():
+    # Two n x n draws must coexist; the mask and mirror steps hold one
+    # more array at most while they copy, never a third draw-sized one.
+    # The first call in a process imports numpy.random (about 0.4 units
+    # traced), which is not the generator's memory: a small call does it.
+    block_noise_matrix(8, 2, 0.3, seed=0)
+    peak, _ = traced_peak(block_noise_matrix, N, 5, 0.3, seed=0)
+    assert peak <= 2.5 * UNIT
+
+
 def test_pairwise_euclidean_holds_its_output(features):
     peak, _ = traced_peak(pairwise_euclidean, features)
     assert peak <= 1.3 * UNIT

@@ -28,7 +28,6 @@ from dscfw.solvers import (
     SolverConfig,
     SolverKind,
     StopReason,
-    fw_gap,
     initial_point,
     make_state,
     run,
@@ -36,7 +35,7 @@ from dscfw.solvers import (
     step,
 )
 
-from conftest import extract_support, rand_sim
+from conftest import extract_support, fw_gap, rand_sim
 
 
 class TestShiftOffdiag:
@@ -97,9 +96,8 @@ class TestPeel:
         monkeypatch.setattr(module, "run", recording_run)
         op = two_blocks if shift == 0.0 else ShiftedMatrix(two_blocks, shift)
         result = peel(op, PeelConfig(max_clusters=2))
-        assert solved[0] is op
-        assert np.array_equal(solved[0].entries,
-                              shift_offdiag(two_blocks, shift).entries)
+        assert solved[0] is op and solved[0].active is None
+        assert solved[0].base is two_blocks and solved[0].shift == shift
         assert solved[1].base is two_blocks and solved[1].shift == shift
         assert np.array_equal(solved[1].active, result.labels != 1)
 

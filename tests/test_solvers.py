@@ -39,7 +39,6 @@ from dscfw.solvers import (
     SolverState,
     StepKind,
     StopReason,
-    fw_gap,
     init_barycenter,
     init_vertex,
     initial_point,
@@ -51,7 +50,7 @@ from dscfw.solvers import (
     step,
 )
 
-from conftest import extract_support, rand_sim
+from conftest import extract_support, fw_gap, rand_sim
 
 
 @pytest.fixture
