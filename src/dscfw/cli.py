@@ -71,20 +71,27 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_prefix: str, subcommand: str, args: dict,
-                    inputs: list[str], phases: dict[str, float],
-                    warnings: list[dict] | None = None) -> None:
+def _write_manifest(args, inputs: list[str], phases: dict[str, float],
+                    **records) -> None:
     manifest = {
-        "subcommand": subcommand,
-        "flags": {k: v for k, v in args.items()
+        "subcommand": args.command,
+        "flags": {k: v for k, v in vars(args).items()
                   if k != "func" and not k.startswith("_")},
         "input_digests": {p: _digest(p) for p in inputs},
         "wall_clock_s": phases,
+        **records,
     }
-    if warnings is not None:
-        manifest["warnings"] = warnings
-    Path(f"{out_prefix}.manifest.json").write_text(
+    Path(f"{args.out}.manifest.json").write_text(
         json.dumps(manifest, indent=2, default=str) + "\n")
+
+
+_IGNORED_SHIFT = "--shift applies only to --features with --similarity cosine"
+
+
+def _ignores_shift(flags: dict) -> bool:
+    """True when a nonzero --shift is given where no similarity reads it."""
+    return bool(flags.get("shift")) and (flags["features"] is None
+                                         or flags["similarity"] != "cosine")
 
 
 def _load_similarity(args) -> tuple[object, list[str]]:
@@ -109,20 +116,6 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _emit_labels(out_prefix: str, result) -> None:
-    payload = {
-        "labels": [int(v) for v in result.labels],
-        "k_found": len(result.clusters),
-        "assignment_rate": result.assignment_rate,
-    }
-    Path(f"{out_prefix}.labels.json").write_text(
-        json.dumps(payload, indent=2) + "\n")
-    with open(f"{out_prefix}.labels.csv", "w") as fh:
-        fh.write("object_id,label\n")
-        for i, v in enumerate(result.labels):
-            fh.write(f"{i},{int(v)}\n")
-
-
 def _budget_warnings(result, unit: str, max_iters: int,
                      out_prefix: str) -> list[dict]:
     """One manifest entry per solve that stopped at max_iters, numbered
@@ -142,26 +135,39 @@ def _budget_warnings(result, unit: str, max_iters: int,
     return warnings
 
 
+def _emit_run(args, result, inputs: list[str], phases: dict[str, float],
+              unit: str, **summary) -> int:
+    """Write a clustering's labels CSV and manifest and print its summary,
+    which the manifest records as "result"."""
+    with open(f"{args.out}.labels.csv", "w") as fh:
+        fh.write("object_id,label\n")
+        for i, v in enumerate(result.labels):
+            fh.write(f"{i},{int(v)}\n")
+    summary.update(k_found=len(result.clusters),
+                   assignment_rate=result.assignment_rate)
+    _write_manifest(args, inputs, phases,
+                    warnings=_budget_warnings(result, unit, args.max_iters,
+                                              args.out),
+                    result=summary)
+    print(json.dumps(summary))
+    return 0
+
+
 def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
     A, inputs = _load_similarity(args)
     t_load = time.perf_counter() - t0
     config = PeelConfig(args.max_clusters, _solver_config(args), args.cutoff)
     t0 = time.perf_counter()
-    result = peel(ShiftedMatrix(A, args.peel_shift), config)
+    B = ShiftedMatrix(A, args.peel_shift)
+    result = peel(B, config)
     if args.post_assign:
-        result = post_assign(result, A)
+        result = post_assign(result, B)
     t_solve = time.perf_counter() - t0
-    _emit_labels(args.out, result)
     if args.trace:
         save_trace_csv(args.trace, result.traces[0] if result.traces else [])
-    _write_manifest(args.out, "cluster", vars(args), inputs,
-                    {"load": t_load, "solve": t_solve},
-                    _budget_warnings(result, "round", args.max_iters,
-                                     args.out))
-    print(json.dumps({"k_found": len(result.clusters),
-                      "assignment_rate": result.assignment_rate}))
-    return 0
+    return _emit_run(args, result, inputs, {"load": t_load, "solve": t_solve},
+                     "round")
 
 
 def cmd_synth(args) -> int:
@@ -177,8 +183,8 @@ def cmd_synth(args) -> int:
     else:
         np.savetxt(f"{args.out}.features.csv", F, delimiter=",")
     np.savetxt(f"{args.out}.truth.csv", truth, fmt="%d", delimiter=",")
-    _write_manifest(args.out, "synth", vars(args), [],
-                    {"generate": t1 - t0, "write": time.perf_counter() - t1})
+    _write_manifest(args, [], {"generate": t1 - t0,
+                               "write": time.perf_counter() - t1})
     return 0
 
 
@@ -187,9 +193,8 @@ def cmd_similarity(args) -> int:
     A, inputs = _load_similarity(args)
     t1 = time.perf_counter()
     save_matrix_csv(args.out, A)
-    _write_manifest(args.out, "similarity", vars(args), inputs,
-                    {"similarity": t1 - t0,
-                     "write": time.perf_counter() - t1})
+    _write_manifest(args, inputs, {"similarity": t1 - t0,
+                                   "write": time.perf_counter() - t1})
     return 0
 
 
@@ -223,16 +228,8 @@ def cmd_multistart(args) -> int:
     result, passes = multistart_cluster(
         A, plan, config, args.max_clusters, cutoff=args.cutoff)
     elapsed = time.perf_counter() - t0
-    _emit_labels(args.out, result)
-    Path(f"{args.out}.passes.json").write_text(
-        json.dumps({"passes": passes}) + "\n")
-    _write_manifest(args.out, "multistart", vars(args), inputs,
-                    {"solve": elapsed},
-                    _budget_warnings(result, "solve", args.max_iters,
-                                     args.out))
-    print(json.dumps({"passes": passes,
-                      "k_found": len(result.clusters)}))
-    return 0
+    return _emit_run(args, result, inputs, {"solve": elapsed}, "solve",
+                     passes=passes)
 
 
 # The `cluster` flags that trace-check reads back from a manifest.
@@ -243,7 +240,8 @@ _CHECKED_FLAGS = ("input", "features", "similarity", "shift", "solver",
 def _check_flags(manifest: str, flags: dict) -> None:
     """Raise UncheckableRun unless each recorded flag is a value the
     `cluster` parser gives it: parsed again from its text with that
-    parser's own types and choices, it must come back unchanged."""
+    parser's own types and choices, it must come back unchanged. A nonzero
+    shift must also be one that `cluster` reads."""
     argv = ["cluster", "--max-clusters", "1"]
     argv += [f"--{k.replace('_', '-')}={flags[k]}" for k in _CHECKED_FLAGS
              if flags[k] is not None]
@@ -260,6 +258,9 @@ def _check_flags(manifest: str, flags: dict) -> None:
         raise UncheckableRun(
             f"{manifest} records {', '.join(bad)} as no value that cluster "
             "gives it")
+    if _ignores_shift(parsed):
+        raise UncheckableRun(
+            f"{manifest} records a nonzero shift, but {_IGNORED_SHIFT}")
 
 
 def cmd_trace_check(args) -> int:
@@ -380,6 +381,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if _ignores_shift(vars(args)):
+        print(f"dscfw {args.command}: error: {_IGNORED_SHIFT}",
+              file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

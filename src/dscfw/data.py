@@ -173,6 +173,8 @@ def gauss_dataset(
     means) plus round(noise*n) uniform background points over the bounding
     box. Background points carry truth label 5 by default, or 0 when
     background_as_class is False."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)

@@ -93,7 +93,9 @@ def check_progress(
 ) -> list[ProgressViolation]:
     """Verify each good step's exact objective-gain identity and the
     gap-versus-progress inequalities. Drop and swap steps carry no gap
-    bound and are skipped."""
+    bound and are skipped. A good step that lacks a value its identity
+    needs, as every one of a trace read back from CSV does, raises
+    UncheckableRun."""
     _, max_off = offdiag_extremes(A)
     violations: list[ProgressViolation] = []
     for rec in trace:
@@ -101,6 +103,10 @@ def check_progress(
             continue
         gain = rec.f_after - rec.f_before
         expected = _expected_gain(rec, A)
+        if math.isnan(gain) or math.isnan(expected):
+            raise UncheckableRun(
+                f"step {rec.t} ({rec.kind.value}) lacks a value its progress "
+                "identity needs: f before or after it, or r at its vertices")
         scale = max(abs(expected), abs(rec.f_before), 1e-300)
         if abs(gain - expected) > IDENTITY_RTOL * scale:
             violations.append(

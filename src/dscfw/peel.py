@@ -159,9 +159,11 @@ def peel(A: Operator, config: PeelConfig) -> ClusteringResult:
     return result
 
 
-def post_assign(result: ClusteringResult, A: SimilarityMatrix) -> ClusteringResult:
+def post_assign(result: ClusteringResult, A: Operator) -> ClusteringResult:
     """Attach every unassigned object to the cluster with highest average
-    similarity; ties go to the lowest cluster label."""
+    similarity; ties go to the lowest cluster label. A, the matrix or the
+    `ShiftedMatrix` that was clustered, is read unshifted: no unassigned
+    object is a member, so a shift adds one constant to every average."""
     if not result.clusters:
         raise NoClusters("post-assignment needs at least one cluster")
     labels = result.labels.copy()
@@ -169,7 +171,7 @@ def post_assign(result: ClusteringResult, A: SimilarityMatrix) -> ClusteringResu
     if unassigned.size == 0:
         return result
     means = np.column_stack([
-        A.entries[:, members].mean(axis=1) for members in result.clusters
+        A.base.entries[:, members].mean(axis=1) for members in result.clusters
     ])
     labels[unassigned] = np.argmax(means[unassigned], axis=1) + 1
     clusters = [list(c) for c in result.clusters]

@@ -48,6 +48,16 @@ def block_csv(tmp_path):
     return str(path), str(truth_path)
 
 
+def _labels_csv(out) -> list[int]:
+    """The labels in `out.labels.csv`, whose rows must be `object_id,label`
+    for the objects 0..n-1 in order."""
+    lines = Path(f"{out}.labels.csv").read_text().splitlines()
+    assert lines[0] == "object_id,label"
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert [i for i, _ in rows] == list(range(len(rows)))
+    return [label for _, label in rows]
+
+
 def test_synth_block(tmp_path, capsys):
     out = str(tmp_path / "synth")
     code = main(["synth", "--kind", "block", "--n", "30", "--k", "3",
@@ -113,14 +123,13 @@ def test_cluster_and_eval(tmp_path, block_csv, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["k_found"] == 2
-    labels = json.loads((tmp_path / "run.labels.json").read_text())
-    assert len(labels["labels"]) == 40
-    assert (tmp_path / "run.labels.csv").exists()
+    labels = _labels_csv(out)
+    assert len(labels) == 40
     assert (tmp_path / "run.manifest.json").exists()
     assert (tmp_path / "trace.csv").exists()
 
     pred_csv = tmp_path / "pred.csv"
-    np.savetxt(pred_csv, np.array(labels["labels"]), fmt="%d", delimiter=",")
+    np.savetxt(pred_csv, np.array(labels), fmt="%d", delimiter=",")
     code = main(["eval", "--pred", str(pred_csv), "--truth", truth_csv])
     assert code == 0
     scores = json.loads(capsys.readouterr().out.strip())
@@ -135,10 +144,9 @@ def test_multistart_subcommand(tmp_path, block_csv, capsys):
                  "--samples", "2", "--sampler", "uni", "--seed", "0",
                  "--max-clusters", "2", "--out", out])
     assert code == 0
-    passes = json.loads((tmp_path / "ms.passes.json").read_text())
-    assert passes["passes"] >= 1
-    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert summary["k_found"] >= 1
+    result = json.loads((tmp_path / "ms.manifest.json").read_text())["result"]
+    assert result["passes"] >= 1
+    assert result["k_found"] >= 1
 
 
 def test_multistart_solver_is_the_kind_alone(tmp_path, block_csv, capsys):
@@ -149,12 +157,41 @@ def test_multistart_solver_is_the_kind_alone(tmp_path, block_csv, capsys):
              "--max-clusters", "2", "--out", str(tmp_path / "ms")]
     assert main(["multistart", "--solver", "afw-v", *flags]) == 1
     assert main(["multistart", "--solver", "afw", *flags]) == 0
-    labels = json.loads((tmp_path / "ms.labels.json").read_text())["labels"]
+    labels = _labels_csv(tmp_path / "ms")
     plan = SamplePlan(ell=4, sampler=SamplerKind.DPP, overlap_threshold=0.10,
                       seed=0)
     expected, _ = multistart_cluster(load_matrix_csv(matrix_csv), plan,
                                      SolverConfig(SolverKind.AFW), 2)
     assert labels == expected.labels.tolist()
+
+
+@pytest.mark.parametrize("command, written", [
+    (["cluster", "--solver", "pfw-b", "--peel-shift", "4"], []),
+    (["cluster", "--solver", "pfw-b", "--peel-shift", "4",
+      "--trace", "TRACE"], ["run.trace.csv"]),
+    (["multistart", "--solver", "afw", "--samples", "2", "--seed", "0"], []),
+], ids=["cluster", "cluster-trace", "multistart"])
+def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
+                                              command, written):
+    # The labels go to the CSV alone, and the summary printed last is the
+    # manifest's "result": k_found and assignment_rate, after passes for
+    # multistart.
+    matrix_csv, _ = block_csv
+    out = tmp_path / "run"
+    command = [f"{out}.trace.csv" if a == "TRACE" else a for a in command]
+    assert main([*command, "--input", matrix_csv, "--max-clusters", "2",
+                 "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert sorted(p.name for p in tmp_path.glob("run*")) == sorted(
+        ["run.labels.csv", "run.manifest.json", *written])
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["result"] == summary
+    keys = ["k_found", "assignment_rate"]
+    assert list(summary) == (["passes", *keys] if command[0] == "multistart"
+                             else keys)
+    labels = np.array(_labels_csv(out))
+    assert summary["k_found"] == labels.max()
+    assert summary["assignment_rate"] == np.count_nonzero(labels) / labels.size
 
 
 @pytest.mark.parametrize("command", [
@@ -173,6 +210,30 @@ def test_exactly_one_input_flag(tmp_path, block_csv, capsys, command,
     out = tmp_path / "run"
     assert main([*command, *sources, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1].endswith(error)
+    assert not list(tmp_path.glob("run*"))
+
+
+@pytest.mark.parametrize("command", [
+    ["cluster", "--max-clusters", "1", "--features", "FEATURES",
+     "--similarity", "minimax"],
+    ["similarity", "--features", "FEATURES", "--similarity",
+     "euclidean-max"],
+    ["multistart", "--max-clusters", "1", "--input", "BLOCK"],
+], ids=["cluster", "similarity", "multistart"])
+def test_a_shift_no_similarity_reads_is_a_usage_error(tmp_path, block_csv,
+                                                      capsys, command):
+    # Only the cosine pipeline reads --shift; a nonzero one anywhere else
+    # would leave the run as it is without it.
+    features = tmp_path / "f.csv"
+    np.savetxt(features, np.random.default_rng(0).normal(size=(10, 2)),
+               delimiter=",")
+    command = [{"BLOCK": block_csv[0], "FEATURES": str(features)}.get(a, a)
+               for a in command]
+    out = tmp_path / "run"
+    assert main([*command, "--shift", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dscfw {command[0]}: error: --shift applies only to --features "
+        "with --similarity cosine"]
     assert not list(tmp_path.glob("run*"))
 
 
@@ -284,11 +345,13 @@ TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
     (TRACED_FW, _set("peel_shift", None),
      "records peel_shift as no value that cluster gives it"),
     (TRACED_FW, _set("input", 5), "records input as no value"),
+    (TRACED_FW, _set("shift", 3.0), "records a nonzero shift, but --shift "
+     "applies only to --features with --similarity cosine"),
 ], ids=["multistart-manifest", "no-trace", "rd", "input-changed",
         "no-steps", "no-flags", "no-digests", "no-trace-flag",
         "no-solver-flag", "no-peel-shift-flag", "bad-solver",
         "bad-epsilon-text", "epsilon-as-text", "float-max-iters",
-        "null-peel-shift", "input-as-number"])
+        "null-peel-shift", "input-as-number", "unread-shift"])
 def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
                                                 command, spoil, cause):
     matrix_csv, _ = block_csv
@@ -369,11 +432,14 @@ def test_data_error_returns_2(tmp_path, capsys):
 
 
 def test_synth_without_a_cluster_returns_2(tmp_path, capsys):
-    out = tmp_path / "x"
-    assert main(["synth", "--kind", "block", "--n", "5", "--k", "0",
-                 "--out", str(out)]) == 2
-    assert "data error: k must lie in [1, n]" in capsys.readouterr().err
-    assert not Path(f"{out}.matrix.csv").exists()
+    # No block to draw objects into, or no gauss point at all.
+    for flags, error in [(["block", "--n", "5", "--k", "0"],
+                          "k must lie in [1, n]"),
+                         (["gauss", "--n", "0"], "n must be at least 1")]:
+        assert main(["synth", "--kind", *flags,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert f"data error: {error}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 def test_non_finite_feature_returns_2(tmp_path, capsys):
@@ -462,7 +528,7 @@ def test_multistart_max_clusters_below_one_returns_2(tmp_path, block_csv,
                  "--max-clusters", "0", "--out", str(out)])
     assert code == 2
     assert "max_clusters" in capsys.readouterr().err
-    assert not (tmp_path / "ms.passes.json").exists()
+    assert not list(tmp_path.glob("ms.*"))
 
 
 def test_eval_length_mismatch_returns_2(tmp_path, capsys):

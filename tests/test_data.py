@@ -255,6 +255,8 @@ class TestGaussDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             gauss_dataset(10, -0.1)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gauss_dataset(0, 0.1)
 
 
 def test_feature_errors_are_value_errors():

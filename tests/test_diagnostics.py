@@ -2,6 +2,7 @@
 gap bookkeeping, worst-case bounds, and decay fitting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from dscfw.diagnostics import (
     step_counts,
     theorem_bound,
 )
-from dscfw.errors import EmptyTrace, IdentityViolated, TooFewPoints
+from dscfw.errors import (
+    EmptyTrace,
+    IdentityViolated,
+    TooFewPoints,
+    UncheckableRun,
+)
 from dscfw.matrix import (
     ShiftedMatrix,
     new_similarity_matrix,
@@ -31,8 +37,10 @@ from dscfw.solvers import (
     StepKind,
     StepRecord,
     init_barycenter,
+    load_trace_csv,
     make_state,
     run,
+    save_trace_csv,
 )
 
 from conftest import rand_sim
@@ -87,6 +95,25 @@ class TestCheckProgress:
             check_progress(trace, A3)
         violations = check_progress(trace, A3, raise_on_violation=False)
         assert violations and violations[0].t == trace[0].t
+
+    def test_a_trace_read_back_from_csv_is_refused(self, tmp_path):
+        # The CSV keeps neither r_s, r_v nor f(x_0), so no good step of a
+        # loaded trace can be held to its identity: a check that compared
+        # NaNs would pass any f_after, and so it refuses the trace instead.
+        A = rand_sim(24, np.random.default_rng(17))
+        cfg = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=200)
+        _, trace, _ = run(A, cfg)
+        path = tmp_path / "trace.csv"
+        save_trace_csv(path, trace)
+        def tampered(records):
+            return [replace(rec, f_after=1.5 * rec.f_after) for rec in records]
+
+        loaded = load_trace_csv(path)
+        for records in (loaded, tampered(loaded)):
+            with pytest.raises(UncheckableRun, match="lacks a value"):
+                check_progress(records, A, raise_on_violation=False)
+        assert check_progress(trace, A) == []
+        assert check_progress(tampered(trace), A, raise_on_violation=False)
 
 
 class TestGapBookkeeping:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from dscfw.data import block_noise_matrix
 from dscfw.diagnostics import check_progress, check_state
 from dscfw.errors import NoClusters
 from dscfw.matrix import (
@@ -177,6 +178,20 @@ class TestPostAssign:
     def test_noop_when_all_assigned(self, two_blocks):
         result = peel(two_blocks, PeelConfig(max_clusters=2))
         assert post_assign(result, two_blocks) is result
+
+    @pytest.mark.parametrize("n, k", [(60, 3), (200, 5)],
+                             ids=["block-60", "readme-200"])
+    def test_takes_the_operator_that_was_clustered(self, n, k):
+        # No unassigned object is a member, so a shift adds one constant to
+        # every average: the shifted operator, and the dense shifted matrix,
+        # give the labels of A.
+        A, _ = block_noise_matrix(n, k, 0.3, seed=0)
+        solver = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER)
+        result = peel(ShiftedMatrix(A, 4.0), PeelConfig(k, solver))
+        assert result.assignment_rate < 1.0
+        labels = post_assign(result, A).labels
+        for B in (ShiftedMatrix(A, 4.0), shift_offdiag(A, 4.0)):
+            assert np.array_equal(post_assign(result, B).labels, labels)
 
 
 def _compacted(A, active, shift):

@@ -70,8 +70,12 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
                for argv in commands)
     for argv in commands[:2]:
         assert main(argv[1:]) == 0, argv
+    # The summary line the README quotes, which the manifest records.
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary == {"k_found": 5, "assignment_rate": 0.845}
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
     assert manifest["warnings"] == []
+    assert manifest["result"] == summary
     # What the `tail | cut` line leaves for eval: one label per line.
     labels = (tmp_path / "run.labels.csv").read_text().splitlines()
     assert labels[0] == "object_id,label" and len(labels) == 201
@@ -85,6 +89,9 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     # The similarity line reads the features the second synth line writes.
     for argv in commands[3:]:
         assert main(argv[1:]) == 0, argv
+    # The multistart line takes no --seed, so only its keys are fixed.
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert list(summary) == ["passes", "k_found", "assignment_rate"]
 
 
 def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):
