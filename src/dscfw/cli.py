@@ -215,7 +215,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_multistart(args) -> int:
+    t0 = time.perf_counter()
     A, inputs = _load_similarity(args)
+    t_load = time.perf_counter() - t0
     plan = SamplePlan(
         ell=args.samples,
         sampler=SamplerKind(args.sampler),
@@ -227,9 +229,9 @@ def cmd_multistart(args) -> int:
                           max_iters=args.max_iters)
     result, passes = multistart_cluster(
         A, plan, config, args.max_clusters, cutoff=args.cutoff)
-    elapsed = time.perf_counter() - t0
-    return _emit_run(args, result, inputs, {"solve": elapsed}, "solve",
-                     passes=passes)
+    t_solve = time.perf_counter() - t0
+    return _emit_run(args, result, inputs, {"load": t_load, "solve": t_solve},
+                     "solve", passes=passes)
 
 
 # The `cluster` flags that trace-check reads back from a manifest.
@@ -265,7 +267,8 @@ def _check_flags(manifest: str, flags: dict) -> None:
 
 def cmd_trace_check(args) -> int:
     """Hold a traced `cluster` run to its gap bound on the operator and the
-    start its manifest records, reading relative paths from the cwd."""
+    start its manifest records, and count the traced steps that break
+    their exact progress identities; relative paths read from the cwd."""
     manifest = json.loads(Path(args.manifest).read_text())
     sub = manifest.get("subcommand") if isinstance(manifest, dict) else None
     if sub != "cluster":
@@ -295,7 +298,10 @@ def cmd_trace_check(args) -> int:
     A = ShiftedMatrix(_load_similarity(run)[0], run.peel_shift)
     report = diagnostics.theorem_bound(trace, config.solver_kind, A,
                                        initial_point(A, config))
-    print(json.dumps(dataclasses.asdict(report)))
+    violations = diagnostics.check_progress(trace, A,
+                                            raise_on_violation=False)
+    print(json.dumps({**dataclasses.asdict(report),
+                      "progress_violations": len(violations)}))
     return 0
 
 

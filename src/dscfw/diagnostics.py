@@ -93,9 +93,9 @@ def check_progress(
 ) -> list[ProgressViolation]:
     """Verify each good step's exact objective-gain identity and the
     gap-versus-progress inequalities. Drop and swap steps carry no gap
-    bound and are skipped. A good step that lacks a value its identity
-    needs, as every one of a trace read back from CSV does, raises
-    UncheckableRun."""
+    bound and are skipped. A trace read back by `load_trace_csv` holds
+    every field and checks as the solve's own; a good step that lacks a
+    value its identity needs (NaN) raises UncheckableRun."""
     _, max_off = offdiag_extremes(A)
     violations: list[ProgressViolation] = []
     for rec in trace:

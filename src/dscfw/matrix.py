@@ -138,8 +138,8 @@ class SimilarityMatrix:
 @dataclass(frozen=True)
 class ShiftedMatrix:
     """B = A + shift * (11' - I) on the face of the simplex spanned by
-    `active` (a boolean mask over A's objects; None means all), held
-    implicitly over the immutable A.
+    `active` (a boolean array over A's objects with at least one True;
+    None means all), held implicitly over the immutable A.
 
     Maximizing x'Bx over that face is the StQP of the compacted matrix
     A_SS + shift * (11' - I). For x supported in S, Bx = Ax + shift * (1 - x)
@@ -158,6 +158,17 @@ class ShiftedMatrix:
             raise TypeError("a ShiftedMatrix shifts a SimilarityMatrix")
         if not 0.0 <= self.shift < np.inf:  # NaN fails too
             raise ValueError("shift must be finite and nonnegative")
+        if self.active is None:
+            return
+        if not (isinstance(self.active, np.ndarray)
+                and self.active.dtype == bool):
+            raise TypeError("active must be a boolean array")
+        if self.active.shape != (self.n,):
+            raise DimensionMismatch(
+                f"active mask of shape {self.active.shape} vs matrix "
+                f"n={self.n}")
+        if not self.active.any():
+            raise TooSmall("active mask selects no object")
 
     @property
     def n(self) -> int:

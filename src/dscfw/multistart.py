@@ -17,7 +17,7 @@ from .matrix import (Operator, ShiftedMatrix, SimilarityMatrix, _asymmetry,
                      quadratic_form)
 from .peel import (DEFAULT_CUTOFF, Candidate, ClusteringResult, PeelConfig,
                    _drive)
-from .solvers import SolverConfig, SolverKind, run
+from .solvers import SolverConfig, SolverKind, _require_count, run
 
 
 class SamplerKind(enum.Enum):
@@ -33,8 +33,7 @@ class SamplePlan:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
+        _require_count(self.ell, "ell", 1)
         if not 0.0 < self.overlap_threshold < 1.0:
             raise ValueError("overlap_threshold must lie in (0, 1)")
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import NoClusters
 from .matrix import Operator, ShiftedMatrix, SimilarityMatrix, _validated
-from .solvers import SolverConfig, StepRecord, StopReason, run
+from .solvers import (SolverConfig, StepRecord, StopReason, _require_count,
+                      run)
 
 DEFAULT_CUTOFF = 2e-12
 
@@ -60,8 +61,7 @@ class PeelConfig:
     cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self) -> None:
-        if self.max_clusters < 1:
-            raise ValueError("max_clusters must be >= 1")
+        _require_count(self.max_clusters, "max_clusters", 1)
         # NaN fails too: no coordinate would pass it, or every one would.
         if not 0.0 < self.cutoff < math.inf:
             raise ValueError("cutoff must be positive and finite")

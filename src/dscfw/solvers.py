@@ -79,7 +79,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,9 +152,16 @@ class StepRecord:
     r_s: float = math.nan  # r[s_index] before the step
     r_v: float = math.nan  # r[v_index] before the step
 
-    @property
-    def gap_half(self) -> float:
-        return self.gap / 2.0
+
+def _require_count(value, name: str, least: int) -> None:
+    """ValueError unless `value` is an integer, a numpy one included, of at
+    least `least`."""
+    try:
+        ok = operator.index(value) >= least
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {least}")
 
 
 @dataclass
@@ -168,8 +176,7 @@ class SolverConfig:
         # f >= 0; NaN fails too.
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be finite and lie in (0, 1)")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        _require_count(self.max_iters, "max_iters", 0)
 
 
 class SolverState:
@@ -514,32 +521,32 @@ def run(
     return st.xt, trace, reason
 
 
-TRACE_COLUMNS = [
-    "t", "kind", "gamma", "gap_full", "gap_half", "f",
-    "support_size", "s_index", "v_index",
-]
+# A trace CSV's columns are StepRecord's fields, in order; a field is
+# parsed by its annotated type.
+TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
+_PARSERS = [{"int": int, "float": float, "StepKind": StepKind,
+             "int | None": lambda v: int(v) if v else None}[f.type]
+            for f in fields(StepRecord)]
 
 
 def save_trace_csv(path, trace: list[StepRecord]) -> None:
+    """Write each record's fields as one row under a TRACE_COLUMNS header:
+    a StepKind as its value, None as an empty field and a float as its
+    repr, which reads back to the same bits."""
+    values = operator.attrgetter(*TRACE_COLUMNS)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_COLUMNS)
         for rec in trace:
-            w.writerow([
-                rec.t, rec.kind.value, rec.gamma, rec.gap, rec.gap_half,
-                rec.f_after, rec.support_size,
-                "" if rec.s_index is None else rec.s_index,
-                "" if rec.v_index is None else rec.v_index,
-            ])
+            w.writerow([v.value if isinstance(v, StepKind) else v
+                        for v in values(rec)])
 
 
 def load_trace_csv(path) -> list[StepRecord]:
-    """Read a trace CSV written by `save_trace_csv`; MalformedTrace when
-    its header is not TRACE_COLUMNS or a row has another number of
-    fields. f_before of step k is f_after of step k-1; that of the first
-    step, f(x_0), is not in the file and reads NaN."""
+    """The records a trace CSV written by `save_trace_csv` holds, equal to
+    those written field for field; MalformedTrace when its header is not
+    TRACE_COLUMNS or a row has another number of fields."""
     trace: list[StepRecord] = []
-    f_before = math.nan
     with open(path, newline="") as fh:
         rows = csv.reader(fh)
         if next(rows, None) != TRACE_COLUMNS:
@@ -550,10 +557,6 @@ def load_trace_csv(path) -> list[StepRecord]:
                 raise MalformedTrace(
                     f"trace CSV line {rows.line_num} has {len(row)} fields, "
                     f"not {len(TRACE_COLUMNS)}")
-            t, kind, gamma, gap, _, f_after, size, s, v = row
-            trace.append(StepRecord(
-                int(t), StepKind(kind), float(gamma), float(gap), f_before,
-                float(f_after), int(size), int(s) if s else None,
-                int(v) if v else None))
-            f_before = trace[-1].f_after
+            trace.append(StepRecord(*(parse(v) for parse, v
+                                      in zip(_PARSERS, row))))
     return trace

@@ -30,11 +30,13 @@ from dscfw.diagnostics import theorem_bound
 from dscfw.multistart import SamplePlan, SamplerKind, multistart_cluster
 from dscfw.peel import PeelConfig, peel, post_assign, shift_offdiag
 from dscfw.solvers import (
+    GOOD_KINDS,
     InitKind,
     SolverConfig,
     SolverKind,
     initial_point,
     load_trace_csv,
+    save_trace_csv,
 )
 
 
@@ -186,6 +188,7 @@ def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
         ["run.labels.csv", "run.manifest.json", *written])
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert manifest["result"] == summary
+    assert set(manifest["wall_clock_s"]) == {"load", "solve"}
     keys = ["k_found", "assignment_rate"]
     assert list(summary) == (["passes", *keys] if command[0] == "multistart"
                              else keys)
@@ -283,11 +286,38 @@ def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
     B = ShiftedMatrix(load_matrix_csv(matrix_csv), 4.0)
     expected = theorem_bound(load_trace_csv(trace), kind, B,
                              initial_point(B, SolverConfig(kind, init)))
-    assert report == dataclasses.asdict(expected)
+    assert report == {**dataclasses.asdict(expected),
+                      "progress_violations": 0}
     assert report["beta"] == pytest.approx(beta, abs=1e-5)
     assert report["bound_value"] == pytest.approx(bound, rel=1e-4, abs=1e-4)
     assert report["support0"] == support0
     assert report["informative"] is informative
+
+
+def test_trace_check_counts_progress_violations(tmp_path, block_csv,
+                                                capsys):
+    # A pfw run's gap bound holds trivially, but each traced good step is
+    # also held to its exact progress identity: the run's own trace breaks
+    # none, and one whose first good step gained half as much again in the
+    # file breaks at least that one. The exit code stays 0 either way.
+    matrix_csv, _ = block_csv
+    out, trace = str(tmp_path / "run"), tmp_path / "trace.csv"
+    assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
+                 "--max-clusters", "2", "--peel-shift", "4.0",
+                 "--trace", str(trace), "--out", out]) == 0
+    counts = []
+    for tampered in (False, True):
+        if tampered:
+            records = load_trace_csv(trace)
+            good = next(r for r in records if r.kind in GOOD_KINDS)
+            good.f_after *= 1.5
+            save_trace_csv(trace, records)
+        capsys.readouterr()
+        assert main(["trace-check", "--manifest",
+                     f"{out}.manifest.json"]) == 0
+        counts.append(json.loads(capsys.readouterr().out)[
+            "progress_violations"])
+    assert counts[0] == 0 and counts[1] >= 1
 
 
 def _edit_input(matrix_csv, manifest):

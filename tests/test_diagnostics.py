@@ -96,24 +96,33 @@ class TestCheckProgress:
         violations = check_progress(trace, A3, raise_on_violation=False)
         assert violations and violations[0].t == trace[0].t
 
-    def test_a_trace_read_back_from_csv_is_refused(self, tmp_path):
-        # The CSV keeps neither r_s, r_v nor f(x_0), so no good step of a
-        # loaded trace can be held to its identity: a check that compared
-        # NaNs would pass any f_after, and so it refuses the trace instead.
+    def test_a_trace_read_back_from_csv_checks_as_the_live_one(
+            self, tmp_path):
+        # The CSV holds every field, so the loaded trace is held to the
+        # same identities as the solve's own, and a tampered f_after is
+        # found in either.
         A = rand_sim(24, np.random.default_rng(17))
         cfg = SolverConfig(SolverKind.AFW, InitKind.VERTEX, max_iters=200)
         _, trace, _ = run(A, cfg)
+        tampered = [replace(rec, f_after=1.5 * rec.f_after) for rec in trace]
         path = tmp_path / "trace.csv"
-        save_trace_csv(path, trace)
-        def tampered(records):
-            return [replace(rec, f_after=1.5 * rec.f_after) for rec in records]
+        found = []
+        for records in (trace, tampered):
+            save_trace_csv(path, records)
+            found.append(check_progress(load_trace_csv(path), A,
+                                        raise_on_violation=False))
+            assert found[-1] == check_progress(records, A,
+                                               raise_on_violation=False)
+        assert found[0] == [] and found[1]
 
-        loaded = load_trace_csv(path)
-        for records in (loaded, tampered(loaded)):
-            with pytest.raises(UncheckableRun, match="lacks a value"):
-                check_progress(records, A, raise_on_violation=False)
-        assert check_progress(trace, A) == []
-        assert check_progress(tampered(trace), A, raise_on_violation=False)
+    def test_a_step_that_lacks_a_value_is_refused(self):
+        # A good step without r at its vertex: a check that compared NaNs
+        # would pass any f_after, so it refuses the trace instead.
+        A = rand_sim(4, np.random.default_rng(3))
+        rec = _rec(0, StepKind.FW_GOOD, 1.0, f_before=0.0, f_after=0.5)
+        rec.s_index = 0
+        with pytest.raises(UncheckableRun, match="lacks a value"):
+            check_progress([rec], A, raise_on_violation=False)
 
 
 class TestGapBookkeeping:

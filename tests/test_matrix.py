@@ -52,6 +52,7 @@ from dscfw.matrix import (
     save_matrix_csv,
     simplex_point,
 )
+from dscfw.solvers import SolverConfig, SolverKind, init_vertex, run
 
 from conftest import extract_support, rand_sim
 
@@ -128,6 +129,29 @@ class TestShiftedMatrix:
     def test_rejects_a_shifted_base(self, A3):
         with pytest.raises(TypeError):
             ShiftedMatrix(ShiftedMatrix(A3, 1.0), 1.0)
+
+    @pytest.mark.parametrize("active, error", [
+        (np.arange(60) < 30, None),
+        ((np.arange(60) < 30).astype(int), TypeError),
+        ((np.arange(60) < 30).astype(float), TypeError),
+        (list(np.arange(60) < 30), TypeError),
+        (np.arange(59) < 30, DimensionMismatch),
+        (np.ones((60, 1), dtype=bool), DimensionMismatch),
+        (np.zeros(60, dtype=bool), TooSmall),
+    ], ids=["bool", "int", "float", "list", "short", "2-d", "none-active"])
+    def test_checks_its_active_mask(self, active, error):
+        # An int mask once passed, and its ~ (bitwise, not logical) put
+        # the vertex start outside the mask.
+        A, _ = block_noise_matrix(60, 3, 0.2, seed=1)
+        if error is not None:
+            with pytest.raises(error):
+                ShiftedMatrix(A, 1.0, active)
+            return
+        B = ShiftedMatrix(A, 1.0, active)
+        assert active[np.argmax(init_vertex(B))]
+        x, trace, _ = run(B, SolverConfig(SolverKind.FW, max_iters=100))
+        assert trace
+        assert np.all(x[~active] == 0.0) and x[active].sum() > 0.99
 
 
 class TestTiledAsymmetry:

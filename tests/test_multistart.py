@@ -40,6 +40,19 @@ class TestSamplePlan:
         with pytest.raises(ValueError):
             SamplePlan(overlap_threshold=1.0)
 
+    def test_counts_are_integers(self, A3):
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            SamplePlan(ell=2.5)
+        with pytest.raises(ValueError, match="max_clusters must be an int"):
+            multistart_cluster(A3, SamplePlan(seed=0), SolverConfig(), 2.5)
+        plan = SamplePlan(ell=np.int64(3), seed=0)
+        result, passes = multistart_cluster(A3, plan, SolverConfig(),
+                                            np.int64(3))
+        expected = multistart_cluster(A3, SamplePlan(ell=3, seed=0),
+                                      SolverConfig(), 3)
+        assert np.array_equal(result.labels, expected[0].labels)
+        assert passes == expected[1]
+
 
 class TestUniformBlockSample:
     def test_too_many_seeds(self, A3):

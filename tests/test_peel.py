@@ -54,6 +54,15 @@ class TestPeelConfig:
         with pytest.raises(ValueError):
             PeelConfig(max_clusters=0)
 
+    def test_max_clusters_is_an_integer(self):
+        with pytest.raises(ValueError, match="max_clusters must be an int"):
+            PeelConfig(max_clusters=2.5)
+        A, _ = block_noise_matrix(60, 3, 0.2, seed=1)
+        B = ShiftedMatrix(A, 1.0)
+        result = peel(B, PeelConfig(max_clusters=np.int64(3)))
+        assert np.array_equal(result.labels,
+                              peel(B, PeelConfig(max_clusters=3)).labels)
+
     def test_rejects_bad_cutoff(self):
         for bad in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):

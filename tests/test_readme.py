@@ -89,8 +89,11 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     # The similarity line reads the features the second synth line writes.
     for argv in commands[3:]:
         assert main(argv[1:]) == 0, argv
-    # The multistart line takes no --seed, so only its keys are fixed.
+    # The multistart line's --seed fixes its samples, so the summary the
+    # README quotes is the one it prints.
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    quoted = re.search(r'`(\{"passes": .*?\})`', README.read_text()).group(1)
+    assert summary == json.loads(quoted)
     assert list(summary) == ["passes", "k_found", "assignment_rate"]
 
 
@@ -107,3 +110,4 @@ def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["satisfied"] is True
     assert report["informative"] is True
+    assert report["progress_violations"] == 0

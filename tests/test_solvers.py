@@ -4,6 +4,8 @@ selection, stopping behavior, scale invariance, and trace CSV round-trip."""
 import dataclasses
 import hashlib
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dscfw.errors import (
     BrokenInvariant,
     DimensionMismatch,
     EmptySupport,
+    MalformedTrace,
     NegativeEntry,
     NonFiniteEntry,
     NotAscent,
@@ -33,11 +36,13 @@ from dscfw.multistart import seed_starting_points
 from dscfw.peel import shift_offdiag
 from dscfw.solvers import (
     DEFAULT_EPSILON,
+    TRACE_COLUMNS,
     InitKind,
     SolverConfig,
     SolverKind,
     SolverState,
     StepKind,
+    StepRecord,
     StopReason,
     init_barycenter,
     init_vertex,
@@ -318,6 +323,15 @@ class TestConfig:
     def test_rejects_negative_max_iters(self):
         with pytest.raises(ValueError):
             SolverConfig(max_iters=-1)
+
+    def test_max_iters_is_an_integer(self):
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=2.5)
+        A = rand_sim(10, np.random.default_rng(0))
+        cfg = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER,
+                           max_iters=np.int64(3))
+        _, trace, reason = run(A, cfg)
+        assert len(trace) == 3 and reason is StopReason.MAX_ITERS
 
 
 class TestRun:
@@ -682,32 +696,56 @@ def test_traces_match_their_pinned_digests():
     assert digests == GOLDEN_TRACES
 
 
-class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(14)
-        A = rand_sim(10, rng)
-        cfg = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER,
-                           max_iters=100)
-        _, trace, _ = run(A, cfg)
-        assert trace
-        path = tmp_path / "trace.csv"
-        save_trace_csv(path, trace)
-        loaded = load_trace_csv(path)
-        assert len(loaded) == len(trace)
-        for orig, back in zip(trace, loaded):
-            assert back.t == orig.t
-            assert back.kind is orig.kind
-            assert back.gamma == pytest.approx(orig.gamma, rel=1e-15)
-            assert back.gap == pytest.approx(orig.gap, rel=1e-15)
-            assert back.f_after == pytest.approx(orig.f_after, rel=1e-15)
-            assert back.support_size == orig.support_size
-            assert back.s_index == orig.s_index
-            assert back.v_index == orig.v_index
-        # f_before is chained from the previous record on load.
-        for prev, rec in zip(loaded, loaded[1:]):
-            assert rec.f_before == prev.f_after
-        assert math.isnan(loaded[0].f_before)
+def _fields(rec):
+    """A record's fields, each float as its hex form (NaN reads 'nan')."""
+    return [v.hex() if isinstance(v, float) else v
+            for v in dataclasses.astuple(rec)]
 
-    def test_gap_half_property(self, state3, A3):
-        rec = step(state3, A3, SolverKind.FW)
-        assert rec.gap_half == pytest.approx(rec.gap / 2.0)
+
+# Every solver from both starts, but RD from the barycenter only: a vertex
+# start is BadInit for it.
+TRACED_RUNS = [(kind, init)
+               for kind in (SolverKind.FW, SolverKind.PFW, SolverKind.AFW)
+               for init in InitKind] + [(SolverKind.RD, InitKind.BARYCENTER)]
+
+
+class TestTraceCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(n=hst.integers(2, 12), seed=hst.integers(0, 2**32 - 1),
+           operator=hst.sampled_from(["plain", "shifted", "masked"]),
+           solver=hst.sampled_from(TRACED_RUNS))
+    def test_round_trip(self, n, seed, operator, solver):
+        # The file holds every field of every record: read back, each
+        # record equals the solve's own, bit for bit, NaN where it was.
+        rng = np.random.default_rng(seed)
+        A = rand_sim(n, rng)
+        if operator == "shifted":
+            A = ShiftedMatrix(A, float(rng.uniform(0.0, 4.0)))
+        elif operator == "masked":
+            # Two active objects at least, so that RD's start has f > 0.
+            active = rng.permutation(n) < max(2, n // 2)
+            A = ShiftedMatrix(A, float(rng.uniform(0.0, 4.0)), active)
+        _, trace, _ = run(A, SolverConfig(*solver, max_iters=200))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            save_trace_csv(path, trace)
+            loaded = load_trace_csv(path)
+        assert [_fields(rec) for rec in loaded] == [
+            _fields(rec) for rec in trace]
+
+    def test_columns_are_the_record_fields(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace_csv(path, [])
+        header = [f.name for f in dataclasses.fields(StepRecord)]
+        assert TRACE_COLUMNS == header
+        assert path.read_text().splitlines() == [",".join(header)]
+        assert load_trace_csv(path) == []
+
+    def test_a_0_5_0_trace_is_malformed(self, tmp_path):
+        # The earlier format renamed gap and f_after, added gap_half and
+        # dropped f_before, r_s and r_v.
+        path = tmp_path / "trace.csv"
+        path.write_text("t,kind,gamma,gap_full,gap_half,f,support_size,"
+                        "s_index,v_index\n0,FwGood,0.5,1.0,0.5,0.25,2,1,\n")
+        with pytest.raises(MalformedTrace, match="header"):
+            load_trace_csv(path)
