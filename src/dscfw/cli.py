@@ -1,6 +1,10 @@
 """Command-line interface: cluster, synth, similarity, eval, multistart,
 and trace-check subcommands.
 
+Each subcommand reads one kind of input: cluster and multistart a
+similarity matrix CSV (--input), similarity a feature CSV (--features),
+trace-check the manifest of a traced cluster run.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/solver
 error. eval and trace-check print one JSON line; the other subcommands
 write a JSON manifest next to their outputs.
@@ -32,7 +36,7 @@ from .matrix import (
     save_matrix_csv,
 )
 from .multistart import SamplePlan, SamplerKind, multistart_cluster
-from .peel import DEFAULT_CUTOFF, PeelConfig, peel, post_assign
+from .peel import PeelConfig, peel, post_assign
 from .solvers import (
     DEFAULT_EPSILON,
     InitKind,
@@ -85,27 +89,14 @@ def _write_manifest(args, inputs: list[str], phases: dict[str, float],
         json.dumps(manifest, indent=2, default=str) + "\n")
 
 
-_IGNORED_SHIFT = "--shift applies only to --features with --similarity cosine"
-
-
-def _ignores_shift(flags: dict) -> bool:
-    """True when a nonzero --shift is given where no similarity reads it."""
-    return bool(flags.get("shift")) and (flags["features"] is None
-                                         or flags["similarity"] != "cosine")
-
-
-def _load_similarity(args) -> tuple[object, list[str]]:
-    if args.input:
-        return load_matrix_csv(args.input), [args.input]
+def _build_similarity(args):
     F = load_features_csv(args.features)
     if args.similarity == "cosine":
-        A = data.cosine_similarity(F, shift=args.shift)
-    elif args.similarity == "euclidean-max":
-        A = data.max_transform(data.pairwise_euclidean(F))
-    else:  # minimax: the parser allows no other choice
-        D = data.minimax_distances(data.pairwise_euclidean(F))
-        A = data.max_transform(D)
-    return A, [args.features]
+        return data.cosine_similarity(F, shift=args.shift)
+    D = data.pairwise_euclidean(F)
+    if args.similarity == "minimax":
+        D = data.minimax_distances(D)
+    return data.max_transform(D)  # minimax or euclidean-max
 
 
 def _solver_config(args) -> SolverConfig:
@@ -135,8 +126,8 @@ def _budget_warnings(result, unit: str, max_iters: int,
     return warnings
 
 
-def _emit_run(args, result, inputs: list[str], phases: dict[str, float],
-              unit: str, **summary) -> int:
+def _emit_run(args, result, phases: dict[str, float], unit: str,
+              **summary) -> int:
     """Write a clustering's labels CSV and manifest and print its summary,
     which the manifest records as "result"."""
     with open(f"{args.out}.labels.csv", "w") as fh:
@@ -145,7 +136,7 @@ def _emit_run(args, result, inputs: list[str], phases: dict[str, float],
             fh.write(f"{i},{int(v)}\n")
     summary.update(k_found=len(result.clusters),
                    assignment_rate=result.assignment_rate)
-    _write_manifest(args, inputs, phases,
+    _write_manifest(args, [args.input], phases,
                     warnings=_budget_warnings(result, unit, args.max_iters,
                                               args.out),
                     result=summary)
@@ -155,9 +146,9 @@ def _emit_run(args, result, inputs: list[str], phases: dict[str, float],
 
 def cmd_cluster(args) -> int:
     t0 = time.perf_counter()
-    A, inputs = _load_similarity(args)
+    A = load_matrix_csv(args.input)
     t_load = time.perf_counter() - t0
-    config = PeelConfig(args.max_clusters, _solver_config(args), args.cutoff)
+    config = PeelConfig(args.max_clusters, _solver_config(args))
     t0 = time.perf_counter()
     B = ShiftedMatrix(A, args.peel_shift)
     result = peel(B, config)
@@ -166,8 +157,7 @@ def cmd_cluster(args) -> int:
     t_solve = time.perf_counter() - t0
     if args.trace:
         save_trace_csv(args.trace, result.traces[0] if result.traces else [])
-    return _emit_run(args, result, inputs, {"load": t_load, "solve": t_solve},
-                     "round")
+    return _emit_run(args, result, {"load": t_load, "solve": t_solve}, "round")
 
 
 def cmd_synth(args) -> int:
@@ -189,12 +179,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_similarity(args) -> int:
+    if args.shift and args.similarity != "cosine":
+        # The other similarities would leave the matrix as it is.
+        print("dscfw similarity: error: --shift applies only to "
+              "--similarity cosine", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
-    A, inputs = _load_similarity(args)
+    A = _build_similarity(args)
     t1 = time.perf_counter()
     save_matrix_csv(args.out, A)
-    _write_manifest(args, inputs, {"similarity": t1 - t0,
-                                   "write": time.perf_counter() - t1})
+    _write_manifest(args, [args.features],
+                    {"similarity": t1 - t0, "write": time.perf_counter() - t1})
     return 0
 
 
@@ -216,7 +211,7 @@ def cmd_eval(args) -> int:
 
 def cmd_multistart(args) -> int:
     t0 = time.perf_counter()
-    A, inputs = _load_similarity(args)
+    A = load_matrix_csv(args.input)
     t_load = time.perf_counter() - t0
     plan = SamplePlan(
         ell=args.samples,
@@ -227,23 +222,21 @@ def cmd_multistart(args) -> int:
     t0 = time.perf_counter()
     config = SolverConfig(SolverKind(args.solver), epsilon=args.epsilon,
                           max_iters=args.max_iters)
-    result, passes = multistart_cluster(
-        A, plan, config, args.max_clusters, cutoff=args.cutoff)
+    result, passes = multistart_cluster(A, plan, config, args.max_clusters)
     t_solve = time.perf_counter() - t0
-    return _emit_run(args, result, inputs, {"load": t_load, "solve": t_solve},
-                     "solve", passes=passes)
+    return _emit_run(args, result, {"load": t_load, "solve": t_solve}, "solve",
+                     passes=passes)
 
 
 # The `cluster` flags that trace-check reads back from a manifest.
-_CHECKED_FLAGS = ("input", "features", "similarity", "shift", "solver",
-                  "epsilon", "max_iters", "peel_shift", "trace")
+_CHECKED_FLAGS = ("input", "solver", "epsilon", "max_iters", "peel_shift",
+                  "trace")
 
 
 def _check_flags(manifest: str, flags: dict) -> None:
     """Raise UncheckableRun unless each recorded flag is a value the
     `cluster` parser gives it: parsed again from its text with that
-    parser's own types and choices, it must come back unchanged. A nonzero
-    shift must also be one that `cluster` reads."""
+    parser's own types and choices, it must come back unchanged."""
     argv = ["cluster", "--max-clusters", "1"]
     argv += [f"--{k.replace('_', '-')}={flags[k]}" for k in _CHECKED_FLAGS
              if flags[k] is not None]
@@ -260,9 +253,6 @@ def _check_flags(manifest: str, flags: dict) -> None:
         raise UncheckableRun(
             f"{manifest} records {', '.join(bad)} as no value that cluster "
             "gives it")
-    if _ignores_shift(parsed):
-        raise UncheckableRun(
-            f"{manifest} records a nonzero shift, but {_IGNORED_SHIFT}")
 
 
 def cmd_trace_check(args) -> int:
@@ -286,33 +276,29 @@ def cmd_trace_check(args) -> int:
     run = argparse.Namespace(**flags)
     if run.trace is None:
         raise UncheckableRun(f"{args.manifest} records a run without --trace")
-    for path, digest in digests.items():
-        if _digest(path) != digest:
-            raise UncheckableRun(f"{path} changed since the run (sha256)")
+    if list(digests) != [run.input]:
+        raise UncheckableRun(
+            f"{args.manifest} records input digests of {list(digests)}, not "
+            f"of its --input {run.input} alone")
+    if _digest(run.input) != digests[run.input]:
+        raise UncheckableRun(f"{run.input} changed since the run (sha256)")
     trace = load_trace_csv(run.trace)
     if not trace:
         raise UncheckableRun(
             f"{run.trace} records no steps: the traced round stopped "
             "before its first step")
     config = _solver_config(run)
-    A = ShiftedMatrix(_load_similarity(run)[0], run.peel_shift)
+    A = ShiftedMatrix(load_matrix_csv(run.input), run.peel_shift)
     report = diagnostics.theorem_bound(trace, config.solver_kind, A,
                                        initial_point(A, config))
     violations = diagnostics.check_progress(trace, A,
                                             raise_on_violation=False)
-    print(json.dumps({**dataclasses.asdict(report),
-                      "progress_violations": len(violations)}))
+    line = {**dataclasses.asdict(report),
+            "progress_violations": len(violations)}
+    # JSON has no infinity: a bound beyond any float (PFW's n! one) is null.
+    print(json.dumps({k: v if not isinstance(v, float) or math.isfinite(v)
+                      else None for k, v in line.items()}, allow_nan=False))
     return 0
-
-
-def _add_similarity_flags(p: argparse.ArgumentParser) -> None:
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="similarity matrix CSV")
-    source.add_argument("--features", help="feature matrix CSV")
-    p.add_argument("--similarity", default="cosine",
-                   choices=["cosine", "euclidean-max", "minimax"])
-    p.add_argument("--shift", type=float, default=0.0,
-                   help="off-diagonal shift for the cosine pipeline")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -320,7 +306,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                    help="stop a solve when its halved gap max(r) - f is at "
                    "most epsilon * max(r); in (0, 1) (default %(default)g)")
-    p.add_argument("--cutoff", type=float, default=DEFAULT_CUTOFF)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cluster", help="peel-off dominant set clustering")
-    _add_similarity_flags(p)
+    p.add_argument("--input", required=True, help="similarity matrix CSV")
     p.add_argument("--solver", default="fw", choices=sorted(SOLVER_FLAGS),
                    help="-b/-v: barycenter/vertex start")
     _add_solver_flags(p)
@@ -351,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("similarity", help="feature CSV -> matrix CSV")
-    _add_similarity_flags(p)
+    p.add_argument("--features", required=True, help="feature matrix CSV")
+    p.add_argument("--similarity", default="cosine",
+                   choices=["cosine", "euclidean-max", "minimax"])
+    p.add_argument("--shift", type=float, default=0.0,
+                   help="off-diagonal shift for the cosine pipeline")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_similarity)
 
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("multistart", help="multi-start clustering")
-    _add_similarity_flags(p)
+    p.add_argument("--input", required=True, help="similarity matrix CSV")
     p.add_argument("--solver", default="fw", help="each seed gives the starts",
                    choices=[kind.value for kind in SolverKind])
     _add_solver_flags(p)
@@ -387,10 +376,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if _ignores_shift(vars(args)):
-        print(f"dscfw {args.command}: error: {_IGNORED_SHIFT}",
-              file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

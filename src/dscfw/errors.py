@@ -110,5 +110,6 @@ class TooFewPoints(DscfwError):
 class UncheckableRun(DscfwError, ValueError):
     """A run that cannot be held to a gap bound: replicator dynamics, a
     manifest of no traced `cluster` run, one that lacks what the run
-    recorded or records a flag value `cluster` would not give, a traced
-    round with no steps, or an input changed since."""
+    recorded, records a flag value `cluster` would not give or digests of
+    any file but its --input, a traced round with no steps, or an input
+    changed since."""

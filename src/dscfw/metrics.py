@@ -1,27 +1,35 @@
 """Clustering-quality metrics: adjusted Rand index, V-measure, and
 assignment rate.
 
-Label 0 means unassigned. By default ARI and V-measure are computed over
-the objects the prediction actually assigned (pred label > 0); pass
-include_unassigned=True to treat label 0 as a regular cluster instead.
+Predicted labels are nonnegative, and label 0 means unassigned. By
+default ARI and V-measure are computed over the objects the prediction
+actually assigned (pred label > 0); pass include_unassigned=True to
+treat label 0 as a regular cluster instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyOverlap, LengthMismatch
+from .errors import EmptyOverlap, LengthMismatch, NegativeEntry
+
+
+def _predicted(pred) -> np.ndarray:
+    labels = np.asarray(pred, dtype=int)
+    if np.any(labels < 0):
+        raise NegativeEntry("predicted labels must be nonnegative")
+    return labels
 
 
 def assignment_rate(pred) -> float:
-    labels = np.asarray(pred, dtype=int)
+    labels = _predicted(pred)
     if labels.size == 0:
         raise LengthMismatch("empty label vector")
     return float(np.count_nonzero(labels) / labels.size)
 
 
 def _restrict(pred, truth, include_unassigned: bool):
-    p = np.asarray(pred, dtype=int)
+    p = _predicted(pred)
     t = np.asarray(truth, dtype=int)
     if p.shape != t.shape:
         raise LengthMismatch(f"{p.shape} vs {t.shape}")

@@ -15,8 +15,7 @@ import numpy as np
 from .errors import AsymmetricMatrix, PoolTooSmall, TooManySeeds
 from .matrix import (Operator, ShiftedMatrix, SimilarityMatrix, _asymmetry,
                      quadratic_form)
-from .peel import (DEFAULT_CUTOFF, Candidate, ClusteringResult, PeelConfig,
-                   _drive)
+from .peel import Candidate, ClusteringResult, PeelConfig, _drive
 from .solvers import SolverConfig, SolverKind, _require_count, run
 
 
@@ -201,13 +200,13 @@ def multistart_cluster(
     plan: SamplePlan,
     solver: SolverConfig,
     max_clusters: int,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> tuple[ClusteringResult, int]:
     """Run the peel driver with several sampled starts per pass on A, as
-    `peel` does; returns the clustering and the number of passes over the
-    data. The result keeps every solve's stop reason and last gap, in
-    solve order, but no traces."""
-    config = PeelConfig(max_clusters, solver, cutoff)  # raises on bad values
+    `peel` does, cutting each solution's support at `peel.CUTOFF`; returns
+    the clustering and the number of passes over the data. The result
+    keeps every solve's stop reason and last gap, in solve order, but no
+    traces."""
+    config = PeelConfig(max_clusters, solver)  # raises on bad values
     rng = np.random.default_rng(plan.seed)
 
     def propose(B: Operator) -> list[Candidate]:

@@ -20,7 +20,7 @@ from .matrix import Operator, ShiftedMatrix, SimilarityMatrix, _validated
 from .solvers import (SolverConfig, StepRecord, StopReason, _require_count,
                       run)
 
-DEFAULT_CUTOFF = 2e-12
+CUTOFF = 2e-12  # a cluster is the support of a solution above this
 
 
 @dataclass
@@ -56,15 +56,14 @@ class ClusteringResult:
 
 @dataclass
 class PeelConfig:
+    """Up to max_clusters rounds, each solved by `solver`; a round's cluster
+    is the support of its solution above `CUTOFF`."""
+
     max_clusters: int
     solver: SolverConfig = field(default_factory=SolverConfig)
-    cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self) -> None:
         _require_count(self.max_clusters, "max_clusters", 1)
-        # NaN fails too: no coordinate would pass it, or every one would.
-        if not 0.0 < self.cutoff < math.inf:
-            raise ValueError("cutoff must be positive and finite")
 
 
 def shift_offdiag(A: SimilarityMatrix, shift: float) -> SimilarityMatrix:
@@ -124,7 +123,7 @@ def _drive(A: Operator, config: PeelConfig, overlap: float,
         for _, x, _, _ in sorted(candidates, key=lambda c: -c[0]):
             if len(clusters) == max_clusters:
                 break
-            support = x > config.cutoff
+            support = x > CUTOFF
             size = int(np.count_nonzero(support))
             # Supports lie in the round's active set, so the part that is
             # no longer active was taken by this round's earlier clusters.

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,17 @@ def rand_sim(n: int, rng) -> SimilarityMatrix:
     """Random symmetric nonnegative zero-diagonal similarity matrix."""
     upper = np.triu(rng.uniform(size=(n, n)), 1)
     return new_similarity_matrix(upper + upper.T)
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not
+    JSON but which Python's parser accepts: a CLI line or manifest holding
+    one fails the test that reads it."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def extract_support(x: np.ndarray, cutoff: float) -> list[int]:

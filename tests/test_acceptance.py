@@ -126,8 +126,7 @@ def block_aris():
         for name, cfg in solver_cfgs.items():
             vals = []
             for A, truth in instances:
-                config = PeelConfig(max_clusters=5, solver=cfg,
-                                    cutoff=2e-12)
+                config = PeelConfig(max_clusters=5, solver=cfg)
                 result = peel(ShiftedMatrix(A, 4.0), config)
                 vals.append(ari(result.labels, truth))
             scores[name][p] = float(np.mean(vals))

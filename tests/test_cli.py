@@ -39,6 +39,8 @@ from dscfw.solvers import (
     save_trace_csv,
 )
 
+from conftest import strict_json
+
 
 @pytest.fixture
 def block_csv(tmp_path):
@@ -69,7 +71,7 @@ def test_synth_block(tmp_path, capsys):
     assert A.n == 30
     truth = np.loadtxt(f"{out}.truth.csv", dtype=int)
     assert truth.shape == (30,)
-    manifest = json.loads((tmp_path / "synth.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "synth.manifest.json").read_text())
     assert manifest["subcommand"] == "synth"
     phases = manifest["wall_clock_s"]
     assert set(phases) == {"generate", "write"}
@@ -94,7 +96,7 @@ def test_similarity_pipeline(tmp_path):
                  "--similarity", "cosine", "--shift", "1.0", "--out", out])
     assert code == 0
     assert load_matrix_csv(out).n == 10
-    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    manifest = strict_json(Path(f"{out}.manifest.json").read_text())
     phases = manifest["wall_clock_s"]
     assert set(phases) == {"similarity", "write"}
     assert all(t >= 0 for t in phases.values())
@@ -123,7 +125,7 @@ def test_cluster_and_eval(tmp_path, block_csv, capsys):
                  "--max-clusters", "2", "--peel-shift", "4.0",
                  "--trace", trace, "--out", out])
     assert code == 0
-    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    summary = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["k_found"] == 2
     labels = _labels_csv(out)
     assert len(labels) == 40
@@ -134,7 +136,7 @@ def test_cluster_and_eval(tmp_path, block_csv, capsys):
     np.savetxt(pred_csv, np.array(labels), fmt="%d", delimiter=",")
     code = main(["eval", "--pred", str(pred_csv), "--truth", truth_csv])
     assert code == 0
-    scores = json.loads(capsys.readouterr().out.strip())
+    scores = strict_json(capsys.readouterr().out.strip())
     assert scores["ari"] == pytest.approx(1.0)
     assert scores["ar"] == pytest.approx(1.0)
 
@@ -146,7 +148,7 @@ def test_multistart_subcommand(tmp_path, block_csv, capsys):
                  "--samples", "2", "--sampler", "uni", "--seed", "0",
                  "--max-clusters", "2", "--out", out])
     assert code == 0
-    result = json.loads((tmp_path / "ms.manifest.json").read_text())["result"]
+    result = strict_json((tmp_path / "ms.manifest.json").read_text())["result"]
     assert result["passes"] >= 1
     assert result["k_found"] >= 1
 
@@ -183,10 +185,10 @@ def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
     command = [f"{out}.trace.csv" if a == "TRACE" else a for a in command]
     assert main([*command, "--input", matrix_csv, "--max-clusters", "2",
                  "--out", str(out)]) == 0
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    summary = strict_json(capsys.readouterr().out.splitlines()[-1])
     assert sorted(p.name for p in tmp_path.glob("run*")) == sorted(
         ["run.labels.csv", "run.manifest.json", *written])
-    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    manifest = strict_json(Path(f"{out}.manifest.json").read_text())
     assert manifest["result"] == summary
     assert set(manifest["wall_clock_s"]) == {"load", "solve"}
     keys = ["k_found", "assignment_rate"]
@@ -197,46 +199,72 @@ def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
     assert summary["assignment_rate"] == np.count_nonzero(labels) / labels.size
 
 
-@pytest.mark.parametrize("command", [
-    ["cluster", "--max-clusters", "1"],
-    ["similarity"],
-    ["multistart", "--max-clusters", "1"],
+def _error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if "error: " in line]
+
+
+@pytest.mark.parametrize("command, own, other", [
+    (["cluster", "--max-clusters", "1"], "--input", "--features"),
+    (["similarity"], "--features", "--input"),
+    (["multistart", "--max-clusters", "1"], "--input", "--features"),
 ], ids=["cluster", "similarity", "multistart"])
-@pytest.mark.parametrize("sources, error", [
-    ([], "one of the arguments --input --features is required"),
-    (["--input", "BLOCK", "--features", "nope.csv"],
-     "argument --features: not allowed with argument --input"),
-], ids=["neither", "both"])
-def test_exactly_one_input_flag(tmp_path, block_csv, capsys, command,
-                                sources, error):
-    sources = [block_csv[0] if a == "BLOCK" else a for a in sources]
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_exactly_one_input_flag(tmp_path, block_csv, capsys, command, own,
+                                other, both):
+    # Each command reads one kind of input: its own flag is required, and
+    # the other kind's flag is none of its flags.
+    sources = [own, block_csv[0], other, block_csv[0]] if both else []
     out = tmp_path / "run"
     assert main([*command, *sources, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines()[-1].endswith(error)
+    error = (f"unrecognized arguments: {other} {block_csv[0]}" if both
+             else f"the following arguments are required: {own}")
+    assert _error_lines(capsys.readouterr().err)[-1].endswith(error)
     assert not list(tmp_path.glob("run*"))
 
 
-@pytest.mark.parametrize("command", [
-    ["cluster", "--max-clusters", "1", "--features", "FEATURES",
-     "--similarity", "minimax"],
-    ["similarity", "--features", "FEATURES", "--similarity",
-     "euclidean-max"],
-    ["multistart", "--max-clusters", "1", "--input", "BLOCK"],
+@pytest.mark.parametrize("command, error", [
+    (["cluster", "--max-clusters", "1", "--input", "BLOCK"],
+     "dscfw: error: unrecognized arguments: --shift 3"),
+    (["similarity", "--features", "BLOCK", "--similarity", "euclidean-max"],
+     "dscfw similarity: error: --shift applies only to --similarity cosine"),
+    (["multistart", "--max-clusters", "1", "--input", "BLOCK"],
+     "dscfw: error: unrecognized arguments: --shift 3"),
 ], ids=["cluster", "similarity", "multistart"])
 def test_a_shift_no_similarity_reads_is_a_usage_error(tmp_path, block_csv,
-                                                      capsys, command):
-    # Only the cosine pipeline reads --shift; a nonzero one anywhere else
-    # would leave the run as it is without it.
-    features = tmp_path / "f.csv"
-    np.savetxt(features, np.random.default_rng(0).normal(size=(10, 2)),
-               delimiter=",")
-    command = [{"BLOCK": block_csv[0], "FEATURES": str(features)}.get(a, a)
-               for a in command]
+                                                      capsys, command, error):
+    # Only the cosine similarity reads --shift: a nonzero one with another
+    # would leave the matrix as it is, and the commands that read a matrix
+    # take no --shift.
+    command = [block_csv[0] if a == "BLOCK" else a for a in command]
     out = tmp_path / "run"
     assert main([*command, "--shift", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"dscfw {command[0]}: error: --shift applies only to --features "
-        "with --similarity cosine"]
+    assert _error_lines(capsys.readouterr().err) == [error]
+    assert not list(tmp_path.glob("run*"))
+
+
+REMOVED_FLAGS = [
+    *[(command, flag) for command in ("cluster", "multistart")
+      for flag in (["--features", "BLOCK"], ["--similarity", "minimax"],
+                   ["--cutoff", "2e-12"])],
+    ("similarity", ["--input", "BLOCK"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{flag[0]}" for c, flag in REMOVED_FLAGS])
+def test_a_removed_setting_is_a_usage_error(tmp_path, block_csv, capsys,
+                                            command, flag):
+    # cluster and multistart read a matrix only, with the support cutoff
+    # fixed, and similarity reads features only. (The --shift of the two
+    # clustering commands is refused in the test above.)
+    source = ["--features"] if command == "similarity" else [
+        "--max-clusters", "1", "--input"]
+    flag = [block_csv[0] if a == "BLOCK" else a for a in flag]
+    out = tmp_path / "run"
+    assert main([command, *source, block_csv[0], *flag,
+                 "--out", str(out)]) == 1
+    assert _error_lines(capsys.readouterr().err) == [
+        f"dscfw: error: unrecognized arguments: {' '.join(flag)}"]
     assert not list(tmp_path.glob("run*"))
 
 
@@ -250,7 +278,7 @@ def test_trace_check(tmp_path, block_csv, capsys):
     capsys.readouterr()
     code = main(["trace-check", "--manifest", f"{out}.manifest.json"])
     assert code == 0
-    report = json.loads(capsys.readouterr().out.strip())
+    report = strict_json(capsys.readouterr().out.strip())
     assert report["satisfied"] is True
     assert report["t"] >= 1
     assert report["support0"] == 1
@@ -281,7 +309,7 @@ def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
                  "--trace", trace, "--out", out]) == 0
     capsys.readouterr()
     assert main(["trace-check", "--manifest", f"{out}.manifest.json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     kind, init = SOLVER_FLAGS[solver]
     B = ShiftedMatrix(load_matrix_csv(matrix_csv), 4.0)
     expected = theorem_bound(load_trace_csv(trace), kind, B,
@@ -292,6 +320,46 @@ def test_trace_check_reports_the_solved_operator(tmp_path, capsys, solver,
     assert report["bound_value"] == pytest.approx(bound, rel=1e-4, abs=1e-4)
     assert report["support0"] == support0
     assert report["informative"] is informative
+
+
+def test_trace_check_prints_an_overflowing_bound_as_null(tmp_path, capsys):
+    # At n = 300 the n! factor puts the PFW bound beyond any float. JSON
+    # has no infinity, so the line holds null where Python's json.dumps
+    # would write Infinity.
+    A, _ = block_noise_matrix(300, 5, 0.3, seed=0)
+    matrix_csv = str(tmp_path / "data.matrix.csv")
+    save_matrix_csv(matrix_csv, A)
+    out = str(tmp_path / "run")
+    assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
+                 "--max-clusters", "1", "--peel-shift", "4.0",
+                 "--trace", str(tmp_path / "trace.csv"), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["trace-check", "--manifest", f"{out}.manifest.json"]) == 0
+    report = strict_json(capsys.readouterr().out)
+    assert report["bound_value"] is None
+    assert report["satisfied"] is True and report["informative"] is False
+    assert report["progress_violations"] == 0
+
+
+def test_trace_check_reads_a_manifest_with_the_old_flags(tmp_path, block_csv,
+                                                         capsys):
+    # A manifest written when cluster also took --features, --similarity,
+    # --shift and --cutoff records them too; trace-check reads past them.
+    matrix_csv, _ = block_csv
+    out, trace = str(tmp_path / "run"), str(tmp_path / "trace.csv")
+    assert main(["cluster", "--input", matrix_csv, "--solver", "fw",
+                 "--max-clusters", "1", "--trace", trace, "--out", out]) == 0
+    reports = []
+    for old in ({}, {"features": None, "similarity": "cosine", "shift": 0.0,
+                     "cutoff": 2e-12}):
+        manifest = Path(f"{out}.manifest.json")
+        record = strict_json(manifest.read_text())
+        record["flags"].update(old)
+        manifest.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["trace-check", "--manifest", str(manifest)]) == 0
+        reports.append(strict_json(capsys.readouterr().out))
+    assert reports[0] == reports[1]
 
 
 def test_trace_check_counts_progress_violations(tmp_path, block_csv,
@@ -315,7 +383,7 @@ def test_trace_check_counts_progress_violations(tmp_path, block_csv,
         capsys.readouterr()
         assert main(["trace-check", "--manifest",
                      f"{out}.manifest.json"]) == 0
-        counts.append(json.loads(capsys.readouterr().out)[
+        counts.append(strict_json(capsys.readouterr().out)[
             "progress_violations"])
     assert counts[0] == 0 and counts[1] >= 1
 
@@ -328,7 +396,7 @@ def _edit_input(matrix_csv, manifest):
 def _drop(key, flag=None):
     """Spoil a manifest: delete one of its keys, or one of its flags."""
     def spoil(matrix_csv, manifest):
-        record = json.loads(Path(manifest).read_text())
+        record = strict_json(Path(manifest).read_text())
         if flag is None:
             del record[key]
         else:
@@ -340,8 +408,19 @@ def _drop(key, flag=None):
 def _set(flag, value):
     """Spoil a manifest: record a value for one of its flags."""
     def spoil(matrix_csv, manifest):
-        record = json.loads(Path(manifest).read_text())
+        record = strict_json(Path(manifest).read_text())
         record["flags"][flag] = value
+        Path(manifest).write_text(json.dumps(record))
+    return spoil
+
+
+def _digests(*paths):
+    """Spoil a manifest: record the input's digest under each of `paths`
+    instead, so that none checks the matrix that trace-check rebuilds."""
+    def spoil(matrix_csv, manifest):
+        record = strict_json(Path(manifest).read_text())
+        digest = record["input_digests"][matrix_csv]
+        record["input_digests"] = {path: digest for path in paths}
         Path(manifest).write_text(json.dumps(record))
     return spoil
 
@@ -375,13 +454,17 @@ TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
     (TRACED_FW, _set("peel_shift", None),
      "records peel_shift as no value that cluster gives it"),
     (TRACED_FW, _set("input", 5), "records input as no value"),
-    (TRACED_FW, _set("shift", 3.0), "records a nonzero shift, but --shift "
-     "applies only to --features with --similarity cosine"),
+    (TRACED_FW, _set("input", None), "cluster rejects: dscfw cluster: error: "
+     "the following arguments are required: --input"),
+    (TRACED_FW, _digests(), "records input digests of [], not of its --input"),
+    (TRACED_FW, _digests("copy.csv"),
+     "records input digests of ['copy.csv'], not of its --input"),
 ], ids=["multistart-manifest", "no-trace", "rd", "input-changed",
         "no-steps", "no-flags", "no-digests", "no-trace-flag",
         "no-solver-flag", "no-peel-shift-flag", "bad-solver",
         "bad-epsilon-text", "epsilon-as-text", "float-max-iters",
-        "null-peel-shift", "input-as-number", "unread-shift"])
+        "null-peel-shift", "input-as-number", "null-input",
+        "no-input-digest", "other-input-digest"])
 def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
                                                 command, spoil, cause):
     matrix_csv, _ = block_csv
@@ -561,6 +644,19 @@ def test_multistart_max_clusters_below_one_returns_2(tmp_path, block_csv,
     assert not list(tmp_path.glob("ms.*"))
 
 
+def test_eval_negative_label_returns_2(tmp_path, capsys):
+    # Counted as assigned and masked as unassigned, -1 would give "ar" 1.0
+    # and an ARI of 3 of the 4 objects.
+    pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
+    pred.write_text("-1\n1\n1\n2\n")
+    truth.write_text("1\n1\n2\n2\n")
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "data error: predicted labels must be nonnegative"]
+
+
 def test_eval_length_mismatch_returns_2(tmp_path, capsys):
     pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
     pred.write_text("1\n1\n2\n")
@@ -583,17 +679,17 @@ def test_non_finite_matrix_returns_2(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["cluster", "--epsilon", "inf"],
     ["cluster", "--epsilon", "nan"],
-    ["cluster", "--cutoff", "nan"],
+    ["cluster", "--peel-shift", "inf"],
     ["cluster", "--peel-shift", "nan"],
     ["cluster", "--peel-shift", "-1"],
-    ["multistart", "--cutoff", "nan"],
+    ["multistart", "--epsilon", "nan"],
     ["multistart", "--epsilon", "inf"],
 ])
 def test_non_finite_threshold_returns_2(tmp_path, block_csv, capsys, flags):
     # An infinite epsilon would stop every solve before its first step, a
-    # NaN one would make every step fail as NotAscent, a NaN cutoff would
-    # keep no object, and ShiftedMatrix rejects a NaN or negative shift:
-    # all are data errors, caught before solving.
+    # NaN one would make every step fail as NotAscent, and ShiftedMatrix
+    # rejects a NaN or negative shift: all are data errors, caught before
+    # solving.
     matrix_csv, _ = block_csv
     code = main([*flags, "--input", matrix_csv, "--max-clusters", "2",
                  "--out", str(tmp_path / "run")])
@@ -617,7 +713,7 @@ def test_manifest_input_digest(tmp_path, block_csv, capsys):
     out = str(tmp_path / "run")
     assert main(["cluster", "--input", matrix_csv, "--max-clusters", "2",
                  "--out", out]) == 0
-    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "run.manifest.json").read_text())
     assert manifest["input_digests"] == {
         matrix_csv: hashlib.sha256(Path(matrix_csv).read_bytes()).hexdigest()}
 
@@ -629,7 +725,7 @@ def test_manifest_flags_are_deterministic(tmp_path, block_csv, capsys):
         out = str(tmp_path / "run")
         assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
                      "--max-clusters", "2", "--out", out]) == 0
-        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        manifest = strict_json((tmp_path / "run.manifest.json").read_text())
         flags.append(manifest["flags"])
     assert flags[0] == flags[1]
     assert "func" not in flags[0]
@@ -701,7 +797,7 @@ def test_max_iters_stop_is_reported(tmp_path, block_csv):
          "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    warnings = json.loads((tmp_path / "run.manifest.json").read_text())[
+    warnings = strict_json((tmp_path / "run.manifest.json").read_text())[
         "warnings"]
     assert warnings
     assert all(w["max_iters"] == 1 and w["last_full_gap"] > 0
@@ -724,7 +820,7 @@ def test_budget_warnings_in_manifest(tmp_path, block_csv, capsys, caplog,
         out = str(tmp_path / f"run{budget}")
         assert main([*command, "--input", matrix_csv, "--max-clusters", "2",
                      "--max-iters", budget, "--out", out]) == 0
-        manifests[budget] = json.loads(
+        manifests[budget] = strict_json(
             (tmp_path / f"run{budget}.manifest.json").read_text())
     assert manifests["1"]["warnings"]
     assert manifests["5000"]["warnings"] == []

@@ -156,7 +156,7 @@ def _reference_multistart(A, plan, solver, max_clusters, cutoff=2e-12):
     """The multistart loop with its own round bookkeeping, kept verbatim
     from before it ran on the peel driver (but for its argument check):
     an exact oracle."""
-    PeelConfig(max_clusters, solver, cutoff)  # rejects a bad cutoff
+    PeelConfig(max_clusters, solver)  # rejects a bad max_clusters
     n = A.n
     rng = np.random.default_rng(plan.seed)
     labels = np.zeros(n, dtype=int)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dscfw.errors import EmptyOverlap, LengthMismatch
+from dscfw.errors import EmptyOverlap, LengthMismatch, NegativeEntry
 from dscfw.metrics import ari, assignment_rate, v_measure
 
 
@@ -18,6 +18,11 @@ class TestAssignmentRate:
     def test_empty(self):
         with pytest.raises(LengthMismatch):
             assignment_rate([])
+
+    def test_negative_label_raises(self):
+        # Counted as assigned, -1 would give a rate of 1.0 here.
+        with pytest.raises(NegativeEntry):
+            assignment_rate([-1, 1, 1, 2])
 
 
 class TestAri:
@@ -49,10 +54,18 @@ class TestAri:
         with pytest.raises(LengthMismatch):
             ari([1, 2], [1, 2, 3])
 
+    @pytest.mark.parametrize("include_unassigned", [False, True])
+    def test_negative_label_raises(self, include_unassigned):
+        # Masked as unassigned, -1 would leave 3 of the 4 objects scored.
+        with pytest.raises(NegativeEntry):
+            ari([-1, 1, 1, 2], [1, 1, 2, 2],
+                include_unassigned=include_unassigned)
+
     def test_label_errors_are_value_errors(self):
         # The CLI reports ValueErrors as data errors (exit 2).
         assert issubclass(LengthMismatch, ValueError)
         assert issubclass(EmptyOverlap, ValueError)
+        assert issubclass(NegativeEntry, ValueError)
 
     def test_trivial_partitions_agree(self):
         # Both all-singletons and both one-block: defined as 1.
@@ -109,6 +122,12 @@ class TestVMeasure:
 
     def test_unassigned_masked_by_default(self):
         assert v_measure([0, 1, 1, 2], [9, 1, 1, 2]) == 1.0
+
+    @pytest.mark.parametrize("include_unassigned", [False, True])
+    def test_negative_label_raises(self, include_unassigned):
+        with pytest.raises(NegativeEntry):
+            v_measure([1, 1, 2, -2], [1, 1, 2, 2],
+                      include_unassigned=include_unassigned)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)

@@ -1,7 +1,6 @@
 """Multi-start sampling and clustering tests."""
 
 import importlib
-import math
 import threading
 
 import numpy as np
@@ -257,12 +256,12 @@ class TestMultistartCluster:
             multistart_cluster(masked, SamplePlan(ell=2, seed=0), cfg,
                                max_clusters=1)
 
-    def test_rejects_bad_cutoff(self, A3):
+    def test_takes_no_cutoff(self, A3):
+        # Multistart cuts supports at peel.CUTOFF, as peel does.
         cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX)
-        for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                multistart_cluster(A3, SamplePlan(ell=2, seed=0), cfg,
-                                   max_clusters=1, cutoff=bad)
+        with pytest.raises(TypeError, match="cutoff"):
+            multistart_cluster(A3, SamplePlan(ell=2, seed=0), cfg,
+                               max_clusters=1, cutoff=2e-12)
 
     def test_rejects_max_clusters_below_one(self, A3):
         cfg = SolverConfig(SolverKind.FW, InitKind.VERTEX)

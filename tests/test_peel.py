@@ -18,6 +18,7 @@ from dscfw.matrix import (
     offdiag_extremes,
 )
 from dscfw.peel import (
+    CUTOFF,
     ClusteringResult,
     PeelConfig,
     peel,
@@ -63,10 +64,10 @@ class TestPeelConfig:
         assert np.array_equal(result.labels,
                               peel(B, PeelConfig(max_clusters=3)).labels)
 
-    def test_rejects_bad_cutoff(self):
-        for bad in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                PeelConfig(max_clusters=1, cutoff=bad)
+    def test_takes_no_cutoff(self):
+        # The support cutoff is the constant CUTOFF, not a setting.
+        with pytest.raises(TypeError, match="cutoff"):
+            PeelConfig(1, cutoff=CUTOFF)
 
 
 class TestPeel:
@@ -228,7 +229,7 @@ def _dense_peel(A, shift, config):
             rec, s_index=int(left[rec.s_index]),
             v_index=None if rec.v_index is None else int(left[rec.v_index]))
             for rec in trace])
-        local = extract_support(x, config.cutoff)
+        local = extract_support(x, CUTOFF)
         if not local:
             break
         labels[left[local]] = label

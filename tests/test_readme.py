@@ -6,12 +6,13 @@ a fresh directory and exits 0."""
 
 import contextlib
 import io
-import json
 import re
 import shlex
 from pathlib import Path
 
 from dscfw.cli import main
+
+from conftest import strict_json
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -71,9 +72,9 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     for argv in commands[:2]:
         assert main(argv[1:]) == 0, argv
     # The summary line the README quotes, which the manifest records.
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    summary = strict_json(capsys.readouterr().out.splitlines()[-1])
     assert summary == {"k_found": 5, "assignment_rate": 0.845}
-    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    manifest = strict_json((tmp_path / "run.manifest.json").read_text())
     assert manifest["warnings"] == []
     assert manifest["result"] == summary
     # What the `tail | cut` line leaves for eval: one label per line.
@@ -84,16 +85,16 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     capsys.readouterr()
     assert main(commands[2][1:]) == 0
     # The quick start's figures: 84.5 % assigned, ARI 1.0 on those.
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert (report["ar"], report["ari"]) == (0.845, 1.0)
     # The similarity line reads the features the second synth line writes.
     for argv in commands[3:]:
         assert main(argv[1:]) == 0, argv
     # The multistart line's --seed fixes its samples, so the summary the
     # README quotes is the one it prints.
-    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    summary = strict_json(capsys.readouterr().out.splitlines()[-1])
     quoted = re.search(r'`(\{"passes": .*?\})`', README.read_text()).group(1)
-    assert summary == json.loads(quoted)
+    assert summary == strict_json(quoted)
     assert list(summary) == ["passes", "k_found", "assignment_rate"]
 
 
@@ -107,7 +108,7 @@ def test_trace_check_example_runs_as_printed(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main(argv[1:]) == 0, argv
     # The example's check could fail: its bound lies below the first gap.
-    report = json.loads(capsys.readouterr().out)
+    report = strict_json(capsys.readouterr().out)
     assert report["satisfied"] is True
     assert report["informative"] is True
     assert report["progress_violations"] == 0
