@@ -3,7 +3,10 @@ and trace-check subcommands.
 
 Each subcommand reads one kind of input: cluster and multistart a
 similarity matrix CSV (--input), similarity a feature CSV (--features),
-trace-check the manifest of a traced cluster run.
+eval two label CSVs, trace-check the manifest of a traced cluster run.
+A label CSV, the one label format, is the header `object_id,label` and
+then an `i,label` row per object i = 0..n-1: cluster, multistart and
+synth write it, and eval refuses any other file (MalformedLabels).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/solver
 error. eval and trace-check print one JSON line; the other subcommands
@@ -20,6 +23,7 @@ import io
 import json
 import logging
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -27,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data, diagnostics, metrics
-from .errors import DscfwError, UncheckableRun
+from .errors import DscfwError, MalformedLabels, UncheckableRun
 from .matrix import (
     ShiftedMatrix,
-    _require_rows,
     load_features_csv,
     load_matrix_csv,
     save_matrix_csv,
@@ -73,6 +76,42 @@ def _digest(path) -> str:
         while size := fh.readinto(buf):
             h.update(view[:size])
     return h.hexdigest()
+
+
+_LABELS_HEADER = "object_id,label"
+_LABEL_ROW = re.compile(r"(-?[0-9]+),(-?[0-9]+)")
+
+
+def _write_labels(path, labels) -> None:
+    """Write a label CSV: the header, then one `i,label` row per object."""
+    with open(path, "w") as fh:
+        fh.write(f"{_LABELS_HEADER}\n")
+        for i, v in enumerate(labels):
+            fh.write(f"{i},{int(v)}\n")
+
+
+def _read_labels(path) -> np.ndarray:
+    """The labels of a label CSV. MalformedLabels names the file and the
+    fault when it is not the header and then one or more rows of two
+    integers, with the ids 0..n-1 in order."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != _LABELS_HEADER:
+        raise MalformedLabels(
+            f"{path} does not start with the header {_LABELS_HEADER}")
+    if len(lines) == 1:
+        raise MalformedLabels(f"{path} has no row after its header")
+    labels = []
+    for i, line in enumerate(lines[1:]):
+        row = _LABEL_ROW.fullmatch(line)
+        if row is None:
+            raise MalformedLabels(
+                f"{path} line {i + 2}: {line!r} is not two integers")
+        if int(row[1]) != i:
+            raise MalformedLabels(
+                f"{path} line {i + 2}: object id {row[1]} where {i} belongs; "
+                "the ids must be 0..n-1 in order")
+        labels.append(int(row[2]))
+    return np.array(labels, dtype=int)
 
 
 def _write_manifest(args, inputs: list[str], phases: dict[str, float],
@@ -130,10 +169,7 @@ def _emit_run(args, result, phases: dict[str, float], unit: str,
               **summary) -> int:
     """Write a clustering's labels CSV and manifest and print its summary,
     which the manifest records as "result"."""
-    with open(f"{args.out}.labels.csv", "w") as fh:
-        fh.write("object_id,label\n")
-        for i, v in enumerate(result.labels):
-            fh.write(f"{i},{int(v)}\n")
+    _write_labels(f"{args.out}.labels.csv", result.labels)
     summary.update(k_found=len(result.clusters),
                    assignment_rate=result.assignment_rate)
     _write_manifest(args, [args.input], phases,
@@ -161,8 +197,15 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.kind == "gauss" and args.k is not None:
+        # gauss_dataset always draws its four clusters.
+        print("dscfw synth: error: --k applies only to --kind block",
+              file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     if args.kind == "block":
+        if args.k is None:
+            args.k = 5  # recorded in the manifest as the k the run used
         A, truth = data.block_noise_matrix(args.n, args.k, args.noise,
                                            seed=args.seed)
     else:
@@ -172,7 +215,7 @@ def cmd_synth(args) -> int:
         save_matrix_csv(f"{args.out}.matrix.csv", A)
     else:
         np.savetxt(f"{args.out}.features.csv", F, delimiter=",")
-    np.savetxt(f"{args.out}.truth.csv", truth, fmt="%d", delimiter=",")
+    _write_labels(f"{args.out}.truth.csv", truth)
     _write_manifest(args, [], {"generate": t1 - t0,
                                "write": time.perf_counter() - t1})
     return 0
@@ -194,10 +237,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_rows(args.pred, "predicted-label CSV")
-    _require_rows(args.truth, "true-label CSV")
-    pred = np.loadtxt(args.pred, delimiter=",", dtype=int, ndmin=1)
-    truth = np.loadtxt(args.truth, delimiter=",", dtype=int, ndmin=1)
+    pred = _read_labels(args.pred)
+    truth = _read_labels(args.truth)
     out = {
         "ar": metrics.assignment_rate(pred),
         "ari": metrics.ari(pred, truth,
@@ -291,8 +332,7 @@ def cmd_trace_check(args) -> int:
     A = ShiftedMatrix(load_matrix_csv(run.input), run.peel_shift)
     report = diagnostics.theorem_bound(trace, config.solver_kind, A,
                                        initial_point(A, config))
-    violations = diagnostics.check_progress(trace, A,
-                                            raise_on_violation=False)
+    violations = diagnostics.check_progress(trace, A)
     line = {**dataclasses.asdict(report),
             "progress_violations": len(violations)}
     # JSON has no infinity: a bound beyond any float (PFW's n! one) is null.
@@ -329,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--kind", choices=["block", "gauss"], required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--k", type=int,
+                   help="number of blocks, --kind block only (default 5)")
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="synth")
@@ -345,8 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_similarity)
 
     p = sub.add_parser("eval", help="score predicted labels")
-    p.add_argument("--pred", required=True)
-    p.add_argument("--truth", required=True)
+    p.add_argument("--pred", required=True,
+                   help="label CSV, as cluster and multistart write it")
+    p.add_argument("--truth", required=True,
+                   help="label CSV, as synth writes its truth")
     p.add_argument("--include-unassigned", action="store_true")
     p.set_defaults(func=cmd_eval)
 

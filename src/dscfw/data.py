@@ -40,8 +40,10 @@ BACKGROUND_BOX = (-5.0, 15.0)
 
 
 def cosine_similarity(features, shift: float = 0.0) -> SimilarityMatrix:
-    """Pairwise cosine similarity with off-diagonals shifted by `shift`
-    (shift=1 guarantees nonnegative entries)."""
+    """Pairwise cosine similarity with off-diagonals shifted by `shift`.
+    Cosines lie in [-1, 1], so shift=1 always gives nonnegative entries;
+    a negative entry raises NegativeEntry, naming the shift that would
+    remove it."""
     F = _features(features)
     norms = np.linalg.norm(F, axis=1)
     if np.any(norms == 0):
@@ -53,6 +55,13 @@ def cosine_similarity(features, shift: float = 0.0) -> SimilarityMatrix:
     for r in _row_chunks(G.shape[0]):
         rows = G[r]
         rows[np.abs(rows) <= 1e-12] = 0.0
+    lo = float(G.min())
+    if lo < 0:
+        raise NegativeEntry(
+            f"cosine similarities must be nonnegative, but the most negative "
+            f"is {lo!r} at shift {shift!r}; a shift of at least "
+            f"{shift - lo!r} makes every similarity nonnegative (a shift of "
+            "1 always does)")
     return _validated(G)
 
 

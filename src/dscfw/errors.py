@@ -90,10 +90,6 @@ class PoolTooSmall(DscfwError):
     pass
 
 
-class IdentityViolated(DscfwError):
-    pass
-
-
 class EmptyTrace(DscfwError):
     pass
 
@@ -101,6 +97,11 @@ class EmptyTrace(DscfwError):
 class MalformedTrace(DscfwError, ValueError):
     """A trace CSV whose header is not the trace columns, or with a row
     that does not have one field per column."""
+
+
+class MalformedLabels(DscfwError, ValueError):
+    """A label CSV that is not the header `object_id,label` followed by
+    at least one row of two integers, with the ids 0..n-1 in order."""
 
 
 class TooFewPoints(DscfwError):

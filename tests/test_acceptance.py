@@ -148,8 +148,7 @@ def test_criterion_2_progress_identities(checked_runs, capsys):
     decreases = 0
     steps = 0
     for r in checked_runs:
-        violations += len(check_progress(r["trace"], r["A"],
-                                         raise_on_violation=False))
+        violations += len(check_progress(r["trace"], r["A"]))
         for rec in r["trace"]:
             steps += 1
             if rec.f_after < rec.f_before - 1e-9 * max(1.0, rec.f_before):

@@ -42,20 +42,26 @@ from dscfw.solvers import (
 from conftest import strict_json
 
 
+def _write_label_csv(path, labels) -> None:
+    """A label CSV: the header, then one `object_id,label` row per object."""
+    Path(path).write_text("object_id,label\n" + "".join(
+        f"{i},{label}\n" for i, label in enumerate(labels)))
+
+
 @pytest.fixture
 def block_csv(tmp_path):
     A, truth = block_noise_matrix(40, 2, 0.1, seed=0)
     path = tmp_path / "block.csv"
     save_matrix_csv(path, A)
     truth_path = tmp_path / "truth.csv"
-    np.savetxt(truth_path, truth, fmt="%d", delimiter=",")
+    _write_label_csv(truth_path, truth)
     return str(path), str(truth_path)
 
 
-def _labels_csv(out) -> list[int]:
-    """The labels in `out.labels.csv`, whose rows must be `object_id,label`
+def _label_csv(path) -> list[int]:
+    """The labels in a label CSV, whose rows must be `object_id,label`
     for the objects 0..n-1 in order."""
-    lines = Path(f"{out}.labels.csv").read_text().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "object_id,label"
     rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
     assert [i for i, _ in rows] == list(range(len(rows)))
@@ -69,13 +75,25 @@ def test_synth_block(tmp_path, capsys):
     assert code == 0
     A = load_matrix_csv(f"{out}.matrix.csv")
     assert A.n == 30
-    truth = np.loadtxt(f"{out}.truth.csv", dtype=int)
-    assert truth.shape == (30,)
+    truth = _label_csv(f"{out}.truth.csv")
+    assert truth == block_noise_matrix(30, 3, 0.2, seed=1)[1].tolist()
     manifest = strict_json((tmp_path / "synth.manifest.json").read_text())
     assert manifest["subcommand"] == "synth"
+    assert manifest["flags"]["k"] == 3
     phases = manifest["wall_clock_s"]
     assert set(phases) == {"generate", "write"}
     assert all(t >= 0 for t in phases.values())
+
+
+def test_synth_block_without_k_draws_five_blocks(tmp_path):
+    # The manifest records the k the run used.
+    out = str(tmp_path / "synth")
+    assert main(["synth", "--kind", "block", "--n", "30", "--seed", "1",
+                 "--out", out]) == 0
+    truth = _label_csv(f"{out}.truth.csv")
+    assert truth == block_noise_matrix(30, 5, 0.0, seed=1)[1].tolist()
+    manifest = strict_json((tmp_path / "synth.manifest.json").read_text())
+    assert manifest["flags"]["k"] == 5
 
 
 def test_synth_gauss(tmp_path):
@@ -85,6 +103,18 @@ def test_synth_gauss(tmp_path):
     assert code == 0
     F = np.loadtxt(f"{out}.features.csv", delimiter=",")
     assert F.shape == (50, 2)
+    assert len(_label_csv(f"{out}.truth.csv")) == 50
+    # gauss draws its four clusters whatever k is, so it records none.
+    manifest = strict_json((tmp_path / "g.manifest.json").read_text())
+    assert manifest["flags"]["k"] is None
+
+
+def test_synth_gauss_with_k_is_a_usage_error(tmp_path, capsys):
+    assert main(["synth", "--kind", "gauss", "--n", "50", "--k", "9",
+                 "--seed", "0", "--out", str(tmp_path / "g")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "dscfw synth: error: --k applies only to --kind block"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_similarity_pipeline(tmp_path):
@@ -127,14 +157,12 @@ def test_cluster_and_eval(tmp_path, block_csv, capsys):
     assert code == 0
     summary = strict_json(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["k_found"] == 2
-    labels = _labels_csv(out)
+    labels = _label_csv(f"{out}.labels.csv")
     assert len(labels) == 40
     assert (tmp_path / "run.manifest.json").exists()
     assert (tmp_path / "trace.csv").exists()
 
-    pred_csv = tmp_path / "pred.csv"
-    np.savetxt(pred_csv, np.array(labels), fmt="%d", delimiter=",")
-    code = main(["eval", "--pred", str(pred_csv), "--truth", truth_csv])
+    code = main(["eval", "--pred", f"{out}.labels.csv", "--truth", truth_csv])
     assert code == 0
     scores = strict_json(capsys.readouterr().out.strip())
     assert scores["ari"] == pytest.approx(1.0)
@@ -161,7 +189,7 @@ def test_multistart_solver_is_the_kind_alone(tmp_path, block_csv, capsys):
              "--max-clusters", "2", "--out", str(tmp_path / "ms")]
     assert main(["multistart", "--solver", "afw-v", *flags]) == 1
     assert main(["multistart", "--solver", "afw", *flags]) == 0
-    labels = _labels_csv(tmp_path / "ms")
+    labels = _label_csv(tmp_path / "ms.labels.csv")
     plan = SamplePlan(ell=4, sampler=SamplerKind.DPP, overlap_threshold=0.10,
                       seed=0)
     expected, _ = multistart_cluster(load_matrix_csv(matrix_csv), plan,
@@ -194,7 +222,7 @@ def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
     keys = ["k_found", "assignment_rate"]
     assert list(summary) == (["passes", *keys] if command[0] == "multistart"
                              else keys)
-    labels = np.array(_labels_csv(out))
+    labels = np.array(_label_csv(f"{out}.labels.csv"))
     assert summary["k_found"] == labels.max()
     assert summary["assignment_rate"] == np.count_nonzero(labels) / labels.size
 
@@ -514,8 +542,7 @@ def test_cluster_post_assign_labels_every_object(tmp_path, block_csv,
     assert main(["cluster", "--input", matrix_csv, "--solver", "pfw-b",
                  "--max-clusters", "1", "--post-assign",
                  "--out", str(out)]) == 0
-    labels = np.loadtxt(f"{out}.labels.csv", delimiter=",", skiprows=1,
-                        dtype=int)[:, 1]
+    labels = np.array(_label_csv(f"{out}.labels.csv"))
     A = load_matrix_csv(matrix_csv)
     solver = SolverConfig(SolverKind.PFW, InitKind.BARYCENTER)
     plain = peel(A, PeelConfig(max_clusters=1, solver=solver))
@@ -605,19 +632,81 @@ def test_empty_csv_returns_2_without_a_warning(tmp_path, command, what,
     assert proc.stderr.splitlines() == [f"data error: {what} CSV has no rows"]
 
 
-@pytest.mark.parametrize("empty,what", [("pred", "predicted-label"),
-                                        ("truth", "true-label")])
-def test_eval_empty_label_file_returns_2(tmp_path, capsys, empty, what):
-    # An empty label file is a data error found before numpy reads it, so
-    # no loadtxt "input contained no data" warning escapes first.
+@pytest.mark.parametrize("empty", ["pred", "truth"])
+def test_eval_empty_label_file_returns_2(tmp_path, capsys, empty):
+    # An empty file has no header: one data-error line names it.
     paths = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
-    for name, path in paths.items():
-        path.write_text("" if name == empty else "1\n2\n")
+    for path in paths.values():
+        _write_label_csv(path, [1, 2])
+    paths[empty].write_text("")
     code = main(["eval", "--pred", str(paths["pred"]),
                  "--truth", str(paths["truth"])])
     assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"data error: {what} CSV has no rows"]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"data error: {paths[empty]} does not start with the header "
+        "object_id,label"]
+
+
+@pytest.mark.parametrize("content, fault", [
+    ("1\n2\n", "does not start with the header object_id,label"),
+    ("id,label\n0,1\n1,2\n",
+     "does not start with the header object_id,label"),
+    ("object_id,label\n", "has no row after its header"),
+    ("object_id,label\n0,1\n1\n", "line 3: '1' is not two integers"),
+    ("object_id,label\n0,1\n1,2,3\n",
+     "line 3: '1,2,3' is not two integers"),
+    ("object_id,label\n0,1\n1,x\n", "line 3: '1,x' is not two integers"),
+    ("object_id,label\n0,1\n1,2.0\n",
+     "line 3: '1,2.0' is not two integers"),
+    ("object_id,label\n0,1\n1,2\n\n", "line 4: '' is not two integers"),
+    ("object_id,label\n1,1\n0,2\n",
+     "line 2: object id 1 where 0 belongs; the ids must be 0..n-1 in order"),
+    ("object_id,label\n0,1\n2,2\n",
+     "line 3: object id 2 where 1 belongs; the ids must be 0..n-1 in order"),
+], ids=["bare-labels", "other-header", "header-only", "one-field",
+        "three-fields", "not-a-number", "float", "blank-row",
+        "ids-out-of-order", "id-skipped"])
+@pytest.mark.parametrize("bad", ["pred", "truth"])
+def test_eval_refuses_a_file_outside_the_label_format(tmp_path, capsys, bad,
+                                                      content, fault):
+    # Either file, pred or truth, is refused with one data-error line that
+    # names it and the fault, and nothing is scored.
+    paths = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
+    for path in paths.values():
+        _write_label_csv(path, [1, 2])
+    paths[bad].write_text(content)
+    assert main(["eval", "--pred", str(paths["pred"]),
+                 "--truth", str(paths["truth"])]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"data error: {paths[bad]} {fault}"]
+
+
+def test_eval_scores_synth_truth_against_cluster_labels(tmp_path, capsys):
+    # synth writes its truth as cluster writes its labels, and eval reads
+    # both as written: the truth scores perfectly against itself, and the
+    # clustering as the API scores it.
+    out = str(tmp_path / "data")
+    assert main(["synth", "--kind", "block", "--n", "40", "--k", "2",
+                 "--noise", "0.1", "--seed", "0", "--out", out]) == 0
+    _, truth = block_noise_matrix(40, 2, 0.1, seed=0)
+    _write_label_csv(tmp_path / "expected.csv", truth)
+    assert (Path(f"{out}.truth.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+    assert main(["cluster", "--input", f"{out}.matrix.csv", "--solver",
+                 "pfw-b", "--max-clusters", "2", "--peel-shift", "4.0",
+                 "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    for pred in (f"{out}.truth.csv", str(tmp_path / "run.labels.csv")):
+        assert main(["eval", "--pred", pred, "--truth",
+                     f"{out}.truth.csv"]) == 0
+        scores = strict_json(capsys.readouterr().out)
+        labels = np.array(_label_csv(pred))
+        assert scores == {"ar": dscfw.assignment_rate(labels),
+                          "ari": dscfw.ari(labels, truth),
+                          "v_measure": dscfw.v_measure(labels, truth)}
 
 
 def test_zero_norm_feature_row_returns_2(tmp_path, capsys):
@@ -631,6 +720,32 @@ def test_zero_norm_feature_row_returns_2(tmp_path, capsys):
     assert code == 2
     assert "data error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_default_cosine_names_the_shift_it_needs(tmp_path, capsys):
+    # The gauss points lie at every angle, so their cosines reach -1 and
+    # the default shift of 0 is refused with the shift that would do.
+    points = str(tmp_path / "points")
+    assert main(["synth", "--kind", "gauss", "--n", "200", "--noise", "0.1",
+                 "--seed", "0", "--out", points]) == 0
+    F = load_features_csv(f"{points}.features.csv")
+    unit = F / np.linalg.norm(F, axis=1)[:, None]
+    C = unit @ unit.T
+    cosines = ((C + C.T) / 2.0)[~np.eye(len(F), dtype=bool)]
+    lo = float(cosines.min())
+    assert lo < -0.999
+    out = tmp_path / "sim.csv"
+    capsys.readouterr()
+    flags = ["similarity", "--features", f"{points}.features.csv",
+             "--out", str(out)]
+    assert main(flags) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: cosine similarities must be nonnegative, but the most "
+        f"negative is {lo!r} at shift 0.0; a shift of at least {-lo!r} makes "
+        "every similarity nonnegative (a shift of 1 always does)"]
+    assert not out.exists()
+    assert main([*flags, "--shift", repr(-lo)]) == 0
+    assert load_matrix_csv(out).entries.min() == 0.0
 
 
 def test_multistart_max_clusters_below_one_returns_2(tmp_path, block_csv,
@@ -648,8 +763,8 @@ def test_eval_negative_label_returns_2(tmp_path, capsys):
     # Counted as assigned and masked as unassigned, -1 would give "ar" 1.0
     # and an ARI of 3 of the 4 objects.
     pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
-    pred.write_text("-1\n1\n1\n2\n")
-    truth.write_text("1\n1\n2\n2\n")
+    _write_label_csv(pred, [-1, 1, 1, 2])
+    _write_label_csv(truth, [1, 1, 2, 2])
     assert main(["eval", "--pred", str(pred), "--truth", str(truth)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -659,8 +774,8 @@ def test_eval_negative_label_returns_2(tmp_path, capsys):
 
 def test_eval_length_mismatch_returns_2(tmp_path, capsys):
     pred, truth = tmp_path / "pred.csv", tmp_path / "truth.csv"
-    pred.write_text("1\n1\n2\n")
-    truth.write_text("1\n2\n")
+    _write_label_csv(pred, [1, 1, 2])
+    _write_label_csv(truth, [1, 2])
     code = main(["eval", "--pred", str(pred), "--truth", str(truth)])
     assert code == 2
     assert "data error" in capsys.readouterr().err

@@ -49,6 +49,23 @@ class TestCosineSimilarity:
         with pytest.raises(ZeroNormRow):
             cosine_similarity([[0.0, 0.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("shift", [0.0, 0.25])
+    def test_negative_similarity_names_the_shift_that_removes_it(self,
+                                                                 shift):
+        # The angles of the rows reach past 90 degrees: the most negative
+        # cosine is that of rows 0 and 1.
+        F = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, 1.0]])
+        unit = F / np.linalg.norm(F, axis=1)[:, None]
+        lo = float(unit[0] @ unit[1]) + shift
+        with pytest.raises(NegativeEntry) as caught:
+            cosine_similarity(F, shift=shift)
+        assert str(caught.value) == (
+            f"cosine similarities must be nonnegative, but the most negative "
+            f"is {lo!r} at shift {shift!r}; a shift of at least "
+            f"{shift - lo!r} makes every similarity nonnegative (a shift of "
+            "1 always does)")
+        assert cosine_similarity(F, shift=shift - lo).entries.min() == 0.0
+
     def test_scale_invariance_of_rows(self):
         rng = np.random.default_rng(2)
         F = rng.normal(size=(5, 3))

@@ -18,7 +18,6 @@ from dscfw.diagnostics import (
 )
 from dscfw.errors import (
     EmptyTrace,
-    IdentityViolated,
     TooFewPoints,
     UncheckableRun,
 )
@@ -87,14 +86,15 @@ class TestCheckProgress:
         assert trace
         assert check_progress(trace, A) == []
 
-    def test_tampered_trace_raises(self, A3):
+    def test_tampered_trace_names_the_bad_step(self, A3):
         cfg = SolverConfig(SolverKind.FW, max_iters=5)
         _, trace, _ = run(A3, cfg, x0=simplex_point([0.2, 0.3, 0.5]))
-        trace[0].f_after += 0.01
-        with pytest.raises(IdentityViolated):
-            check_progress(trace, A3)
-        violations = check_progress(trace, A3, raise_on_violation=False)
-        assert violations and violations[0].t == trace[0].t
+        tampered = trace[0]
+        tampered.f_after += 0.01
+        violations = check_progress(trace, A3)
+        assert [v.t for v in violations] == [tampered.t]
+        assert violations[0].kind is tampered.kind
+        assert violations[0].actual == tampered.f_after - tampered.f_before
 
     def test_a_trace_read_back_from_csv_checks_as_the_live_one(
             self, tmp_path):
@@ -109,10 +109,8 @@ class TestCheckProgress:
         found = []
         for records in (trace, tampered):
             save_trace_csv(path, records)
-            found.append(check_progress(load_trace_csv(path), A,
-                                        raise_on_violation=False))
-            assert found[-1] == check_progress(records, A,
-                                               raise_on_violation=False)
+            found.append(check_progress(load_trace_csv(path), A))
+            assert found[-1] == check_progress(records, A)
         assert found[0] == [] and found[1]
 
     def test_a_step_that_lacks_a_value_is_refused(self):
@@ -122,7 +120,7 @@ class TestCheckProgress:
         rec = _rec(0, StepKind.FW_GOOD, 1.0, f_before=0.0, f_after=0.5)
         rec.s_index = 0
         with pytest.raises(UncheckableRun, match="lacks a value"):
-            check_progress([rec], A, raise_on_violation=False)
+            check_progress([rec], A)
 
 
 class TestGapBookkeeping:

@@ -1,8 +1,8 @@
 """The README's code runs as printed: the quick start, then the
 multi-start example in the same namespace. Each `print(...)  # value`
 line prints that value ("0.760..." means a value starting with 0.760).
-Every dscfw line of the CLI block and of the trace-check example runs in
-a fresh directory and exits 0."""
+Every line of the CLI block and of the trace-check example is a dscfw
+command, and each runs in a fresh directory and exits 0."""
 
 import contextlib
 import io
@@ -11,6 +11,8 @@ import shlex
 from pathlib import Path
 
 from dscfw.cli import main
+from dscfw.multistart import multistart_cluster
+from dscfw.peel import shift_offdiag
 
 from conftest import strict_json
 
@@ -48,14 +50,24 @@ def test_multistart_example_prints_its_figures():
              namespace)
     _check_prints(_snippet("## Multi-start"), namespace,
                   ["2", "5", "0.845", "1.0"])
+    # The example's labels and stop reasons equal those of the same call
+    # on the dense shifted matrix, as the README says of it.
+    dense, passes = multistart_cluster(
+        shift_offdiag(namespace["A"], 4.0), namespace["plan"],
+        namespace["cfg"], max_clusters=5)
+    result = namespace["result"]
+    assert passes == namespace["passes"]
+    assert dense.labels.tolist() == result.labels.tolist()
+    assert dense.stop_reasons == result.stop_reasons
 
 
 def _commands(heading: str) -> list[list[str]]:
-    """The dscfw command lines of a README sh block, continuations joined;
-    other shell lines are left out."""
+    """The command lines of a README sh block, continuations joined, each
+    of which must be a dscfw command."""
     script = _snippet(heading, "sh").replace("\\\n", " ")
-    return [shlex.split(line) for line in script.splitlines()
-            if line.startswith("dscfw ")]
+    commands = [shlex.split(line) for line in script.splitlines()]
+    assert all(argv[:1] == ["dscfw"] for argv in commands), commands
+    return commands
 
 
 def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
@@ -77,15 +89,16 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     manifest = strict_json((tmp_path / "run.manifest.json").read_text())
     assert manifest["warnings"] == []
     assert manifest["result"] == summary
-    # What the `tail | cut` line leaves for eval: one label per line.
-    labels = (tmp_path / "run.labels.csv").read_text().splitlines()
-    assert labels[0] == "object_id,label" and len(labels) == 201
-    (tmp_path / "pred.csv").write_text(
-        "".join(line.split(",")[1] + "\n" for line in labels[1:]))
+    # eval reads the labels and the truth as cluster and synth wrote them,
+    # and prints the quick start's figures: 84.5 % assigned, ARI 1.0 on
+    # those.
+    assert commands[2][2:] == ["--pred", "run.labels.csv",
+                               "--truth", "data.truth.csv"]
     capsys.readouterr()
     assert main(commands[2][1:]) == 0
-    # The quick start's figures: 84.5 % assigned, ARI 1.0 on those.
     report = strict_json(capsys.readouterr().out)
+    quoted = re.search(r'`(\{"ar": .*?\})`', README.read_text()).group(1)
+    assert report == strict_json(quoted)
     assert (report["ar"], report["ari"]) == (0.845, 1.0)
     # The similarity line reads the features the second synth line writes.
     for argv in commands[3:]:
