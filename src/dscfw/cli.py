@@ -1,12 +1,12 @@
-"""Command-line interface: cluster, synth, similarity, eval, multistart,
-and trace-check subcommands.
+"""Command-line interface: cluster (peel-off, or multi-start with
+--sampler), synth, similarity, eval and trace-check subcommands.
 
-Each subcommand reads one kind of input: cluster and multistart a
-similarity matrix CSV (--input), similarity a feature CSV (--features),
-eval two label CSVs, trace-check the manifest of a traced cluster run.
-A label CSV, the one label format, is the header `object_id,label` and
-then an `i,label` row per object i = 0..n-1: cluster, multistart and
-synth write it, and eval refuses any other file (MalformedLabels).
+Each subcommand reads one kind of input: cluster a similarity matrix CSV
+(--input), similarity a feature CSV (--features), eval two label CSVs,
+trace-check the manifest of a traced cluster run. A label CSV, the one
+label format, is the header `object_id,label` and then an `i,label` row
+per object i = 0..n-1: cluster and synth write it, and eval refuses any
+other file (MalformedLabels).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric/solver
 error. eval and trace-check print one JSON line; the other subcommands
@@ -61,6 +61,7 @@ SOLVER_FLAGS = {
     "afw-v": (SolverKind.AFW, InitKind.VERTEX),
     "rd": (SolverKind.RD, InitKind.BARYCENTER),
 }
+SOLVER_KINDS = [kind.value for kind in SolverKind]
 
 
 _DIGEST_CHUNK = 1 << 20
@@ -139,19 +140,18 @@ def _build_similarity(args):
 
 
 def _solver_config(args) -> SolverConfig:
-    kind, init = SOLVER_FLAGS[args.solver]
-    return SolverConfig(
-        solver_kind=kind, init_kind=init,
-        epsilon=args.epsilon, max_iters=args.max_iters,
-    )
+    # A bare kind (--sampler) keeps the default start: the seeds set them.
+    kind, init = (SOLVER_FLAGS.get(args.solver)
+                  or (SolverKind(args.solver), InitKind.VERTEX))
+    return SolverConfig(kind, init, epsilon=args.epsilon,
+                        max_iters=args.max_iters)
 
 
-def _budget_warnings(result, unit: str, max_iters: int,
-                     out_prefix: str) -> list[dict]:
-    """One manifest entry per solve that stopped at max_iters, numbered
-    from 1 in solve order, and one logged line when there are any."""
+def _budget_warnings(result, args) -> list[dict]:
+    """One manifest entry per solve that stopped at max_iters, by solve
+    number (peel's solve k is its round k), and one logged line if any."""
     warnings = [
-        {unit: k, "max_iters": max_iters,
+        {"solve": k, "max_iters": args.max_iters,
          "last_full_gap": None if math.isnan(gap) else gap}
         for k, (reason, gap) in enumerate(
             zip(result.stop_reasons, result.last_gaps), start=1)
@@ -160,40 +160,62 @@ def _budget_warnings(result, unit: str, max_iters: int,
     if warnings:
         log.warning("%d of %d solves stopped at max_iters=%d before "
                     "converging; see \"warnings\" in %s.manifest.json",
-                    len(warnings), len(result.stop_reasons), max_iters,
-                    out_prefix)
+                    len(warnings), len(result.stop_reasons), args.max_iters,
+                    args.out)
     return warnings
 
 
-def _emit_run(args, result, phases: dict[str, float], unit: str,
-              **summary) -> int:
-    """Write a clustering's labels CSV and manifest and print its summary,
-    which the manifest records as "result"."""
-    _write_labels(f"{args.out}.labels.csv", result.labels)
-    summary.update(k_found=len(result.clusters),
-                   assignment_rate=result.assignment_rate)
-    _write_manifest(args, [args.input], phases,
-                    warnings=_budget_warnings(result, unit, args.max_iters,
-                                              args.out),
-                    result=summary)
-    print(json.dumps(summary))
-    return 0
+def _mode_error(args) -> str | None:
+    """The usage error in a `cluster` run's flags, or None. The sampling
+    flags need --sampler; with it the seeds set the starts, so --solver
+    names the kind alone, and a trace could not say which solve it is."""
+    sampled = args.sampler is not None
+    flags = ("trace",) if sampled else ("samples", "overlap_threshold", "seed")
+    unread = [k for k in flags if getattr(args, k) is not None]
+    if unread:
+        return (f"dscfw cluster: error: --{unread[0].replace('_', '-')} "
+                f"applies only {'without' if sampled else 'with'} --sampler")
+    solvers = SOLVER_KINDS if sampled else sorted(SOLVER_FLAGS)
+    if args.solver not in solvers:
+        return (f"dscfw cluster: error: {'with' if sampled else 'without'} "
+                f"--sampler, --solver takes {', '.join(solvers)}")
+    return None
 
 
 def cmd_cluster(args) -> int:
+    if error := _mode_error(args):
+        print(error, file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     A = load_matrix_csv(args.input)
     t_load = time.perf_counter() - t0
-    config = PeelConfig(args.max_clusters, _solver_config(args))
+    summary = {}
     t0 = time.perf_counter()
     B = ShiftedMatrix(A, args.peel_shift)
-    result = peel(B, config)
+    if args.sampler is None:
+        result = peel(B, PeelConfig(args.max_clusters, _solver_config(args)))
+    else:
+        # SamplePlan's defaults, recorded in the manifest as the values used.
+        if args.samples is None:
+            args.samples = SamplePlan.ell
+        if args.overlap_threshold is None:
+            args.overlap_threshold = SamplePlan.overlap_threshold
+        plan = SamplePlan(args.samples, SamplerKind(args.sampler),
+                          args.overlap_threshold, args.seed)
+        result, summary["passes"] = multistart_cluster(
+            B, plan, _solver_config(args), args.max_clusters)
     if args.post_assign:
         result = post_assign(result, B)
     t_solve = time.perf_counter() - t0
     if args.trace:
         save_trace_csv(args.trace, result.traces[0] if result.traces else [])
-    return _emit_run(args, result, {"load": t_load, "solve": t_solve}, "round")
+    _write_labels(f"{args.out}.labels.csv", result.labels)
+    summary.update(k_found=len(result.clusters),
+                   assignment_rate=result.assignment_rate)
+    _write_manifest(args, [args.input], {"load": t_load, "solve": t_solve},
+                    warnings=_budget_warnings(result, args), result=summary)
+    print(json.dumps(summary))
+    return 0
 
 
 def cmd_synth(args) -> int:
@@ -250,25 +272,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_multistart(args) -> int:
-    t0 = time.perf_counter()
-    A = load_matrix_csv(args.input)
-    t_load = time.perf_counter() - t0
-    plan = SamplePlan(
-        ell=args.samples,
-        sampler=SamplerKind(args.sampler),
-        overlap_threshold=args.overlap_threshold,
-        seed=args.seed,
-    )
-    t0 = time.perf_counter()
-    config = SolverConfig(SolverKind(args.solver), epsilon=args.epsilon,
-                          max_iters=args.max_iters)
-    result, passes = multistart_cluster(A, plan, config, args.max_clusters)
-    t_solve = time.perf_counter() - t0
-    return _emit_run(args, result, {"load": t_load, "solve": t_solve}, "solve",
-                     passes=passes)
-
-
 # The `cluster` flags that trace-check reads back from a manifest.
 _CHECKED_FLAGS = ("input", "solver", "epsilon", "max_iters", "peel_shift",
                   "trace")
@@ -277,19 +280,22 @@ _CHECKED_FLAGS = ("input", "solver", "epsilon", "max_iters", "peel_shift",
 def _check_flags(manifest: str, flags: dict) -> None:
     """Raise UncheckableRun unless each recorded flag is a value the
     `cluster` parser gives it: parsed again from its text with that
-    parser's own types and choices, it must come back unchanged."""
+    parser's own types and choices, it must come back unchanged. A recorded
+    --sampler (0.9.0 on) is parsed too, so cluster's mode rules apply."""
     argv = ["cluster", "--max-clusters", "1"]
-    argv += [f"--{k.replace('_', '-')}={flags[k]}" for k in _CHECKED_FLAGS
-             if flags[k] is not None]
+    argv += [f"--{k.replace('_', '-')}={flags[k]}"
+             for k in (*_CHECKED_FLAGS, "sampler") if flags.get(k) is not None]
     errors = io.StringIO()
     try:
         with contextlib.redirect_stderr(errors):
-            parsed = vars(build_parser().parse_args(argv))
+            parsed = build_parser().parse_args(argv)
+        error = _mode_error(parsed)
     except SystemExit:
+        error = errors.getvalue().strip().splitlines()[-1]
+    if error:
         raise UncheckableRun(
-            f"{manifest} records a flag that cluster rejects: "
-            f"{errors.getvalue().strip().splitlines()[-1]}") from None
-    bad = [k for k in _CHECKED_FLAGS if parsed[k] != flags[k]]
+            f"{manifest} records a flag that cluster rejects: {error}")
+    bad = [k for k in _CHECKED_FLAGS if vars(parsed)[k] != flags[k]]
     if bad:
         raise UncheckableRun(
             f"{manifest} records {', '.join(bad)} as no value that cluster "
@@ -352,10 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dscfw")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cluster", help="peel-off dominant set clustering")
+    p = sub.add_parser("cluster", help="dominant set clustering")
     p.add_argument("--input", required=True, help="similarity matrix CSV")
-    p.add_argument("--solver", default="fw", choices=sorted(SOLVER_FLAGS),
-                   help="-b/-v: barycenter/vertex start")
+    p.add_argument("--solver", default="fw",
+                   choices=sorted({*SOLVER_FLAGS, *SOLVER_KINDS}),
+                   help="-b/-v: barycenter/vertex start (none with --sampler)")
     _add_solver_flags(p)
     p.add_argument("--max-clusters", type=int, required=True)
     p.add_argument("--peel-shift", type=float, default=0.0,
@@ -363,6 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--post-assign", action="store_true")
     p.add_argument("--trace",
                    help="write the trace of the first peel round's solve here")
+    p.add_argument("--sampler", choices=[kind.value for kind in SamplerKind],
+                   help="multi-start: solve from sampled seeds each round")
+    p.add_argument("--samples", type=int, help="seeds a round (default 4)")
+    p.add_argument("--overlap-threshold", type=float, help="default 0.1")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="run")
     p.set_defaults(func=cmd_cluster)
 
@@ -387,24 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score predicted labels")
     p.add_argument("--pred", required=True,
-                   help="label CSV, as cluster and multistart write it")
+                   help="label CSV, as cluster writes it")
     p.add_argument("--truth", required=True,
                    help="label CSV, as synth writes its truth")
     p.add_argument("--include-unassigned", action="store_true")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("multistart", help="multi-start clustering")
-    p.add_argument("--input", required=True, help="similarity matrix CSV")
-    p.add_argument("--solver", default="fw", help="each seed gives the starts",
-                   choices=[kind.value for kind in SolverKind])
-    _add_solver_flags(p)
-    p.add_argument("--samples", type=int, default=4)
-    p.add_argument("--sampler", choices=["uni", "dpp"], default="uni")
-    p.add_argument("--overlap-threshold", type=float, default=0.10)
-    p.add_argument("--max-clusters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default="run")
-    p.set_defaults(func=cmd_multistart)
 
     p = sub.add_parser("trace-check", help="evaluate gap bounds on a trace")
     p.add_argument("--manifest", required=True,

@@ -110,6 +110,19 @@ def fw_gap(state) -> tuple[float, int]:
     return 2.0 * (state.cr * rt.item(i) + state.s - state.f), i
 
 
+def step_key(rec):
+    """What a traced step chose: its kind and its two vertices."""
+    return rec.kind, rec.s_index, rec.v_index
+
+
+def assert_tie(rec, want):
+    """Two solves took different vertices at this step: assert that the
+    vertices they took tie within rounding."""
+    assert rec.r_s == pytest.approx(want.r_s, rel=1e-12)
+    if not (math.isnan(rec.r_v) or math.isnan(want.r_v)):
+        assert rec.r_v == pytest.approx(want.r_v, rel=1e-12)
+
+
 def traced_peak(fn, *args, **kwargs):
     """Run fn(*args, **kwargs) under tracemalloc, which counts numpy
     buffers too. Returns (peak traced bytes above those traced at entry,

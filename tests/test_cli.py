@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import dscfw
+from dscfw import cli
 from dscfw.cli import SOLVER_FLAGS, main
 from dscfw.data import (
     block_noise_matrix,
@@ -169,45 +170,128 @@ def test_cluster_and_eval(tmp_path, block_csv, capsys):
     assert scores["ar"] == pytest.approx(1.0)
 
 
-def test_multistart_subcommand(tmp_path, block_csv, capsys):
-    matrix_csv, _ = block_csv
-    out = str(tmp_path / "ms")
-    code = main(["multistart", "--input", matrix_csv, "--solver", "afw",
-                 "--samples", "2", "--sampler", "uni", "--seed", "0",
-                 "--max-clusters", "2", "--out", out])
-    assert code == 0
-    result = strict_json((tmp_path / "ms.manifest.json").read_text())["result"]
-    assert result["passes"] >= 1
-    assert result["k_found"] >= 1
+@pytest.mark.parametrize("post", [False, True], ids=["labels", "post-assign"])
+def test_sampled_cluster_runs_multistart_on_the_shifted_matrix(
+        tmp_path, capsys, post):
+    # The README's multi-start example on its data.matrix.csv: --sampler
+    # runs multistart_cluster on the matrix peel would get,
+    # ShiftedMatrix(A, --peel-shift), and prints the example's figures.
+    # --post-assign labels the rest as post_assign does on that matrix.
+    A, _ = block_noise_matrix(200, 5, 0.3, seed=0)
+    matrix_csv = str(tmp_path / "data.matrix.csv")
+    save_matrix_csv(matrix_csv, A)
+    out = tmp_path / "run"
+    assert main(["cluster", "--input", matrix_csv, "--sampler", "dpp",
+                 "--samples", "4", "--seed", "0", "--solver", "pfw",
+                 "--peel-shift", "4", "--max-iters", "400",
+                 "--max-clusters", "5", *(["--post-assign"] if post else []),
+                 "--out", str(out)]) == 0
+    summary = strict_json(capsys.readouterr().out.splitlines()[-1])
+    assert summary == {"passes": 2, "k_found": 5,
+                       "assignment_rate": 1.0 if post else 0.845}
+    B = ShiftedMatrix(load_matrix_csv(matrix_csv), 4.0)
+    plan = SamplePlan(ell=4, sampler=SamplerKind.DPP, seed=0)
+    expected, _ = multistart_cluster(
+        B, plan, SolverConfig(SolverKind.PFW, max_iters=400), 5)
+    if post:
+        expected = post_assign(expected, B)
+    labels = _label_csv(f"{out}.labels.csv")
+    assert labels == expected.labels.tolist()
+    assert min(labels) == (1 if post else 0)
 
 
 def test_multistart_solver_is_the_kind_alone(tmp_path, block_csv, capsys):
-    # A seed's starts depend on the solver kind only, so multistart takes
-    # no -b/-v start suffix.
+    # A seed's starts depend on the solver kind only, so --sampler takes no
+    # -b/-v start suffix. Unset, --samples and --overlap-threshold are
+    # SamplePlan's, and the manifest records the values the run used.
     matrix_csv, _ = block_csv
     flags = ["--input", matrix_csv, "--sampler", "dpp", "--seed", "0",
              "--max-clusters", "2", "--out", str(tmp_path / "ms")]
-    assert main(["multistart", "--solver", "afw-v", *flags]) == 1
-    assert main(["multistart", "--solver", "afw", *flags]) == 0
+    assert main(["cluster", "--solver", "afw-v", *flags]) == 1
+    assert main(["cluster", "--solver", "afw", *flags]) == 0
     labels = _label_csv(tmp_path / "ms.labels.csv")
     plan = SamplePlan(ell=4, sampler=SamplerKind.DPP, overlap_threshold=0.10,
                       seed=0)
     expected, _ = multistart_cluster(load_matrix_csv(matrix_csv), plan,
                                      SolverConfig(SolverKind.AFW), 2)
     assert labels == expected.labels.tolist()
+    manifest = strict_json((tmp_path / "ms.manifest.json").read_text())
+    assert [manifest["flags"][k] for k in ("sampler", "samples",
+                                           "overlap_threshold", "seed")] == [
+        "dpp", 4, 0.10, 0]
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--seed", "0"], "--seed applies only with --sampler"),
+    (["--samples", "2"], "--samples applies only with --sampler"),
+    (["--overlap-threshold", "0.5"],
+     "--overlap-threshold applies only with --sampler"),
+    (["--solver", "pfw"],
+     "without --sampler, --solver takes afw-b, afw-v, fw, pfw-b, pfw-v, rd"),
+    (["--sampler", "dpp", "--solver", "afw-v"],
+     "with --sampler, --solver takes fw, pfw, afw, rd"),
+    (["--sampler", "uni", "--trace", "TRACE"],
+     "--trace applies only without --sampler"),
+], ids=["seed", "samples", "overlap-threshold", "bare-kind", "start-suffix",
+        "trace"])
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(tmp_path, block_csv,
+                                                        capsys, flags, error):
+    # Peel-off rounds draw no samples and start where -b/-v says. Sampled
+    # starts (--sampler) set their own, and a trace could not say which
+    # of a round's solves it is.
+    flags = [str(tmp_path / "run.trace.csv") if a == "TRACE" else a
+             for a in flags]
+    assert main(["cluster", "--input", block_csv[0], "--max-clusters", "1",
+                 *flags, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"dscfw cluster: error: {error}"]
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_the_multistart_subcommand_is_gone(tmp_path, block_csv, capsys):
+    # Multi-start is `cluster --sampler`.
+    assert main(["multistart", "--input", block_csv[0], "--sampler", "uni",
+                 "--seed", "0", "--max-clusters", "1",
+                 "--out", str(tmp_path / "run")]) == 1
+    errors = _error_lines(capsys.readouterr().err)
+    assert len(errors) == 1
+    assert "invalid choice: 'multistart'" in errors[0]
+    assert not list(tmp_path.glob("run*"))
+
+
+def test_cluster_calls_the_names_the_benchmark_wraps(tmp_path, block_csv,
+                                                     monkeypatch, capsys):
+    # perfbench/tracing.py times a traced `cluster` run's layers by
+    # replacing these names in dscfw.cli, so cmd_cluster must look each
+    # one up there when it runs.
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_matrix_csv", "peel", "save_trace_csv"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    assert main(["cluster", "--input", block_csv[0], "--solver", "pfw-b",
+                 "--max-clusters", "2", "--trace", str(tmp_path / "trace.csv"),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert calls == ["load_matrix_csv", "peel", "save_trace_csv"]
 
 
 @pytest.mark.parametrize("command, written", [
     (["cluster", "--solver", "pfw-b", "--peel-shift", "4"], []),
     (["cluster", "--solver", "pfw-b", "--peel-shift", "4",
       "--trace", "TRACE"], ["run.trace.csv"]),
-    (["multistart", "--solver", "afw", "--samples", "2", "--seed", "0"], []),
+    (["cluster", "--solver", "afw", "--sampler", "uni", "--samples", "2",
+      "--seed", "0"], []),
 ], ids=["cluster", "cluster-trace", "multistart"])
 def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
                                               command, written):
     # The labels go to the CSV alone, and the summary printed last is the
-    # manifest's "result": k_found and assignment_rate, after passes for
-    # multistart.
+    # manifest's "result": k_found and assignment_rate, after passes with
+    # --sampler.
     matrix_csv, _ = block_csv
     out = tmp_path / "run"
     command = [f"{out}.trace.csv" if a == "TRACE" else a for a in command]
@@ -220,7 +304,7 @@ def test_a_clustering_writes_each_result_once(tmp_path, block_csv, capsys,
     assert manifest["result"] == summary
     assert set(manifest["wall_clock_s"]) == {"load", "solve"}
     keys = ["k_found", "assignment_rate"]
-    assert list(summary) == (["passes", *keys] if command[0] == "multistart"
+    assert list(summary) == (["passes", *keys] if "--sampler" in command
                              else keys)
     labels = np.array(_label_csv(f"{out}.labels.csv"))
     assert summary["k_found"] == labels.max()
@@ -234,7 +318,8 @@ def _error_lines(err: str) -> list[str]:
 @pytest.mark.parametrize("command, own, other", [
     (["cluster", "--max-clusters", "1"], "--input", "--features"),
     (["similarity"], "--features", "--input"),
-    (["multistart", "--max-clusters", "1"], "--input", "--features"),
+    (["cluster", "--sampler", "uni", "--max-clusters", "1"], "--input",
+     "--features"),
 ], ids=["cluster", "similarity", "multistart"])
 @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
 def test_exactly_one_input_flag(tmp_path, block_csv, capsys, command, own,
@@ -255,14 +340,14 @@ def test_exactly_one_input_flag(tmp_path, block_csv, capsys, command, own,
      "dscfw: error: unrecognized arguments: --shift 3"),
     (["similarity", "--features", "BLOCK", "--similarity", "euclidean-max"],
      "dscfw similarity: error: --shift applies only to --similarity cosine"),
-    (["multistart", "--max-clusters", "1", "--input", "BLOCK"],
-     "dscfw: error: unrecognized arguments: --shift 3"),
+    (["cluster", "--sampler", "uni", "--max-clusters", "1", "--input",
+      "BLOCK"], "dscfw: error: unrecognized arguments: --shift 3"),
 ], ids=["cluster", "similarity", "multistart"])
 def test_a_shift_no_similarity_reads_is_a_usage_error(tmp_path, block_csv,
                                                       capsys, command, error):
     # Only the cosine similarity reads --shift: a nonzero one with another
-    # would leave the matrix as it is, and the commands that read a matrix
-    # take no --shift.
+    # would leave the matrix as it is, and cluster, which reads a matrix,
+    # takes no --shift in either mode.
     command = [block_csv[0] if a == "BLOCK" else a for a in command]
     out = tmp_path / "run"
     assert main([*command, "--shift", "3", "--out", str(out)]) == 1
@@ -270,8 +355,10 @@ def test_a_shift_no_similarity_reads_is_a_usage_error(tmp_path, block_csv,
     assert not list(tmp_path.glob("run*"))
 
 
+# cluster's two modes: peel-off, and multi-start with --sampler.
+MODES = {"cluster": ["cluster"], "multistart": ["cluster", "--sampler", "uni"]}
 REMOVED_FLAGS = [
-    *[(command, flag) for command in ("cluster", "multistart")
+    *[(mode, flag) for mode in MODES
       for flag in (["--features", "BLOCK"], ["--similarity", "minimax"],
                    ["--cutoff", "2e-12"])],
     ("similarity", ["--input", "BLOCK"]),
@@ -282,14 +369,14 @@ REMOVED_FLAGS = [
                          ids=[f"{c}{flag[0]}" for c, flag in REMOVED_FLAGS])
 def test_a_removed_setting_is_a_usage_error(tmp_path, block_csv, capsys,
                                             command, flag):
-    # cluster and multistart read a matrix only, with the support cutoff
-    # fixed, and similarity reads features only. (The --shift of the two
-    # clustering commands is refused in the test above.)
+    # cluster reads a matrix only in either mode, with the support cutoff
+    # fixed, and similarity reads features only. (cluster's --shift is
+    # refused in the test above.)
     source = ["--features"] if command == "similarity" else [
         "--max-clusters", "1", "--input"]
     flag = [block_csv[0] if a == "BLOCK" else a for a in flag]
     out = tmp_path / "run"
-    assert main([command, *source, block_csv[0], *flag,
+    assert main([*MODES.get(command, [command]), *source, block_csv[0], *flag,
                  "--out", str(out)]) == 1
     assert _error_lines(capsys.readouterr().err) == [
         f"dscfw: error: unrecognized arguments: {' '.join(flag)}"]
@@ -373,21 +460,29 @@ def test_trace_check_reads_a_manifest_with_the_old_flags(tmp_path, block_csv,
                                                          capsys):
     # A manifest written when cluster also took --features, --similarity,
     # --shift and --cutoff records them too; trace-check reads past them.
+    # One written before cluster took --sampler (0.8.0) records none of the
+    # sampling flags, and checks as a run without --sampler.
     matrix_csv, _ = block_csv
     out, trace = str(tmp_path / "run"), str(tmp_path / "trace.csv")
     assert main(["cluster", "--input", matrix_csv, "--solver", "fw",
                  "--max-clusters", "1", "--trace", trace, "--out", out]) == 0
+    manifest = Path(f"{out}.manifest.json")
+    written = strict_json(manifest.read_text())
     reports = []
-    for old in ({}, {"features": None, "similarity": "cosine", "shift": 0.0,
-                     "cutoff": 2e-12}):
-        manifest = Path(f"{out}.manifest.json")
-        record = strict_json(manifest.read_text())
+    for old, dropped in (
+            ({}, []),
+            ({"features": None, "similarity": "cosine", "shift": 0.0,
+              "cutoff": 2e-12}, []),
+            ({}, ["sampler", "samples", "overlap_threshold", "seed"])):
+        record = json.loads(json.dumps(written))
         record["flags"].update(old)
+        for flag in dropped:
+            del record["flags"][flag]
         manifest.write_text(json.dumps(record))
         capsys.readouterr()
         assert main(["trace-check", "--manifest", str(manifest)]) == 0
         reports.append(strict_json(capsys.readouterr().out))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_trace_check_counts_progress_violations(tmp_path, block_csv,
@@ -454,11 +549,14 @@ def _digests(*paths):
 
 
 TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
+SAMPLED = ["cluster", "--solver", "afw", "--sampler", "uni", "--samples", "2",
+           "--seed", "0"]
 
 
 @pytest.mark.parametrize("command, spoil, cause", [
-    (["multistart", "--solver", "afw", "--samples", "2", "--seed", "0"],
-     None, "records a multistart run, not a cluster run"),
+    (SAMPLED, None, "records a run without --trace"),
+    (SAMPLED, _set("trace", "trace.csv"), "records a flag that cluster "
+     "rejects: dscfw cluster: error: --trace applies only without --sampler"),
     (["cluster", "--solver", "fw"], None, "records a run without --trace"),
     (["cluster", "--solver", "rd", "--trace", "TRACE"], None,
      "replicator dynamics has no gap bound"),
@@ -473,6 +571,9 @@ TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
     (TRACED_FW, _set("solver", "nope"),
      "cluster rejects: dscfw cluster: error: argument --solver: invalid "
      "choice: 'nope'"),
+    (TRACED_FW, _set("solver", "pfw"),
+     "cluster rejects: dscfw cluster: error: without --sampler, --solver "
+     "takes afw-b, afw-v, fw, pfw-b, pfw-v, rd"),
     (TRACED_FW, _set("epsilon", "tiny"),
      "argument --epsilon: invalid float value: 'tiny'"),
     (TRACED_FW, _set("epsilon", "1e-12"),
@@ -487,11 +588,11 @@ TRACED_FW = ["cluster", "--solver", "fw", "--trace", "TRACE"]
     (TRACED_FW, _digests(), "records input digests of [], not of its --input"),
     (TRACED_FW, _digests("copy.csv"),
      "records input digests of ['copy.csv'], not of its --input"),
-], ids=["multistart-manifest", "no-trace", "rd", "input-changed",
-        "no-steps", "no-flags", "no-digests", "no-trace-flag",
-        "no-solver-flag", "no-peel-shift-flag", "bad-solver",
-        "bad-epsilon-text", "epsilon-as-text", "float-max-iters",
-        "null-peel-shift", "input-as-number", "null-input",
+], ids=["multistart-manifest", "multistart-manifest-with-trace",
+        "no-trace", "rd", "input-changed", "no-steps", "no-flags",
+        "no-digests", "no-trace-flag", "no-solver-flag", "no-peel-shift-flag",
+        "bad-solver", "bare-solver", "bad-epsilon-text", "epsilon-as-text",
+        "float-max-iters", "null-peel-shift", "input-as-number", "null-input",
         "no-input-digest", "other-input-digest"])
 def test_trace_check_refuses_an_uncheckable_run(tmp_path, block_csv, capsys,
                                                 command, spoil, cause):
@@ -752,8 +853,8 @@ def test_multistart_max_clusters_below_one_returns_2(tmp_path, block_csv,
                                                      capsys):
     matrix_csv, _ = block_csv
     out = tmp_path / "ms"
-    code = main(["multistart", "--input", matrix_csv, "--seed", "0",
-                 "--max-clusters", "0", "--out", str(out)])
+    code = main(["cluster", "--sampler", "uni", "--input", matrix_csv,
+                 "--seed", "0", "--max-clusters", "0", "--out", str(out)])
     assert code == 2
     assert "max_clusters" in capsys.readouterr().err
     assert not list(tmp_path.glob("ms.*"))
@@ -797,8 +898,8 @@ def test_non_finite_matrix_returns_2(tmp_path, capsys):
     ["cluster", "--peel-shift", "inf"],
     ["cluster", "--peel-shift", "nan"],
     ["cluster", "--peel-shift", "-1"],
-    ["multistart", "--epsilon", "nan"],
-    ["multistart", "--epsilon", "inf"],
+    ["cluster", "--sampler", "uni", "--epsilon", "nan"],
+    ["cluster", "--sampler", "uni", "--epsilon", "inf"],
 ])
 def test_non_finite_threshold_returns_2(tmp_path, block_csv, capsys, flags):
     # An infinite epsilon would stop every solve before its first step, a
@@ -812,12 +913,12 @@ def test_non_finite_threshold_returns_2(tmp_path, block_csv, capsys, flags):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["cluster", "multistart"])
+@pytest.mark.parametrize("command", MODES.values(), ids=MODES)
 def test_epsilon_of_one_returns_2(tmp_path, block_csv, capsys, command):
     # The stop test is f >= (1 - epsilon) max(r), and f >= 0: epsilon = 1
     # would stop every solve before its first step.
     matrix_csv, _ = block_csv
-    code = main([command, "--epsilon", "1", "--input", matrix_csv,
+    code = main([*command, "--epsilon", "1", "--input", matrix_csv,
                  "--max-clusters", "2", "--out", str(tmp_path / "run")])
     assert code == 2
     assert "(0, 1)" in capsys.readouterr().err
@@ -892,15 +993,10 @@ def test_trace_is_the_first_shifted_round(tmp_path, block_csv, capsys):
     assert f_shifted > 1.0 > float(x @ A.entries @ x)
 
 
-def test_cluster_has_no_seed_flag(tmp_path, block_csv, capsys):
-    matrix_csv, _ = block_csv
-    assert main(["cluster", "--input", matrix_csv, "--max-clusters", "1",
-                 "--seed", "0", "--out", str(tmp_path / "run")]) == 1
-
-
 def test_max_iters_stop_is_reported(tmp_path, block_csv):
-    # Every solve that spends its budget gets a manifest entry and the run
-    # logs one line to stderr (no logging is configured, so Python's
+    # Every solve that spends its budget gets a manifest entry, by solve
+    # number (a peel run's solve k is its round k), and the run logs one
+    # line to stderr (no logging is configured, so Python's
     # last-resort handler prints it).
     matrix_csv, _ = block_csv
     out = tmp_path / "run"
@@ -917,7 +1013,7 @@ def test_max_iters_stop_is_reported(tmp_path, block_csv):
     assert warnings
     assert all(w["max_iters"] == 1 and w["last_full_gap"] > 0
                for w in warnings)
-    assert [w["round"] for w in warnings] == list(
+    assert [w["solve"] for w in warnings] == list(
         range(1, len(warnings) + 1))
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and "max_iters=1" in lines[0]
@@ -925,7 +1021,7 @@ def test_max_iters_stop_is_reported(tmp_path, block_csv):
 
 @pytest.mark.parametrize("command", [
     ["cluster", "--solver", "pfw-b", "--peel-shift", "4"],
-    ["multistart", "--solver", "afw", "--samples", "2", "--seed", "0"],
+    SAMPLED,
 ])
 def test_budget_warnings_in_manifest(tmp_path, block_csv, capsys, caplog,
                                      command):
@@ -938,6 +1034,8 @@ def test_budget_warnings_in_manifest(tmp_path, block_csv, capsys, caplog,
         manifests[budget] = strict_json(
             (tmp_path / f"run{budget}.manifest.json").read_text())
     assert manifests["1"]["warnings"]
+    assert all(list(w) == ["solve", "max_iters", "last_full_gap"]
+               for w in manifests["1"]["warnings"])
     assert manifests["5000"]["warnings"] == []
     budget_records = [r for r in caplog.records if r.name == "dscfw.cli"]
     assert len(budget_records) == 1

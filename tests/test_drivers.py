@@ -5,16 +5,19 @@ lies on the simplex and is zero outside the objects its round solved over,
 and a seed fixes the output. `multistart_cluster` also matches, bit for
 bit, a reference copy of the multistart loop as it stood before it ran on
 the peel driver. On a `ShiftedMatrix`, multistart labels the objects as on
-the dense shifted matrix, and every peel round passes the progress
-checks against the operator it solved."""
+the dense shifted matrix, up to a tie that rounding breaks either way, and
+every peel round passes the progress checks against the operator it
+solved."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+from dscfw import multistart
 from dscfw.data import block_noise_matrix
 from dscfw.diagnostics import check_progress
 from dscfw.errors import DscfwError, PoolTooSmall
@@ -35,7 +38,7 @@ from dscfw.peel import (
 )
 from dscfw.solvers import InitKind, SolverConfig, SolverKind, StopReason, run
 
-from conftest import extract_support, rand_sim
+from conftest import assert_tie, extract_support, rand_sim, step_key
 
 KINDS = hst.sampled_from([SolverKind.FW, SolverKind.PFW, SolverKind.AFW])
 SHIFTS = hst.sampled_from([0.0, 0.5, 4.0])
@@ -277,25 +280,69 @@ def test_multistart_matches_the_reference(A, kind, sampler, ell, seed,
     assert result.traces == []
 
 
+def _recording(calls):
+    """`run` for multistart, appending each solve's operator and trace to
+    `calls`."""
+    def recorded(sub, *args, **kwargs):
+        x, trace, reason = run(sub, *args, **kwargs)
+        calls.append((sub, trace))
+        return x, trace, reason
+    return recorded
+
+
+def _passes(calls):
+    """The recorded solves by pass, as (the operator every solve of the pass
+    solved, their traces in solve order)."""
+    passes = []
+    for sub, trace in calls:
+        if not passes or passes[-1][0] is not sub:
+            passes.append((sub, []))
+        passes[-1][1].append(trace)
+    return passes
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=hst.integers(2, 14), seed=hst.integers(0, 2**32 - 1),
        kind=hst.sampled_from([SolverKind.PFW, SolverKind.AFW]),
        sampler=hst.sampled_from([SamplerKind.UNI, SamplerKind.DPP]),
        ell=hst.integers(1, 4), shift=SHIFTS,
        max_clusters=hst.integers(1, 5))
+# From object 1's vertex both solves stop at GapReached, on the supports
+# {1,2,5,6,7,8,9} (operator) and {0,1,2,5,6,8,9} (dense): they part at a
+# tie that a pairwise step leaves, r_s = 1.0678462704905 on both paths.
+@example(n=13, seed=197, kind=SolverKind.PFW, sampler=SamplerKind.DPP,
+         ell=1, shift=0.5, max_clusters=1)
 def test_operator_multistart_labels_match_the_dense_matrix(
         n, seed, kind, sampler, ell, shift, max_clusters):
-    # Where every solve converges on both paths, multistart on the shifted
-    # operator labels the objects as it does on the dense shifted matrix:
-    # the samplers draw the same seeds, and the solves from each seed's
-    # starts find the same supports.
+    # Multistart on the shifted operator labels the objects as it does on
+    # the dense shifted matrix: the samplers draw the same seeds, and the
+    # solves from each seed's starts take the same steps. Rounding may
+    # break a tie between two vertices either way (test_peel's
+    # test_operator_rounds_match_the_dense_oracle), and the solves may then
+    # converge to different maxima: where two solves part, the step where
+    # they part must be such a tie, and only the clusters of the passes
+    # before its pass are compared.
     A = rand_sim(n, np.random.default_rng(seed))
     plan = SamplePlan(ell=ell, sampler=sampler, seed=seed)
     solver = SolverConfig(kind, InitKind.VERTEX, max_iters=5000)
-    result, _ = multistart_cluster(ShiftedMatrix(A, shift), plan, solver,
-                                   max_clusters)
-    dense, _ = multistart_cluster(shift_offdiag(A, shift), plan, solver,
-                                  max_clusters)
+    runs = []
+    for B in (ShiftedMatrix(A, shift), shift_offdiag(A, shift)):
+        calls = []
+        with mock.patch.object(multistart, "run", _recording(calls)):
+            result, _ = multistart_cluster(B, plan, solver, max_clusters)
+        runs.append((result, _passes(calls)))
+    (result, passes), (dense, dense_passes) = runs
+    for (sub, traces), (_, dense_traces) in zip(passes, dense_passes):
+        for trace, dense_trace in zip(traces, dense_traces):
+            for rec, want in zip(trace, dense_trace):
+                if step_key(rec) != step_key(want):
+                    assert_tie(rec, want)
+                    # The earlier passes clustered the n - sub.n objects
+                    # that this pass does not solve over.
+                    sizes = np.cumsum([len(c) for c in result.clusters])
+                    k = int(np.count_nonzero(sizes <= n - sub.n))
+                    assert result.clusters[:k] == dense.clusters[:k]
+                    return
     if StopReason.MAX_ITERS in result.stop_reasons + dense.stop_reasons:
         return
     assert np.array_equal(result.labels, dense.labels)

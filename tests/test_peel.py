@@ -1,7 +1,6 @@
 """Peel-off clustering driver tests."""
 
 import importlib
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -37,7 +36,7 @@ from dscfw.solvers import (
     step,
 )
 
-from conftest import extract_support, fw_gap, rand_sim
+from conftest import assert_tie, extract_support, fw_gap, rand_sim, step_key
 
 
 class TestShiftOffdiag:
@@ -237,18 +236,6 @@ def _dense_peel(A, shift, config):
     return labels, reasons, traces
 
 
-def _step_key(rec):
-    return rec.kind, rec.s_index, rec.v_index
-
-
-def _assert_tie(rec, want):
-    """Two solves took different vertices at this step: assert that the
-    vertices they took tie within rounding."""
-    assert rec.r_s == pytest.approx(want.r_s, rel=1e-12)
-    if not (math.isnan(rec.r_v) or math.isnan(want.r_v)):
-        assert rec.r_v == pytest.approx(want.r_v, rel=1e-12)
-
-
 @settings(max_examples=150, deadline=None)
 @given(n=hst.integers(3, 14), seed=hst.integers(0, 2**32 - 1),
        kind=hst.sampled_from(list(SolverKind)),
@@ -292,8 +279,8 @@ def test_operator_rounds_match_the_dense_oracle(n, seed, kind, init, shift,
         rec = step(state, op, kind)
         want = step(dense, B, kind)
         v = None if want.v_index is None else idx[want.v_index]
-        if _step_key(rec) != (want.kind, idx[want.s_index], v):
-            _assert_tie(rec, want)
+        if step_key(rec) != (want.kind, idx[want.s_index], v):
+            assert_tie(rec, want)
             break
         assert np.max(np.abs(state.r[idx] - dense.r)) <= 1e-8
         assert abs(state.f - dense.f) <= 1e-12 * abs(dense.f)
@@ -330,8 +317,8 @@ def test_operator_peel_labels_match_the_dense_oracle(n, seed, kind, init,
     labels, reasons, traces = _dense_peel(A, shift, config)
     for k, (got, want) in enumerate(zip(result.traces, traces)):
         for rec, ref in zip(got, want):
-            if _step_key(rec) != _step_key(ref):
-                _assert_tie(rec, ref)
+            if step_key(rec) != step_key(ref):
+                assert_tie(rec, ref)
                 # Round r labels its cluster r + 1 in both peels.
                 for label in range(1, k + 1):
                     assert np.array_equal(result.labels == label,

@@ -76,7 +76,7 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     monkeypatch.chdir(tmp_path)
     commands = _commands("## CLI")
     assert [argv[1] for argv in commands] == [
-        "synth", "cluster", "eval", "synth", "similarity", "multistart"]
+        "synth", "cluster", "eval", "synth", "similarity", "cluster"]
     # The block points to the trace-check section instead of tracing a
     # pfw run, whose bound holds trivially.
     assert all("--trace" not in argv and argv[1] != "trace-check"
@@ -103,8 +103,9 @@ def test_cli_quick_start_synth_and_cluster_run_as_printed(tmp_path,
     # The similarity line reads the features the second synth line writes.
     for argv in commands[3:]:
         assert main(argv[1:]) == 0, argv
-    # The multistart line's --seed fixes its samples, so the summary the
-    # README quotes is the one it prints.
+    # The last line clusters with sampled starts (--sampler), and its
+    # --seed fixes its samples, so the summary the README quotes is the one
+    # it prints.
     summary = strict_json(capsys.readouterr().out.splitlines()[-1])
     quoted = re.search(r'`(\{"passes": .*?\})`', README.read_text()).group(1)
     assert summary == strict_json(quoted)
